@@ -44,6 +44,7 @@ from .errors import (
     ClassificationGap,
     CycleDetected,
     InvalidCover,
+    InvalidInput,
     InvalidTransferSystem,
     InvariantViolation,
     NotALattice,

@@ -4,8 +4,8 @@ Subcommands: enumerate (stream systems/covers/operators), verify (run the
 count-verification table), export (DOT diagrams), fusion-count (the
 four-term breakdown), rank-two (closed form plus block census).
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 size
-guard breached.
+Exit codes: 0 success, 1 verification mismatch, 2 usage error or malformed
+input, 3 size guard breached.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from . import serialize
 from .characteristic import enumerate_interior_operators, fiber_decomposition
 from .counting import bmt_decompose, count_tr_fusion, tr_rank_two
 from .covers import enumerate_saturated_covers, find_cover_violation
-from .errors import InvariantViolation, SizeLimit, TrsysError
+from .errors import InvalidInput, InvariantViolation, SizeLimit, TrsysError
 from .lattice import (
     boolean_cube,
     chain,
@@ -55,6 +55,10 @@ def _add_lattice_args(parser):
 
 
 def _build_lattice(args, parser):
+    for flag in ("n", "m"):
+        value = getattr(args, flag)
+        if value is not None and value < 0:
+            raise InvalidInput(f"--{flag} must be nonnegative, got {value}")
     fam = args.family
     if fam == "chain":
         _require(parser, args.n is not None, "--family chain needs --n")
@@ -72,7 +76,15 @@ def _build_lattice(args, parser):
         _require(parser, args.p is not None, "--family subcpcp needs --p")
         return sub_cp_cp(args.p)
     _require(parser, args.json_path is not None, "--family json needs --json PATH")
-    return load_lattice(args.json_path)
+    return _read_lattice(args.json_path)
+
+
+def _read_lattice(path):
+    try:
+        return load_lattice(path)
+    except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
+        # no readable file, invalid JSON, or not an {"n", "leq_pairs"} object of ints
+        raise InvalidInput(f"cannot load a lattice from {path}: {exc!r}") from exc
 
 
 def _require(parser, condition, message):
@@ -220,8 +232,8 @@ def cmd_export(args, parser):
 
 
 def cmd_fusion_count(args, parser):
-    left = load_lattice(args.left)
-    right = load_lattice(args.right)
+    left = _read_lattice(args.left)
+    right = _read_lattice(args.right)
     breakdown = count_tr_fusion(left, right, guard=None if args.unsafe_guard else HARD_TR_GUARD)
     print(f"top term        {breakdown.top_term}")
     print(f"bottom term     {breakdown.bottom_term}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import search
 from .errors import (
     InvalidCover,
     InvariantViolation,
@@ -165,126 +166,64 @@ class SaturatedCover:
         return f"SaturatedCover({self.edges()})"
 
 
-def _cover_machinery(lat):
-    cached = lat._cache.get("cover_machinery")
-    if cached is None:
-        edges, _ = _cover_table(lat)
-        implies = rule_one_implications(lat)
-        diamonds = covering_diamonds(lat)
-        watching = [[] for _ in edges]
-        for quad in diamonds:
+class _CoverRules:
+    """The two rules as masks over cover-edge bits: rule (1) as the edges
+    each edge implies, rule (2) as the diamonds that watch each edge."""
+
+    def __init__(self, lat):
+        self.implies = [sum(1 << t for t in targets) for targets in rule_one_implications(lat)]
+        self.watching = [[] for _ in self.implies]
+        for quad in covering_diamonds(lat):
+            mask = sum(1 << e for e in quad)
             for e in quad:
-                watching[e].append(quad)
-        cached = (len(edges), implies, diamonds, watching)
-        lat._cache["cover_machinery"] = cached
-    return cached
+                self.watching[e].append(mask)
 
-
-def _cover_propagate(machinery, inc, exc, seed):
-    _, implies, _, watching = machinery
-    work = [seed]
-    inc |= 1 << seed
-    while work:
-        e = work.pop()
-        for t in implies[e]:
-            if not inc >> t & 1:
-                if exc >> t & 1:
+    def propagate(self, inc, exc, e):
+        inc |= 1 << e
+        work = [e]
+        while work:
+            e = work.pop()
+            forced = self.implies[e] & ~inc
+            for quad in self.watching[e]:
+                missing = quad & ~inc
+                if missing and not missing & (missing - 1):  # three of four in
+                    forced |= missing
+            if forced:
+                if forced & exc:
                     return None
-                inc |= 1 << t
-                work.append(t)
-        for quad in watching[e]:
-            if sum(inc >> q & 1 for q in quad) == 3:
-                fourth = next(q for q in quad if not inc >> q & 1)
-                if exc >> fourth & 1:
-                    return None
-                inc |= 1 << fourth
-                work.append(fourth)
-    return inc
+                inc |= forced
+                while forced:
+                    low = forced & -forced
+                    work.append(low.bit_length() - 1)
+                    forced ^= low
+        return inc
 
-
-def _cover_dead(machinery, inc, exc):
-    # an exclusion can strand a diamond at three-in with the fourth out
-    _, _, diamonds, _ = machinery
-    for quad in diamonds:
-        if sum(inc >> q & 1 for q in quad) == 3 and any(
-            exc >> q & 1 and not inc >> q & 1 for q in quad
-        ):
-            return True
-    return False
-
-
-def _cover_step(machinery, state):
-    """Expand one backtracking state into its surviving children, or
-    return None when the state is a leaf."""
-    edge_count = machinery[0]
-    i, inc, exc = state
-    while i < edge_count and (inc | exc) >> i & 1:
-        i += 1
-    if i == edge_count:
-        return None
-    children = []
-    with_e = _cover_propagate(machinery, inc, exc, i)
-    if with_e is not None:
-        children.append((i + 1, with_e, exc))
-    new_exc = exc | (1 << i)
-    if not _cover_dead(machinery, inc, new_exc):
-        children.append((i + 1, inc, new_exc))
-    return children
-
-
-def _cover_run(machinery, state):
-    out = []
-    stack = [state]
-    while stack:
-        s = stack.pop()
-        children = _cover_step(machinery, s)
-        if children is None:
-            out.append(s[1])
-        else:
-            stack.extend(children)
-    return out
-
-
-def _resume_cover_enumeration(args):
-    lat, state = args
-    return _cover_run(_cover_machinery(lat), state)
+    def exclude(self, inc, exc, e):
+        # excluding e strands a diamond watching e whose other three are in
+        bit = 1 << e
+        for quad in self.watching[e]:
+            if quad & inc == quad ^ bit:
+                return None
+        return exc
 
 
 def enumerate_saturated_covers(lat, guard=64, jobs=1):
     """All saturated covers, by backtracking over cover edges.
 
-    Rule (1) propagates along a precomputed implication graph; rule (2)
-    watches each covering diamond, forcing the fourth edge at three-in and
-    killing the branch at three-in-one-out.  With jobs > 1 the search tree
-    is split across worker processes and the results merged.
+    Rule (1) propagates along precomputed implication masks; rule (2)
+    watches each covering diamond, forcing the fourth edge at three-in,
+    and excluding an edge kills the branch when a diamond watching it is
+    three-in.  The search runs on the engine in `trsys.search`, split
+    across worker processes when jobs > 1.  Every output is re-validated
+    against both rules.
     """
     if not lat.is_modular():
         raise NotModular("saturated covers are defined on modular lattices")
     edges, _ = _cover_table(lat)
     if guard is not None and len(edges) > guard:
         raise SizeLimit(f"{len(edges)} cover edges exceed guard {guard}")
-    machinery = _cover_machinery(lat)
-    root = (0, 0, 0)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        states, leaves = [root], []
-        while states and len(states) < 4 * jobs:
-            nxt = []
-            for s in states:
-                children = _cover_step(machinery, s)
-                if children is None:
-                    leaves.append(s[1])
-                else:
-                    nxt.extend(children)
-            states = nxt
-        out = list(leaves)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(_resume_cover_enumeration, [(lat, s) for s in states]):
-                out.extend(chunk)
-    else:
-        out = _cover_run(machinery, root)
-    out = sorted(set(out))
+    rules = _CoverRules(lat)
+    out = search.leaves(list(range(len(edges))), 0, rules.propagate, rules.exclude, jobs=jobs)
     for bits in out:
         if find_cover_violation(lat, bits) is not None:
             raise InvariantViolation("backtracking emitted an invalid cover")

@@ -29,6 +29,10 @@ class NotPrime(TrsysError):
     """The argument is not a prime number."""
 
 
+class InvalidInput(TrsysError):
+    """Input read from outside the program is missing or malformed."""
+
+
 class SizeLimit(TrsysError):
     """A size guard was exceeded; pass a larger guard to override."""
 

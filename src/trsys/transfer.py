@@ -3,21 +3,26 @@
 A transfer system is a reflexive, transitive subrelation of the order that
 refines <= and is closed under restriction: x R z and y <= z imply
 (x ^ y) R y.  Systems are stored as bitsets (Python ints) over the
-comparable pairs of their ambient lattice, in dense row-major layout.
+comparable pairs of their ambient lattice, in row-major order.
 
-The same closure/backtracking engine also drives the bounded-poset
-remnants obtained by deleting a lattice's extremes, where restriction is
-taken along maximal common lower bounds (the unique meet, when it exists).
+Enumeration runs on the backtracking engine in `trsys.search`.  Tr on a
+lattice propagates over a private dense n x n layout, where adding a pair
+to a transitive relation is one multiplication, and maps its leaves back
+to the pair layout.  Saturated systems, and the bounded-poset remnants
+obtained by deleting a lattice's extremes (where restriction is taken
+along maximal common lower bounds, the unique meet when it exists),
+propagate with the worklist closure `OrderContext.close_add`.
 """
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from . import search
 from .errors import (
     AmbientMismatch,
     InvalidTransferSystem,
@@ -137,83 +142,14 @@ class OrderContext:
 
     # -- exhaustive enumeration ---------------------------------------------
 
-    def enumerate_closed(self, saturate=False):
+    def _extend(self, saturate, inc, exc, k):
+        return self.close_add(inc, k, saturate=saturate, forbidden=exc)
+
+    def _search(self, saturate=False, jobs=1):
         """All relations closed under restriction+transitivity (and the
-        saturation rule when requested), by include/exclude backtracking
-        with closure propagation and forbidden-bit pruning."""
-        order = self.branch_order
-        out = []
-        base = self.close(self.diag, saturate=saturate)
-
-        def rec(i, inc, exc):
-            while i < len(order) and (inc | exc) >> order[i] & 1:
-                i += 1
-            if i == len(order):
-                out.append(inc)
-                return
-            k = order[i]
-            with_k = self.close_add(inc, k, saturate=saturate, forbidden=exc)
-            if with_k is not None:
-                rec(i + 1, with_k, exc)
-            rec(i + 1, inc, exc | (1 << k))
-
-        rec(0, base, 0)
-        out.sort()
-        return out
-
-    def enumerate_closed_parallel(self, jobs, saturate=False):
-        states = [(0, self.close(self.diag, saturate=saturate), 0)]
-        order = self.branch_order
-        # expand the search frontier breadth-first until there is enough
-        # independent work to split across processes
-        while len(states) < 4 * jobs:
-            new_states = []
-            advanced = False
-            for i, inc, exc in states:
-                while i < len(order) and (inc | exc) >> order[i] & 1:
-                    i += 1
-                if i == len(order):
-                    new_states.append((i, inc, exc))
-                    continue
-                advanced = True
-                k = order[i]
-                with_k = self.close_add(inc, k, saturate=saturate, forbidden=exc)
-                if with_k is not None:
-                    new_states.append((i + 1, with_k, exc))
-                new_states.append((i + 1, inc, exc | (1 << k)))
-            states = new_states
-            if not advanced:
-                break
-        out = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(_resume_enumeration, [(self, saturate, s) for s in states]):
-                out.extend(chunk)
-        out = sorted(set(out))
-        return out
-
-    def __getstate__(self):
-        return self.__dict__.copy()
-
-
-def _resume_enumeration(args):
-    ctx, saturate, (i0, inc0, exc0) = args
-    order = ctx.branch_order
-    out = []
-
-    def rec(i, inc, exc):
-        while i < len(order) and (inc | exc) >> order[i] & 1:
-            i += 1
-        if i == len(order):
-            out.append(inc)
-            return
-        k = order[i]
-        with_k = ctx.close_add(inc, k, saturate=saturate, forbidden=exc)
-        if with_k is not None:
-            rec(i + 1, with_k, exc)
-        rec(i + 1, inc, exc | (1 << k))
-
-    rec(i0, inc0, exc0)
-    return out
+        saturation rule when requested), with `close_add` propagating."""
+        root = self.close(self.diag, saturate=saturate)
+        return search.leaves(self.branch_order, root, partial(self._extend, saturate), jobs=jobs)
 
 
 def context_for(lat):
@@ -224,6 +160,50 @@ def context_for(lat):
         ctx = OrderContext(leq_rows, maxlower, lat.height)
         lat._cache["order_context"] = ctx
     return ctx
+
+
+class _DenseClosure:
+    """Propagation for Tr on a lattice, over a private dense layout.
+
+    The pair (x, z) is bit x*n + z of an n x n row-major matrix.  Adding
+    (x, z) to a reflexive, transitive R adds every (a, b) with a R x and
+    z R b, which is column x of R times row z: one multiplication.
+    Restriction is unary, and the transitive closure of a restriction-closed
+    relation is restriction-closed, so the closure of a transfer system
+    plus one pair is the transitive closure of the system, the pair and
+    the pair's restrictions, added one rank-one update at a time.
+    """
+
+    def __init__(self, lat, ctx):
+        n = lat.n
+        self.col = sum(1 << (a * n) for a in range(n))
+        self.row = (1 << n) - 1
+        self.root = sum(1 << (x * n + x) for x in range(n))
+        dense = [x * n + z for x, z in ctx.pairs]
+        self.order = [dense[k] for k in ctx.branch_order]
+        # per pair p: the mask of p and its restrictions, which the closure
+        # must contain, and for each of them (x, z*n, bit of (x, z)), the
+        # shifts that read column x and row z
+        self.steps = [None] * (n * n)
+        for k, (x, z) in enumerate(ctx.pairs):
+            targets = [(x, z)] + [ctx.pairs[t] for t in ctx.rest[k]]
+            updates = tuple((a, b * n, 1 << (a * n + b)) for a, b in targets)
+            self.steps[dense[k]] = (sum(bit for _, _, bit in updates), updates)
+        pair_bit = [0] * (n * n)
+        for k, pos in enumerate(dense):
+            pair_bit[pos] = 1 << k
+        self.to_pair_bits = search.byte_tables(pair_bit)
+
+    def propagate(self, inc, exc, k):
+        forced, updates = self.steps[k]
+        if forced & exc:
+            return None
+        col, row = self.col, self.row
+        for x, zn, bit in updates:
+            if not inc & bit:
+                inc |= (inc >> x & col) * (inc >> zn & row)
+        return None if inc & exc else inc
+
 
 
 # -- transfer systems ---------------------------------------------------------
@@ -500,26 +480,28 @@ class TrLattice:
         return self.systems[0]
 
 
-def count_nonreflexive_pairs(lat):
-    return len(context_for(lat).nonrefl)
-
-
 def enumerate_transfer_systems(lat, guard=26, jobs=1):
     """All transfer systems on `lat`, as a TrLattice.
 
     Backtracks over undecided non-reflexive pairs in decreasing rank-gap
     order, propagating restriction+transitivity closure on inclusion and
-    pruning branches whose closure hits an excluded pair.
+    pruning branches whose closure hits an excluded pair.  The closure
+    runs on a dense n x n bit matrix, one multiplication per added pair;
+    with jobs > 1 the search is split across worker processes, with the
+    same output.
     """
     ctx = context_for(lat)
     if guard is not None and len(ctx.nonrefl) > guard:
         raise SizeLimit(
             f"{len(ctx.nonrefl)} non-reflexive pairs exceed the enumeration guard {guard}"
         )
-    if jobs > 1:
-        all_bits = ctx.enumerate_closed_parallel(jobs)
-    else:
-        all_bits = ctx.enumerate_closed()
+    closure = lat._cache.get("dense_closure")
+    if closure is None:
+        closure = lat._cache["dense_closure"] = _DenseClosure(lat, ctx)
+    all_bits = search.leaves(closure.order, closure.root, closure.propagate, jobs=jobs)
+    # to the pair layout, in place; both layouts are row-major, so the order is kept
+    for j, dense in enumerate(all_bits):
+        all_bits[j] = search.gather(closure.to_pair_bits, dense)
     return TrLattice(lat, [TransferSystem._wrap(lat, b) for b in all_bits])
 
 
@@ -534,11 +516,7 @@ def enumerate_saturated_systems(lat, guard=80, jobs=1):
         raise SizeLimit(
             f"{len(ctx.nonrefl)} non-reflexive pairs exceed the enumeration guard {guard}"
         )
-    if jobs > 1:
-        all_bits = ctx.enumerate_closed_parallel(jobs, saturate=True)
-    else:
-        all_bits = ctx.enumerate_closed(saturate=True)
-    return [TransferSystem._wrap(lat, b) for b in all_bits]
+    return [TransferSystem._wrap(lat, b) for b in ctx._search(saturate=True, jobs=jobs)]
 
 
 # -- deleted-extreme subposets --------------------------------------------------
@@ -673,4 +651,4 @@ def enumerate_subposet_systems(sub, guard=26):
     ctx = sub.context()
     if guard is not None and len(ctx.nonrefl) > guard:
         raise SizeLimit(f"{len(ctx.nonrefl)} non-reflexive pairs exceed guard {guard}")
-    return [SubposetRelation(sub, b) for b in ctx.enumerate_closed()]
+    return [SubposetRelation(sub, b) for b in ctx._search()]

@@ -110,6 +110,28 @@ def test_usage_error_exits_two(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "args,content",
+    [
+        (["--family", "json", "--json", "{path}"], None),
+        (["--family", "json", "--json", "{path}"], "{not json"),
+        (["--family", "json", "--json", "{path}"], '{"n": 3}'),
+        (["--family", "json", "--json", "{path}"], '{"n": 3, "leq_pairs": [["a", 1]]}'),
+        (["--family", "chain", "--n", "-3"], None),
+    ],
+    ids=["missing-file", "invalid-json", "missing-leq-pairs", "non-int-pair", "negative-n"],
+)
+def test_malformed_lattice_input_exits_two(tmp_path, capsys, args, content):
+    path = tmp_path / "lat.json"
+    if content is not None:
+        path.write_text(content)
+    argv = ["enumerate", *(a.format(path=path) for a in args), "--kind", "transfer"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_output_is_deterministic_across_jobs(capsys):
     base = ["enumerate", "--family", "fuse2", "--n", "4", "--kind", "transfer",
             "--format", "json"]
