@@ -198,22 +198,14 @@ class _CoverRules:
                     forced ^= low
         return inc
 
-    def exclude(self, inc, exc, e):
-        # excluding e strands a diamond watching e whose other three are in
-        bit = 1 << e
-        for quad in self.watching[e]:
-            if quad & inc == quad ^ bit:
-                return None
-        return exc
-
 
 def enumerate_saturated_covers(lat, guard=64, jobs=1):
     """All saturated covers, by backtracking over cover edges.
 
     Rule (1) propagates along precomputed implication masks; rule (2)
-    watches each covering diamond, forcing the fourth edge at three-in,
-    and excluding an edge kills the branch when a diamond watching it is
-    three-in.  The search runs on the engine in `trsys.search`, split
+    watches each covering diamond, forcing the fourth edge at three-in, so
+    no branch holds a three-in diamond and an exclusion cannot strand one.
+    The search runs on the engine in `trsys.search`, split
     across worker processes when jobs > 1.  Every output is re-validated
     against both rules.
     """
@@ -223,7 +215,7 @@ def enumerate_saturated_covers(lat, guard=64, jobs=1):
     if guard is not None and len(edges) > guard:
         raise SizeLimit(f"{len(edges)} cover edges exceed guard {guard}")
     rules = _CoverRules(lat)
-    out = search.leaves(list(range(len(edges))), 0, rules.propagate, rules.exclude, jobs=jobs)
+    out = search.leaves(list(range(len(edges))), 0, rules.propagate, jobs=jobs)
     for bits in out:
         if find_cover_violation(lat, bits) is not None:
             raise InvariantViolation("backtracking emitted an invalid cover")

@@ -4,9 +4,9 @@ A state (i, inc, exc) holds the included and excluded bits as ints, and
 `order[i:]` the positions still to branch on.  States are immutable, so
 backtracking needs no undo trail (Knuth, TAOCP 4B, 7.2.2).  A kind of
 search supplies `propagate(inc, exc, k)`, the closure of `inc` plus
-position k or None when it meets `exc`, and may supply
-`exclude(inc, exc, k)`, called with k already in `exc`, which returns the
-exclusions to go on with or None when the branch is dead.
+position k or None when it meets `exc`.  Excluding a position never
+fails: a propagator that forces every position it must leaves no state
+whose exclusion branch is dead.
 """
 from __future__ import annotations
 
@@ -15,23 +15,23 @@ from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
 
 
-def leaves(order, root, propagate, exclude=None, jobs=1):
+def leaves(order, root, propagate, jobs=1):
     """The `inc` of every leaf below the closed set `root`, sorted; none
     repeats.  With jobs > 1 the tree is opened breadth-first until four
     states per worker are open, and their subtrees run in worker processes.
     """
     states = deque([(0, root, 0)])
-    out = _walk(order, states, propagate, exclude, width=4 * jobs if jobs > 1 else 0)
+    out = _walk(order, states, propagate, width=4 * jobs if jobs > 1 else 0)
     if states:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             subtrees = ([state] for state in states)
-            for chunk in pool.map(_walk, repeat(order), subtrees, repeat(propagate), repeat(exclude)):
+            for chunk in pool.map(_walk, repeat(order), subtrees, repeat(propagate)):
                 out.extend(chunk)
     out.sort()
     return out
 
 
-def _walk(order, states, propagate, exclude, width=0):
+def _walk(order, states, propagate, width=0):
     """The leaves below `states`.  A popped state runs down its exclusion
     spine to a leaf, pushing each include child that survives propagation.
     With `width`, the oldest state is popped first and the walk stops once
@@ -58,10 +58,6 @@ def _walk(order, states, propagate, exclude, width=0):
             if with_k is not None:
                 push((i, with_k, exc))
             exc |= masks[i - 1]
-            if exclude is not None:
-                exc = exclude(inc, exc, k)
-                if exc is None:
-                    break
     return out
 
 
