@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from . import search
-from .errors import InvariantViolation, NotMonotone, SizeLimit
+from .errors import InvariantViolation, SizeLimit
+from .lattice import monotone_image
 from .transfer import (
     TransferSystem,
     enumerate_transfer_systems,
@@ -27,13 +28,7 @@ class MonotoneEndomap:
     __slots__ = ("lattice", "image")
 
     def __init__(self, lattice, image):
-        image = tuple(int(v) for v in image)
-        if len(image) != lattice.n:
-            raise ValueError("image must assign every element")
-        for x in range(lattice.n):
-            for y in range(lattice.n):
-                if lattice.leq[x, y] and not lattice.leq[image[x], image[y]]:
-                    raise NotMonotone(f"map reverses {x} <= {y}")
+        image = monotone_image(lattice, lattice, image)
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "image", image)
 
@@ -44,7 +39,8 @@ class MonotoneEndomap:
         return self.image[x]
 
     def pointwise_leq(self, other):
-        return all(self.lattice.leq[a, b] for a, b in zip(self.image, other.image))
+        up = self.lattice.up
+        return all(up[a] >> b & 1 for a, b in zip(self.image, other.image))
 
     def __eq__(self, other):
         return isinstance(other, MonotoneEndomap) and self.image == other.image
@@ -61,10 +57,11 @@ class InteriorOperator(MonotoneEndomap):
 
     def __init__(self, lattice, image):
         super().__init__(lattice, image)
-        for x in range(lattice.n):
-            if not lattice.leq[self.image[x], x]:
+        image, up = self.image, lattice.up
+        for x, f in enumerate(image):
+            if not up[f] >> x & 1:
                 raise InvariantViolation(f"operator is not contractive at {x}")
-            if self.image[self.image[x]] != self.image[x]:
+            if image[f] != f:
                 raise InvariantViolation(f"operator is not idempotent at {x}")
 
 
@@ -75,12 +72,13 @@ def characteristic(system):
     the downset is recomputed and asserted rather than assumed.
     """
     lat = system.lattice
+    meet = lat.meet_rows
     image = []
     for x in range(lat.n):
         down = system.downset(x)
         m = down[0]
         for y in down[1:]:
-            m = int(lat.meet[m, y])
+            m = meet[m][y]
         if m not in down:
             raise InvariantViolation(f"downset of {x} has no least element")
         image.append(m)
@@ -114,19 +112,35 @@ def interior_system_masks(lat, max_elements=16):
 
 
 def operator_from_interior_system(lat, mask):
-    """f(x) = join of the system's elements below x."""
-    image = []
-    for x in range(lat.n):
-        best = lat.bottom
-        probe = mask
-        while probe:
-            low = probe & -probe
-            s = low.bit_length() - 1
-            probe ^= low
-            if lat.leq[s, x]:
-                best = int(lat.join[best, s])
-        image.append(best)
+    """f(x) = join of bottom and the system's elements below x.
+
+    Built bottom-up in height order: f(x) = x when x is in the system, and
+    otherwise the join of f over the lower covers of x, since every element
+    strictly below x lies below one of them.  This holds for every mask.
+    """
+    join = lat.join_rows
+    image = [lat.bottom] * lat.n
+    for x, lower in _bottom_up(lat):
+        if mask >> x & 1:
+            image[x] = x
+        else:
+            f = lat.bottom
+            for c in lower:
+                f = join[f][image[c]]
+            image[x] = f
     return InteriorOperator(lat, image)
+
+
+def _bottom_up(lat):
+    """Each element with its lower covers, in height order; cached."""
+    steps = lat._cache.get("bottom_up")
+    if steps is None:
+        lower = [[] for _ in range(lat.n)]
+        for x, y in lat.covers:
+            lower[y].append(x)
+        order = sorted(range(lat.n), key=lat.height.__getitem__)
+        steps = lat._cache["bottom_up"] = [(x, lower[x]) for x in order]
+    return steps
 
 
 def interior_system_of(operator):
@@ -239,4 +253,5 @@ def is_moore_family(lat, elements):
     """Contains top and is closed under pairwise meets."""
     if lat.top not in elements:
         return False
-    return all(int(lat.meet[x, y]) in elements for x in elements for y in elements)
+    meet = lat.meet_rows
+    return all(meet[x][y] in elements for x in elements for y in elements)

@@ -97,48 +97,42 @@ def _guard(args):
 
 
 def cmd_enumerate(args, parser):
+    kind = args.kind
+    if args.report is None and kind == "interior" and args.format == "dot":
+        parser.error("--format dot is not defined for interior operators")
     lat = _build_lattice(args, parser)
     if args.report == "fibers":
         return _print_fiber_report(lat, args)
-    kind = args.kind
     if kind == "transfer":
         items = list(enumerate_transfer_systems(lat, guard=_guard(args), jobs=args.jobs))
         _revalidate_systems(lat, items)
-        rows = [item.pairs() for item in items]
-        dots = [serialize.system_to_dot(s, f"transfer-{i:04d}") for i, s in enumerate(items)]
-        payload = [serialize.system_to_json(s) for s in items]
     elif kind == "saturated":
         items = enumerate_saturated_systems(lat, guard=None if args.unsafe_guard else 80, jobs=args.jobs)
         _revalidate_systems(lat, items)
-        rows = [item.pairs() for item in items]
-        dots = [serialize.system_to_dot(s, f"saturated-{i:04d}") for i, s in enumerate(items)]
-        payload = [serialize.system_to_json(s) for s in items]
     elif kind == "covers":
         items = enumerate_saturated_covers(lat, guard=None if args.unsafe_guard else 64, jobs=args.jobs)
         for cover in items:
             if find_cover_violation(lat, cover.bits) is not None:
                 raise InvariantViolation("enumerated cover failed re-validation")
-        rows = [item.edges() for item in items]
-        dots = [serialize.cover_to_dot(c, f"cover-{i:04d}") for i, c in enumerate(items)]
-        payload = [serialize.cover_to_json(c) for c in items]
     else:  # interior
         items = enumerate_interior_operators(lat, max_elements=lat.n if args.unsafe_guard else 16)
-        rows = [list(op.image) for op in items]
-        dots = None
-        payload = [serialize.operator_to_json(op) for op in items]
 
     if args.format == "table":
-        for row in rows:
+        for item in items:
             if kind == "interior":
-                print(" ".join(map(str, row)))
+                print(" ".join(map(str, item.image)))
             else:
+                row = item.edges() if kind == "covers" else item.pairs()
                 print(" ".join(f"{a}<{b}" for a, b in row) or "(none)")
     elif args.format == "json":
-        for entry in payload:
-            print(json.dumps(entry, sort_keys=True))
+        to_json = {"covers": serialize.cover_to_json, "interior": serialize.operator_to_json}
+        for item in items:
+            print(json.dumps(to_json.get(kind, serialize.system_to_json)(item), sort_keys=True))
     else:  # dot
-        if dots is None:
-            parser.error("--format dot is not defined for interior operators")
+        if kind == "covers":
+            dots = (serialize.cover_to_dot(c, f"cover-{i:04d}") for i, c in enumerate(items))
+        else:
+            dots = (serialize.system_to_dot(s, f"{kind}-{i:04d}") for i, s in enumerate(items))
         if args.out:
             os.makedirs(args.out, exist_ok=True)
             for i, text in enumerate(dots):
@@ -147,7 +141,7 @@ def cmd_enumerate(args, parser):
         else:
             for text in dots:
                 print(text)
-    print(f"{len(rows)} items", file=sys.stderr)
+    print(f"{len(items)} items", file=sys.stderr)
     return 0
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import AmbientMismatch, InvariantViolation, NotComposable, NotMonotone
-from .lattice import boolean_cube, from_order, product
+from .errors import AmbientMismatch, InvariantViolation, NotComposable
+from .lattice import boolean_cube, from_order, monotone_image, product
 from .transfer import TransferSystem, context_for, generate
 
 
@@ -22,15 +22,7 @@ class LatticeMap:
     __slots__ = ("source", "target", "image")
 
     def __init__(self, source, target, image):
-        image = tuple(int(v) for v in image)
-        if len(image) != source.n:
-            raise ValueError("image must assign every source element")
-        if any(not 0 <= v < target.n for v in image):
-            raise ValueError("image values out of range")
-        for x in range(source.n):
-            for y in range(source.n):
-                if source.leq[x, y] and not target.leq[image[x], image[y]]:
-                    raise NotMonotone(f"map reverses {x} <= {y}")
+        image = monotone_image(source, target, image)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "image", image)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import deque
 
 import numpy as np
 
@@ -19,6 +18,7 @@ from .errors import (
     NotALattice,
     NotBounded,
     NotGraded,
+    NotMonotone,
     NotPrime,
     SizeLimit,
 )
@@ -32,6 +32,8 @@ class Lattice:
         names: display label per element.
         leq: n x n boolean matrix, leq[x, y] iff x <= y.
         meet, join: n x n index tables (greatest lower / least upper bound).
+        up: one int bitmask per element; bit y of up[x] is set iff x <= y.
+        meet_rows, join_rows: the meet and join tables as lists of lists.
         bottom, top: indices of the extremes.
         covers: sorted list of pairs (x, y) with y covering x.
         height: longest cover-path length from bottom, per element.
@@ -55,9 +57,16 @@ class Lattice:
         self.top = _unique_top(leq)
         self.meet = _bound_table(leq, lower=True)
         self.join = _bound_table(leq, lower=False)
+        # Python views of the tables, for per-element loops, where a numpy
+        # scalar read costs far more than a list index or a shift
+        packed = np.packbits(leq, axis=1, bitorder="little")
+        self.up = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        self.meet_rows = self.meet.tolist()
+        self.join_rows = self.join.tolist()
         self.covers = _cover_pairs(leq)
-        self.height = _heights(n, self.covers)
-        self.rank = _try_rank(self)
+        self.height = _heights(self.covers, leq.sum(axis=0))
+        graded = all(self.height[y] == self.height[x] + 1 for x, y in self.covers)
+        self.rank = list(self.height) if graded else None
         self._modular = None
         self._cache = {}
         for arr in (self.leq, self.meet, self.join):
@@ -86,8 +95,9 @@ class Lattice:
     def grading(self):
         """Return the rank function, or raise NotGraded.
 
-        Ranks are cover-path distances from bottom, verified against both
-        grading axioms at construction time.
+        The lattice is graded when every cover raises the height by one;
+        the ranks are then the heights, and every maximal chain from bottom
+        to an element has the same length.
         """
         if self.rank is None:
             raise NotGraded(f"{self!r} admits no rank function")
@@ -141,6 +151,26 @@ class Lattice:
         state = self.__dict__.copy()
         state["_cache"] = {}
         return state
+
+
+def monotone_image(source, target, image):
+    """The image array of a monotone map from `source` to `target`, as ints.
+
+    Raises ValueError when the image misses an element or leaves
+    range(target.n), and NotMonotone at the first cover x < y of `source`
+    with image[x] not <= image[y].  Covers suffice: <= is their
+    reflexive-transitive closure, and a map preserving them preserves it.
+    """
+    image = tuple(map(int, image))
+    if len(image) != source.n:
+        raise ValueError("image must assign every source element")
+    if min(image) < 0 or max(image) >= target.n:
+        raise ValueError("image values out of range")
+    up = target.up
+    for x, y in source.covers:
+        if not up[image[x]] >> image[y] & 1:
+            raise NotMonotone(f"map reverses {x} <= {y}")
+    return image
 
 
 # -- construction helpers ---------------------------------------------------
@@ -206,60 +236,20 @@ def _cover_pairs(leq):
     return sorted((int(x), int(y)) for x, y in np.argwhere(cov))
 
 
-def _heights(n, covers):
-    """Longest cover-path length up from the minimal elements."""
-    parents_of = {x: [] for x in range(n)}
+def _heights(covers, below_counts):
+    """Longest cover-path length up from the minimal elements.
+
+    `below_counts[x]` is the number of elements below x; visiting elements
+    by increasing count visits each after everything below it.
+    """
+    parents_of = [[] for _ in below_counts]
     for x, y in covers:
         parents_of[y].append(x)
-    h = [0] * n
-    for x in _topological(n, covers):
+    h = [0] * len(below_counts)
+    for x in np.argsort(below_counts, kind="stable").tolist():
         for p in parents_of[x]:
             h[x] = max(h[x], h[p] + 1)
     return h
-
-
-def _topological(n, covers):
-    children_of = {x: [] for x in range(n)}
-    indeg = [0] * n
-    for x, y in covers:
-        children_of[x].append(y)
-        indeg[y] += 1
-    queue = deque(x for x in range(n) if indeg[x] == 0)
-    topo = []
-    while queue:
-        x = queue.popleft()
-        topo.append(x)
-        for y in children_of[x]:
-            indeg[y] -= 1
-            if indeg[y] == 0:
-                queue.append(y)
-    return topo
-
-
-def _try_rank(lat):
-    """Shortest cover-path distance from bottom, if it grades the lattice."""
-    dist = [None] * lat.n
-    dist[lat.bottom] = 0
-    queue = deque([lat.bottom])
-    children_of = {x: [] for x in range(lat.n)}
-    for x, y in lat.covers:
-        children_of[x].append(y)
-    while queue:
-        x = queue.popleft()
-        for y in children_of[x]:
-            if dist[y] is None:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    if any(d is None for d in dist):
-        return None
-    for x, y in lat.covers:
-        if dist[y] != dist[x] + 1:
-            return None
-    for x in range(lat.n):
-        for y in range(lat.n):
-            if x != y and lat.leq[x, y] and not dist[x] < dist[y]:
-                return None
-    return dist
 
 
 # -- standard families -------------------------------------------------------
@@ -411,7 +401,7 @@ def _refined_classes(lat):
     for x, y in lat.covers:
         parents_of[x].append(y)
         children_of[y].append(x)
-    coheight = _heights(n, [(y, x) for x, y in lat.covers])
+    coheight = _heights([(y, x) for x, y in lat.covers], lat.leq.sum(axis=1))
     sig = [
         (
             lat.height[x],

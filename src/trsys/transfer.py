@@ -155,9 +155,8 @@ class OrderContext:
 def context_for(lat):
     ctx = lat._cache.get("order_context")
     if ctx is None:
-        leq_rows = [[bool(lat.leq[x, y]) for y in range(lat.n)] for x in range(lat.n)]
-        maxlower = [[[int(lat.meet[a, b])] for b in range(lat.n)] for a in range(lat.n)]
-        ctx = OrderContext(leq_rows, maxlower, lat.height)
+        maxlower = [[[w] for w in row] for row in lat.meet_rows]
+        ctx = OrderContext(lat.leq.tolist(), maxlower, lat.height)
         lat._cache["order_context"] = ctx
     return ctx
 
@@ -228,6 +227,7 @@ def find_violation(lat, bits):
     if bits & ctx.diag != ctx.diag:
         missing = next(k for k in range(ctx.pair_count) if ctx.diag >> k & 1 and not bits >> k & 1)
         return Violation("reflexivity", (ctx.pairs[missing][0],))
+    up, meet = lat.up, lat.meet_rows
     for k in range(ctx.pair_count):
         if not bits >> k & 1:
             continue
@@ -235,8 +235,8 @@ def find_violation(lat, bits):
         if x == z:
             continue
         for y in range(lat.n):
-            if lat.leq[y, z]:
-                w = int(lat.meet[x, y])
+            if up[y] >> z & 1:
+                w = meet[x][y]
                 if w != y and not bits >> ctx.pidx[(w, y)] & 1:
                     return Violation("restriction", (x, z, y))
         for j in ctx.by_first[z]:
@@ -345,6 +345,7 @@ class TransferSystem:
         """Two-out-of-three: x R y <= z and x R z imply y R z."""
         ctx = self._ctx()
         bits = self.bits
+        up = self.lattice.up
         for k in ctx.nonrefl:
             if not bits >> k & 1:
                 continue
@@ -352,17 +353,18 @@ class TransferSystem:
             for j in ctx.by_first[x]:
                 if j != k and bits >> j & 1:
                     z = ctx.pairs[j][1]
-                    if z != y and self.lattice.leq[y, z] and not bits >> ctx.pidx[(y, z)] & 1:
+                    if z != y and up[y] >> z & 1 and not bits >> ctx.pidx[(y, z)] & 1:
                         return False
         return True
 
     def minimal_fibrant(self):
         """The least element related to top (chi at the top element)."""
         lat = self.lattice
+        meet = lat.meet_rows
         down = self.downset(lat.top)
         m = down[0]
         for y in down[1:]:
-            m = int(lat.meet[m, y])
+            m = meet[m][y]
         if not self.contains(m, lat.top):
             raise InvariantViolation("meet of top-downset escaped the downset")
         return m
@@ -430,7 +432,7 @@ class TrLattice:
     def __init__(self, lattice, systems):
         self.lattice = lattice
         self.systems = sorted(systems, key=lambda s: s.bits)
-        self._index = {s.bits: i for i, s in enumerate(self.systems)}
+        self._index = None  # bits -> position, built on the first lookup
         self._covers = None
 
     def __len__(self):
@@ -442,19 +444,24 @@ class TrLattice:
     def __getitem__(self, i):
         return self.systems[i]
 
+    def _position(self, bits):
+        if self._index is None:
+            self._index = {s.bits: i for i, s in enumerate(self.systems)}
+        return self._index[bits]
+
     def index_of(self, system):
-        return self._index[system.bits]
+        return self._position(system.bits)
 
     def leq(self, i, j):
         a, b = self.systems[i].bits, self.systems[j].bits
         return a & b == a
 
     def meet_index(self, i, j):
-        return self._index[self.systems[i].bits & self.systems[j].bits]
+        return self._position(self.systems[i].bits & self.systems[j].bits)
 
     def join_index(self, i, j):
         joined = self.systems[i].join(self.systems[j])
-        return self._index[joined.bits]
+        return self._position(joined.bits)
 
     @property
     def covers(self):
@@ -474,7 +481,7 @@ class TrLattice:
         return from_order(len(self.systems), self.covers)
 
     def greatest(self):
-        return self.systems[-1] if self._index else None
+        return self.systems[-1] if self.systems else None
 
     def least(self):
         return self.systems[0]

@@ -104,6 +104,12 @@ def test_interior_operator_validation():
         InteriorOperator(lat, (0, 2, 2))  # not contractive at 1
     with pytest.raises(InvariantViolation):
         InteriorOperator(lat, (0, 0, 1))  # not idempotent at 2
+    # -1 would wrap around to the top in a list or an array
+    for image in [(0, 1, -1), (0, 1, 3), (0, 1)]:
+        with pytest.raises(ValueError):
+            MonotoneEndomap(lat, image)
+        with pytest.raises(ValueError):
+            InteriorOperator(lat, image)
 
 
 # -- interior operator enumeration ----------------------------------------------

@@ -110,6 +110,17 @@ def test_usage_error_exits_two(capsys):
     assert info.value.code == 2
 
 
+def test_interior_dot_exits_two_before_enumerating(monkeypatch, capsys):
+    def enumerate_called(*args, **kwargs):
+        raise AssertionError("enumerated before checking the format")
+
+    monkeypatch.setattr("trsys.cli.enumerate_interior_operators", enumerate_called)
+    with pytest.raises(SystemExit) as info:
+        main(["enumerate", "--family", "cube", "--n", "3", "--kind", "interior", "--format", "dot"])
+    assert info.value.code == 2
+    assert "--format dot is not defined for interior operators" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "args,content",
     [

@@ -1,17 +1,27 @@
-"""Property tests: the searches against the naive oracles on relabelled
-small lattices.
+"""Property tests on relabelled small lattices: the searches against the
+naive oracles, the lattice's list views and the loops built on them against
+their numpy definitions, and the CLI formats against each other.
 
 Every lattice on at most five elements, plus Sub(C3 x C3), whose few
 comparable pairs make the dense Tr layout sparse, is drawn under a random
 relabelling, so that branch orders and bit layouts vary between examples.
 """
+import contextlib
+import io
+import json
+import os
+import tempfile
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trsys.characteristic import interior_system_masks
+from trsys.characteristic import MonotoneEndomap, interior_system_masks, operator_from_interior_system
+from trsys.cli import main
 from trsys.covers import enumerate_saturated_covers
-from trsys.lattice import Lattice, all_lattices, sub_cp_cp
+from trsys.errors import NotMonotone
+from trsys.functorial import LatticeMap
+from trsys.lattice import Lattice, all_lattices, lattice_to_json, sub_cp_cp
 from trsys.oracles import naive_interior_operators, naive_saturated_covers, naive_transfer_systems
 from trsys.transfer import enumerate_saturated_systems, enumerate_transfer_systems
 
@@ -63,3 +73,83 @@ def test_two_jobs_give_the_serial_output(lat):
     for enumerate_ in searches:
         serial = bits(enumerate_(lat, guard=None))
         assert bits(enumerate_(lat, guard=None, jobs=2)) == serial
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabelled(BASES), st.booleans())
+def test_list_views_equal_the_numpy_tables(lat, dual):
+    if dual:
+        lat = lat.dual()
+    n = lat.n
+    assert lat.up == [sum(1 << y for y in range(n) if lat.leq[x, y]) for x in range(n)]
+    for rows, table in ((lat.meet_rows, lat.meet), (lat.join_rows, lat.join)):
+        assert rows == [[int(table[x, y]) for y in range(n)] for x in range(n)]
+        assert {type(v) for row in rows for v in row} == {int}
+
+
+def join_of_elements_below(lat, mask):
+    """The operator of a mask by its definition, on the numpy tables."""
+    image = []
+    for x in range(lat.n):
+        best = lat.bottom
+        for s in range(lat.n):
+            if mask >> s & 1 and lat.leq[s, x]:
+                best = int(lat.join[best, s])
+        image.append(best)
+    return tuple(image)
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelled(BASES))
+def test_operator_of_every_mask_equals_the_join_of_the_elements_below(lat):
+    # every mask, so also those that are not join-closed or miss bottom
+    for mask in range(1 << lat.n):
+        assert operator_from_interior_system(lat, mask).image == join_of_elements_below(lat, mask)
+
+
+def all_pairs_monotone(source, target, image):
+    return all(
+        target.leq[image[x], image[y]]
+        for x in range(source.n)
+        for y in range(source.n)
+        if source.leq[x, y]
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(relabelled(BASES), relabelled(BASES), st.data())
+def test_cover_monotonicity_check_agrees_with_all_pairs(source, target, data):
+    def image_into(lat):
+        return data.draw(st.lists(st.integers(0, lat.n - 1), min_size=source.n, max_size=source.n))
+
+    for make, lat in ((lambda im: MonotoneEndomap(source, im), source),
+                      (lambda im: LatticeMap(source, target, im), target)):
+        image = image_into(lat)
+        try:
+            make(image)
+            raised = False
+        except NotMonotone:
+            raised = True
+        assert raised == (not all_pairs_monotone(source, lat, image))
+
+
+@settings(max_examples=30, deadline=None)
+@given(relabelled(MODULAR), st.sampled_from(["transfer", "saturated", "covers"]))
+@example(sub_cp_cp(3), "covers")
+def test_every_format_reports_the_same_item_count(lat, kind):
+    reported = set()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "lattice.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(lattice_to_json(lat), fh)
+        for fmt in ("table", "json", "dot"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["enumerate", "--family", "json", "--json", path, "--kind", kind, "--format", fmt])
+            assert code == 0
+            count = int(err.getvalue().split()[0])
+            text = out.getvalue()
+            items = text.count("digraph ") if fmt == "dot" else len(text.splitlines())
+            assert items == count
+            reported.add(count)
+    assert len(reported) == 1

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from trsys.errors import (
@@ -8,7 +9,7 @@ from trsys.errors import (
     SizeLimit,
     UnsupportedSubposet,
 )
-from trsys.lattice import boolean_cube, chain, from_order, iterated_fusion, product
+from trsys.lattice import boolean_cube, chain, from_order, iterated_fusion, product, sub_cp_cp
 from trsys.oracles import (
     least_saturated_above,
     least_system_containing,
@@ -197,6 +198,41 @@ def test_tr_lattice_is_a_lattice():
         # greatest is the full order, least is discrete
         assert tr.greatest() == complete_system(lat)
         assert tr.least() == discrete_system(lat)
+
+
+def test_tr_lattice_index_is_built_on_first_lookup():
+    lat = boolean_cube(2)
+    tr = enumerate_transfer_systems(lat)
+    assert tr.greatest() == complete_system(lat)
+    assert [tr.index_of(s) for s in tr] == list(range(len(tr)))
+
+
+@pytest.mark.parametrize(
+    "lat",
+    [
+        boolean_cube(3),
+        chain(5),
+        sub_cp_cp(5),
+        pytest.param(
+            product(chain(2), chain(2)),
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="TrLattice.covers counts paths with a uint8 matmul, which wraps "
+                "at 256: it reports 122 pairs of Tr([2]x[2]) with 256, 512 or 768 "
+                "systems strictly between them, such as (0, 426), as Hasse edges",
+            ),
+        ),
+    ],
+    ids=["cube3", "chain5", "subcpcp5", "rect2x2"],
+)
+def test_tr_covers_are_the_hasse_edges_of_refinement(lat):
+    tr = enumerate_transfer_systems(lat, guard=None)
+    pairs = context_for(lat).pair_count
+    bits = np.array([[s.bits >> k & 1 for k in range(pairs)] for s in tr], dtype=float)
+    # i refines j when no pair of i is missing from j; float counts stay exact
+    lt = (bits @ (1 - bits).T == 0) & ~np.eye(len(tr), dtype=bool)
+    between = lt.astype(float) @ lt.astype(float)
+    assert tr.covers == sorted((int(i), int(j)) for i, j in np.argwhere(lt & (between == 0)))
 
 
 # -- meet / join ----------------------------------------------------------------
