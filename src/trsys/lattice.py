@@ -142,7 +142,7 @@ class Lattice:
 
     def same_order(self, other):
         """Identical element count and order matrix (names ignored)."""
-        return self.n == other.n and np.array_equal(self.leq, other.leq)
+        return self is other or (self.n == other.n and np.array_equal(self.leq, other.leq))
 
     def __repr__(self):
         return f"Lattice(n={self.n}, covers={len(self.covers)})"

@@ -63,7 +63,9 @@ def _walk(order, states, propagate, width=0):
 
 def byte_tables(values):
     """Per byte of a bitset, a table from its value to the OR of values[j]
-    over the set bits j it covers."""
+    over the set bits j it covers.  An entry that a zero value leaves
+    unchanged shares the int of the entry without that bit, so sparse
+    values cost few int objects."""
     values = list(values)
     values += [0] * (-len(values) % 8)
     tables = []
@@ -71,7 +73,8 @@ def byte_tables(values):
         table = [0] * 256
         for v in range(1, 256):
             low = v & -v
-            table[v] = table[v ^ low] | values[base + low.bit_length() - 1]
+            value = values[base + low.bit_length() - 1]
+            table[v] = table[v ^ low] | value if value else table[v ^ low]
         tables.append(table)
     return tables
 

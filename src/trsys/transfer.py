@@ -5,13 +5,19 @@ refines <= and is closed under restriction: x R z and y <= z imply
 (x ^ y) R y.  Systems are stored as bitsets (Python ints) over the
 comparable pairs of their ambient lattice, in row-major order.
 
-Enumeration runs on the backtracking engine in `trsys.search`.  Tr on a
-lattice propagates over a private dense n x n layout, where adding a pair
-to a transitive relation is one multiplication, and maps its leaves back
-to the pair layout.  Saturated systems, and the bounded-poset remnants
-obtained by deleting a lattice's extremes (where restriction is taken
-along maximal common lower bounds, the unique meet when it exists),
-propagate with the worklist closure `OrderContext.close_add`.
+Relations on a lattice close on one dense n x n bit matrix per lattice,
+`closure_for(lat)`: restriction is one mask per pair, transitivity is
+Warshall's n rank-one updates, and two-out-of-three is one shift per
+related pair.  `generate`, `TransferSystem.join` and `saturated_hull` close
+there, and the Tr search on the backtracking engine in `trsys.search`
+propagates there (adding a pair to a transitive relation is one
+multiplication) and maps its leaves back to the pair layout.  The
+pair-index worklist `OrderContext.close`/`close_add` serves the saturated
+systems search and the bounded-poset remnants obtained by deleting a
+lattice's extremes (where restriction is taken along maximal common lower
+bounds, the unique meet when it exists), and is the reference the dense
+closure is tested against.  `find_violation` and `is_saturated` check the
+axioms directly and use neither closure.
 """
 from __future__ import annotations
 
@@ -161,37 +167,68 @@ def context_for(lat):
     return ctx
 
 
+def closure_for(lat):
+    """The dense closure of `lat`, built once per lattice."""
+    closure = lat._cache.get("dense_closure")
+    if closure is None:
+        closure = lat._cache["dense_closure"] = _DenseClosure(lat, context_for(lat))
+    return closure
+
+
 class _DenseClosure:
-    """Propagation for Tr on a lattice, over a private dense layout.
+    """The closures of relations on a lattice, over a dense layout.
 
     The pair (x, z) is bit x*n + z of an n x n row-major matrix.  Adding
     (x, z) to a reflexive, transitive R adds every (a, b) with a R x and
     z R b, which is column x of R times row z: one multiplication.
-    Restriction is unary, and the transitive closure of a restriction-closed
-    relation is restriction-closed, so the closure of a transfer system
-    plus one pair is the transitive closure of the system, the pair and
-    the pair's restrictions, added one rank-one update at a time.
+    Restriction is unary and one pass suffices (a restriction of a
+    restriction of p is a restriction of p), so it is an OR of one mask per
+    pair.  Transitive closure and two-out-of-three both keep a relation
+    restriction-closed, so closing under restriction first is enough; the
+    transitive closure is Warshall's n rank-one updates.
+
+    The Tr search steps by `propagate`: the closure of a transfer system
+    plus one pair is the transitive closure of the system, the pair and the
+    pair's restrictions, added one rank-one update at a time.
     """
 
     def __init__(self, lat, ctx):
         n = lat.n
+        self.n = n
+        self.up = lat.up
+        self.diag = ctx.diag
         self.col = sum(1 << (a * n) for a in range(n))
         self.row = (1 << n) - 1
-        self.root = sum(1 << (x * n + x) for x in range(n))
-        dense = [x * n + z for x, z in ctx.pairs]
-        self.order = [dense[k] for k in ctx.branch_order]
-        # per pair p: the mask of p and its restrictions, which the closure
-        # must contain, and for each of them (x, z*n, bit of (x, z)), the
-        # shifts that read column x and row z
-        self.steps = [None] * (n * n)
-        for k, (x, z) in enumerate(ctx.pairs):
-            targets = [(x, z)] + [ctx.pairs[t] for t in ctx.rest[k]]
-            updates = tuple((a, b * n, 1 << (a * n + b)) for a, b in targets)
-            self.steps[dense[k]] = (sum(bit for _, _, bit in updates), updates)
+        self.pos = [x * n + z for x, z in ctx.pairs]
+        self.order = [self.pos[k] for k in ctx.branch_order]
+        # per pair: the dense mask of the pair and its restrictions
+        self.rest = [
+            sum(1 << self.pos[j] for j in (k, *ctx.rest[k])) for k in range(ctx.pair_count)
+        ]
         pair_bit = [0] * (n * n)
-        for k, pos in enumerate(dense):
+        for k, pos in enumerate(self.pos):
             pair_bit[pos] = 1 << k
         self.to_pair_bits = search.byte_tables(pair_bit)
+        self.steps = None  # built by the first search: closing alone never needs them
+
+    def transfer_systems(self, jobs=1):
+        """Every transfer system, sorted, in the pair layout."""
+        if self.steps is None:
+            # per dense position p: the mask of p and its restrictions, which
+            # the closure must contain, and for each of them (x, z*n, bit of
+            # (x, z)), the shifts that read column x and row z
+            n = self.n
+            self.steps = [None] * (n * n)
+            for pos, forced in zip(self.pos, self.rest):
+                targets = [pos] + [t for t in _bits(forced) if t != pos]
+                updates = tuple((t // n, t % n * n, 1 << t) for t in targets)
+                self.steps[pos] = (forced, updates)
+        root = self._dense(self.diag)[0]
+        all_bits = search.leaves(self.order, root, self.propagate, jobs=jobs)
+        # to the pair layout, in place; both layouts are row-major, so the order is kept
+        for j, dense in enumerate(all_bits):
+            all_bits[j] = search.gather(self.to_pair_bits, dense)
+        return all_bits
 
     def propagate(self, inc, exc, k):
         forced, updates = self.steps[k]
@@ -203,6 +240,64 @@ class _DenseClosure:
                 inc |= (inc >> x & col) * (inc >> zn & row)
         return None if inc & exc else inc
 
+    def close(self, bits, restrict=True, transit=True, saturate=False, forbidden=0):
+        """`OrderContext.close` in the pair layout: the least superset of
+        `bits` and the diagonal closed under the selected rules, or None if
+        a pair the closure adds lies in `forbidden`."""
+        bits |= self.diag
+        plain, restricted = self._dense(bits)
+        dense = restricted if restrict else plain
+        while True:
+            if transit:
+                dense = self._transitive(dense)
+            if not saturate:
+                break
+            grown = self._saturate(dense)
+            if grown == dense:
+                break
+            dense = grown
+        out = search.gather(self.to_pair_bits, dense)
+        return None if out & ~bits & forbidden else out
+
+    def join(self, union):
+        """The transitive closure W(U) of a union U of transfer systems, or
+        None when W(U) misses a restriction of U, that is when the closure
+        of U needs restriction beyond transitivity."""
+        plain, restricted = self._dense(union | self.diag)
+        joined = self._transitive(plain)
+        if restricted & ~joined:
+            return None
+        return search.gather(self.to_pair_bits, joined)
+
+    def _dense(self, bits):
+        """Pair-layout `bits` in the dense layout, as is and with every
+        restriction of its pairs."""
+        pos, rest = self.pos, self.rest
+        plain = restricted = 0
+        while bits:
+            low = bits & -bits
+            k = low.bit_length() - 1
+            plain |= 1 << pos[k]
+            restricted |= rest[k]
+            bits ^= low
+        return plain, restricted
+
+    def _transitive(self, dense):
+        """Warshall: through each pivot v in turn, column v times row v."""
+        n, col, row = self.n, self.col, self.row
+        for v in range(n):
+            dense |= (dense >> v & col) * (dense >> v * n & row)
+        return dense
+
+    def _saturate(self, dense):
+        """One pass of two-out-of-three: x R y <= z and x R z give y R z,
+        so row y gains row x above y."""
+        n, row, up = self.n, self.row, self.up
+        for x in range(n):
+            reach = dense >> x * n & row
+            for y in _bits(reach & ~(1 << x)):
+                dense |= (reach & up[y]) << y * n
+        return dense
 
 
 # -- transfer systems ---------------------------------------------------------
@@ -267,13 +362,7 @@ class TransferSystem:
     @classmethod
     def from_pairs(cls, lattice, pairs):
         """Validate an explicit relation; raises InvalidTransferSystem."""
-        ctx = context_for(lattice)
-        bits = ctx.diag
-        for x, y in pairs:
-            if not lattice.leq[x, y]:
-                raise InvalidTransferSystem(Violation("refinement", (x, y)))
-            bits |= 1 << ctx.pidx[(x, y)]
-        return cls(lattice, bits)
+        return cls(lattice, context_for(lattice).diag | _pair_bits(lattice, pairs))
 
     def __setattr__(self, name, value):
         raise AttributeError("TransferSystem is immutable")
@@ -323,16 +412,16 @@ class TransferSystem:
         """Least transfer system containing both operands.
 
         For valid operands only transitivity can add pairs beyond the
-        union; this is asserted against the full closure at runtime.
+        union U, which is asserted at runtime.  The transitive closure W(U)
+        runs on the dense closure of `closure_for`; the full closure is
+        W(Rst(U)), which equals W(U) exactly when the restrictions Rst(U)
+        lie in W(U), so the assertion is a mask test.
         """
         self._check_ambient(other)
-        ctx = self._ctx()
-        union = self.bits | other.bits
-        full = ctx.close(union)
-        shortcut = ctx.close(union, restrict=False)
-        if full != shortcut:
+        joined = closure_for(self.lattice).join(self.bits | other.bits)
+        if joined is None:
             raise InvariantViolation("join needed restriction closure beyond transitivity")
-        return TransferSystem._wrap(self.lattice, full)
+        return TransferSystem._wrap(self.lattice, joined)
 
     __and__ = meet
     __or__ = join
@@ -381,39 +470,45 @@ def complete_system(lat):
     return TransferSystem._wrap(lat, (1 << ctx.pair_count) - 1)
 
 
+def _pair_bits(lat, pairs):
+    """The pair-layout bits of explicit pairs (x, y); a pair of elements
+    outside range(n), or with x not <= y, fails refinement."""
+    ctx = context_for(lat)
+    bits = 0
+    for x, y in pairs:
+        if not (0 <= x < lat.n and 0 <= y < lat.n and lat.leq[x, y]):
+            raise InvalidTransferSystem(Violation("refinement", (x, y)))
+        bits |= 1 << ctx.pidx[(x, y)]
+    return bits
+
+
 def generate(lat, pairs_or_bits):
     """Least transfer system containing the given relations.
 
-    Built by the exact three-phase procedure: close under reflexivity,
-    then under restriction, finally under transitivity; the result is
-    re-validated, which checks that no further restriction pass is needed.
+    Closes under reflexivity, then restriction (one mask per pair), then
+    transitivity (Warshall on the dense bit matrix of `closure_for`); the
+    result is re-validated, which checks that no further restriction pass
+    is needed.
     """
-    ctx = context_for(lat)
     if isinstance(pairs_or_bits, int):
         bits = pairs_or_bits
     else:
-        bits = 0
-        for x, y in pairs_or_bits:
-            if not lat.leq[x, y]:
-                raise InvalidTransferSystem(Violation("refinement", (x, y)))
-            bits |= 1 << ctx.pidx[(x, y)]
-    bits |= ctx.diag
-    bits = ctx.close(bits, transit=False)
-    bits = ctx.close(bits, restrict=False)
-    return TransferSystem(lat, bits)
+        bits = _pair_bits(lat, pairs_or_bits)
+    return TransferSystem(lat, closure_for(lat).close(bits))
 
 
 def saturated_hull(system):
     """Least saturated transfer system above the argument.
 
     Alternates two-out-of-three completion with regeneration until the
-    relation stabilizes.
+    relation stabilizes; both run on the dense closure of `closure_for`,
+    and each regenerated system is re-validated.
     """
     lat = system.lattice
-    ctx = context_for(lat)
+    closure = closure_for(lat)
     bits = system.bits
     while True:
-        added = ctx.close(bits, restrict=False, transit=False, saturate=True)
+        added = closure.close(bits, restrict=False, transit=False, saturate=True)
         if added == bits:
             break
         bits = generate(lat, added).bits
@@ -427,16 +522,33 @@ def saturated_hull(system):
 
 
 class TrLattice:
-    """The lattice of all transfer systems on a base lattice, by refinement."""
+    """The lattice of all transfer systems on a base lattice, by refinement.
+
+    Positions follow the sorted `bits`; the `TransferSystem` objects are
+    built on the first use of `systems`, iteration or indexing.
+    """
 
     def __init__(self, lattice, systems):
         self.lattice = lattice
-        self.systems = sorted(systems, key=lambda s: s.bits)
+        self._systems = sorted(systems, key=lambda s: s.bits)
+        self.bits = [s.bits for s in self._systems]
         self._index = None  # bits -> position, built on the first lookup
         self._covers = None
 
+    @classmethod
+    def _from_sorted_bits(cls, lattice, bits):
+        obj = cls(lattice, [])
+        obj.bits, obj._systems = bits, None
+        return obj
+
+    @property
+    def systems(self):
+        if self._systems is None:
+            self._systems = [TransferSystem._wrap(self.lattice, b) for b in self.bits]
+        return self._systems
+
     def __len__(self):
-        return len(self.systems)
+        return len(self.bits)
 
     def __iter__(self):
         return iter(self.systems)
@@ -446,18 +558,18 @@ class TrLattice:
 
     def _position(self, bits):
         if self._index is None:
-            self._index = {s.bits: i for i, s in enumerate(self.systems)}
+            self._index = {b: i for i, b in enumerate(self.bits)}
         return self._index[bits]
 
     def index_of(self, system):
         return self._position(system.bits)
 
     def leq(self, i, j):
-        a, b = self.systems[i].bits, self.systems[j].bits
+        a, b = self.bits[i], self.bits[j]
         return a & b == a
 
     def meet_index(self, i, j):
-        return self._position(self.systems[i].bits & self.systems[j].bits)
+        return self._position(self.bits[i] & self.bits[j])
 
     def join_index(self, i, j):
         joined = self.systems[i].join(self.systems[j])
@@ -467,7 +579,7 @@ class TrLattice:
     def covers(self):
         """Hasse edges of the refinement order, as index pairs."""
         if self._covers is None:
-            m = len(self.systems)
+            m = len(self.bits)
             lt = np.zeros((m, m), dtype=bool)
             for i, j in itertools.permutations(range(m), 2):
                 lt[i, j] = self.leq(i, j)
@@ -502,14 +614,7 @@ def enumerate_transfer_systems(lat, guard=26, jobs=1):
         raise SizeLimit(
             f"{len(ctx.nonrefl)} non-reflexive pairs exceed the enumeration guard {guard}"
         )
-    closure = lat._cache.get("dense_closure")
-    if closure is None:
-        closure = lat._cache["dense_closure"] = _DenseClosure(lat, ctx)
-    all_bits = search.leaves(closure.order, closure.root, closure.propagate, jobs=jobs)
-    # to the pair layout, in place; both layouts are row-major, so the order is kept
-    for j, dense in enumerate(all_bits):
-        all_bits[j] = search.gather(closure.to_pair_bits, dense)
-    return TrLattice(lat, [TransferSystem._wrap(lat, b) for b in all_bits])
+    return TrLattice._from_sorted_bits(lat, closure_for(lat).transfer_systems(jobs))
 
 
 def enumerate_saturated_systems(lat, guard=80, jobs=1):

@@ -1,6 +1,7 @@
 """Property tests on relabelled small lattices: the searches against the
-naive oracles, the lattice's list views and the loops built on them against
-their numpy definitions, and the CLI formats against each other.
+naive oracles, the dense closure against the worklist closure, the lattice's
+list views and the loops built on them against their numpy definitions, and
+the CLI formats against each other.
 
 Every lattice on at most five elements, plus Sub(C3 x C3), whose few
 comparable pairs make the dense Tr layout sparse, is drawn under a random
@@ -8,6 +9,7 @@ relabelling, so that branch orders and bit layouts vary between examples.
 """
 import contextlib
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -22,8 +24,21 @@ from trsys.covers import enumerate_saturated_covers
 from trsys.errors import NotMonotone
 from trsys.functorial import LatticeMap
 from trsys.lattice import Lattice, all_lattices, lattice_to_json, sub_cp_cp
-from trsys.oracles import naive_interior_operators, naive_saturated_covers, naive_transfer_systems
-from trsys.transfer import enumerate_saturated_systems, enumerate_transfer_systems
+from trsys.oracles import (
+    least_saturated_above,
+    least_system_containing,
+    naive_interior_operators,
+    naive_saturated_covers,
+    naive_transfer_systems,
+)
+from trsys.transfer import (
+    closure_for,
+    context_for,
+    enumerate_saturated_systems,
+    enumerate_transfer_systems,
+    generate,
+    saturated_hull,
+)
 
 BASES = [lat for n in range(1, 6) for lat in all_lattices(n)] + [sub_cp_cp(3)]
 MODULAR = [lat for lat in BASES if lat.is_modular()]
@@ -73,6 +88,52 @@ def test_two_jobs_give_the_serial_output(lat):
     for enumerate_ in searches:
         serial = bits(enumerate_(lat, guard=None))
         assert bits(enumerate_(lat, guard=None, jobs=2)) == serial
+
+
+@settings(max_examples=150, deadline=None)
+@given(relabelled(BASES), st.booleans(), st.data())
+def test_dense_closure_equals_the_worklist_closure(lat, dual, data):
+    if dual:
+        lat = lat.dual()
+    ctx = context_for(lat)
+    bits = data.draw(st.integers(0, (1 << ctx.pair_count) - 1))
+    forbidden = sum(1 << k for k in data.draw(st.sets(st.integers(0, ctx.pair_count - 1), max_size=3)))
+    for restrict, transit, saturate in itertools.product((False, True), repeat=3):
+        for avoid in (0, forbidden):
+            flags = dict(restrict=restrict, transit=transit, saturate=saturate, forbidden=avoid)
+            assert closure_for(lat).close(bits, **flags) == ctx.close(bits, **flags), flags
+
+
+def systems_and_pairs(lat, dual):
+    if dual:
+        lat = lat.dual()
+    tr = enumerate_transfer_systems(lat, guard=None)
+    pairs = [(x, y) for x in range(lat.n) for y in range(lat.n) if x != y and lat.leq[x, y]]
+    return lat, tr, pairs
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabelled(BASES), st.booleans(), st.data())
+def test_generate_equals_the_meet_of_the_systems_above(lat, dual, data):
+    lat, tr, pairs = systems_and_pairs(lat, dual)
+    picks = data.draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+    assert generate(lat, picks).bits == least_system_containing(lat, picks, tr=tr).bits
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabelled(BASES), st.booleans(), st.data())
+def test_saturated_hull_equals_the_least_saturated_system_above(lat, dual, data):
+    lat, tr, _ = systems_and_pairs(lat, dual)
+    system = data.draw(st.sampled_from(list(tr)))
+    assert saturated_hull(system).bits == least_saturated_above(system, tr=tr).bits
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabelled(BASES), st.booleans(), st.data())
+def test_join_equals_the_worklist_closure_of_the_union(lat, dual, data):
+    lat, tr, _ = systems_and_pairs(lat, dual)
+    a, b = data.draw(st.sampled_from(list(tr))), data.draw(st.sampled_from(list(tr)))
+    assert (a | b).bits == context_for(lat).close(a.bits | b.bits)
 
 
 @settings(max_examples=100, deadline=None)

@@ -9,13 +9,15 @@ from trsys.errors import (
     SizeLimit,
     UnsupportedSubposet,
 )
-from trsys.lattice import boolean_cube, chain, from_order, iterated_fusion, product, sub_cp_cp
+from trsys.lattice import boolean_cube, chain, from_order, iterated_fusion, lattice_to_json, product, sub_cp_cp
 from trsys.oracles import (
     least_saturated_above,
     least_system_containing,
     naive_transfer_systems,
 )
+from trsys.serialize import system_from_json
 from trsys.transfer import (
+    TrLattice,
     TransferSystem,
     complete_system,
     context_for,
@@ -74,6 +76,21 @@ def test_missing_transitivity_is_reported():
 def test_refinement_guard():
     with pytest.raises(InvalidTransferSystem):
         TransferSystem.from_pairs(chain(2), [(2, 0)])
+
+
+# -1 would wrap around to the top in a numpy or list lookup
+@pytest.mark.parametrize("pair", [(-1, 2), (0, 5), (3, 3), (0, -1)])
+def test_out_of_range_pairs_fail_refinement(pair):
+    lat = chain(2)
+    for build in (
+        lambda: TransferSystem.from_pairs(lat, [pair]),
+        lambda: generate(lat, [pair]),
+        lambda: system_from_json({"lattice": lattice_to_json(lat), "pairs": [list(pair)]}),
+    ):
+        with pytest.raises(InvalidTransferSystem) as info:
+            build()
+        assert info.value.violation.axiom == "refinement"
+        assert info.value.violation.witness == pair
 
 
 # -- generation ----------------------------------------------------------------
@@ -205,6 +222,16 @@ def test_tr_lattice_index_is_built_on_first_lookup():
     tr = enumerate_transfer_systems(lat)
     assert tr.greatest() == complete_system(lat)
     assert [tr.index_of(s) for s in tr] == list(range(len(tr)))
+
+
+def test_tr_lattice_wraps_systems_on_first_use():
+    lat = boolean_cube(2)
+    tr = enumerate_transfer_systems(lat)
+    assert len(tr) == 10 and tr.leq(0, 9) and tr.meet_index(3, 9) == 3
+    assert tr._systems is None  # counting and order queries read `bits`
+    shuffled = TrLattice(lat, reversed(list(tr)))  # the public constructor sorts
+    assert tr.bits == shuffled.bits == [s.bits for s in tr.systems]
+    assert tr.covers == shuffled.covers
 
 
 @pytest.mark.parametrize(
