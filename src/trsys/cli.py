@@ -54,11 +54,15 @@ def _add_lattice_args(parser):
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized commands")
 
 
-def _build_lattice(args, parser):
-    for flag in ("n", "m"):
+def _require_nonnegative(args, *flags):
+    for flag in flags:
         value = getattr(args, flag)
         if value is not None and value < 0:
             raise InvalidInput(f"--{flag} must be nonnegative, got {value}")
+
+
+def _build_lattice(args, parser):
+    _require_nonnegative(args, "n", "m")
     fam = args.family
     if fam == "chain":
         _require(parser, args.n is not None, "--family chain needs --n")
@@ -169,6 +173,7 @@ def _print_fiber_report(lat, args):
 
 
 def cmd_verify(args, parser):
+    _require_nonnegative(args, "max")
     names = [args.check] if args.check else None
     if names and names[0] not in ALL_CHECKS:
         parser.error(f"unknown check {names[0]!r}; choose from {sorted(ALL_CHECKS)}")

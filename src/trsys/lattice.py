@@ -104,21 +104,12 @@ class Lattice:
         return list(self.rank)
 
     def is_modular(self):
-        """Exhaustive check of the modular law a<=b => a v (x ^ b) = (a v x) ^ b."""
+        """Whether a <= b implies a v (x ^ b) = (a v x) ^ b, decided by
+        Dedekind's criterion: the lattice has no pentagonal sublattice
+        (see `pentagon_witness`).  Cached."""
         if self._modular is None:
-            self._modular = self.pentagon_witness() is None and self._modular_law_holds()
+            self._modular = self.pentagon_witness() is None
         return self._modular
-
-    def _modular_law_holds(self):
-        meet, join = self.meet, self.join
-        for a in range(self.n):
-            for b in range(self.n):
-                if not self.leq[a, b]:
-                    continue
-                for x in range(self.n):
-                    if join[a, meet[x, b]] != meet[join[a, x], b]:
-                        return False
-        return True
 
     def pentagon_witness(self):
         """Return (x, y, z) spanning a pentagonal sublattice, or None.

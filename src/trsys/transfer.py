@@ -5,26 +5,22 @@ refines <= and is closed under restriction: x R z and y <= z imply
 (x ^ y) R y.  Systems are stored as bitsets (Python ints) over the
 comparable pairs of their ambient lattice, in row-major order.
 
-Relations on a lattice close on one dense n x n bit matrix per lattice,
-`closure_for(lat)`: restriction is one mask per pair, transitivity is
+Every relation closes on one dense n x n bit matrix per order,
+`_DenseClosure`: restriction is one mask per pair, transitivity is
 Warshall's n rank-one updates, and two-out-of-three is one shift per
-related pair.  `generate`, `TransferSystem.join` and `saturated_hull` close
-there, and the Tr search on the backtracking engine in `trsys.search`
-propagates there (adding a pair to a transitive relation is one
-multiplication) and maps its leaves back to the pair layout.  The
-pair-index worklist `OrderContext.close`/`close_add` serves the saturated
-systems search and the bounded-poset remnants obtained by deleting a
-lattice's extremes (where restriction is taken along maximal common lower
-bounds, the unique meet when it exists), and is the reference the dense
-closure is tested against.  `find_violation` and `is_saturated` check the
-axioms directly and use neither closure.
+related pair.  A lattice builds it once in `closure_for(lat)`, and a
+deleted-extreme subposet once in `Subposet.closure()`.  `generate`,
+`TransferSystem.join` and `saturated_hull` close there, and the Tr,
+saturated and subposet searches on the backtracking engine in
+`trsys.search` propagate there (adding a pair to a transitive relation is
+one multiplication) and map their leaves back to the pair layout.
+`find_violation` and `is_saturated` check the axioms directly and read no
+closure table.
 """
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -40,15 +36,15 @@ from .lattice import from_order
 
 
 class OrderContext:
-    """Pair table and propagation rules for one finite order.
+    """Pair table and restriction targets for one finite order.
 
-    `maxlower[a][b]` lists the maximal common lower bounds of {a, b}; a
-    lattice supplies the singleton [a ^ b].  Restriction and transitivity
-    (and, on demand, the two-out-of-three saturation rule) are unit
-    propagations over pair indices.
+    `meets[a][b]` is the meet of a and b, or None where they have no
+    common lower bound.  `rest[k]` holds the pairs that
+    restricting pair k forces, and `branch_order` the order in which the
+    searches decide the non-reflexive pairs.
     """
 
-    def __init__(self, leq_rows, maxlower, heights):
+    def __init__(self, leq_rows, meets, heights):
         m = len(leq_rows)
         self.m = m
         self.up_mask = [0] * m
@@ -64,105 +60,30 @@ class OrderContext:
             self.diag |= 1 << self.pidx[(x, x)]
         self.nonrefl = [k for k, (x, y) in enumerate(self.pairs) if x != y]
         self.by_first = [[] for _ in range(m)]
-        self.by_second = [[] for _ in range(m)]
         for k, (x, y) in enumerate(self.pairs):
             if x != y:
                 self.by_first[x].append(k)
-                self.by_second[y].append(k)
-        # restriction is unary per pair: (x, z) forces (w, y) for y <= z,
-        # w a maximal common lower bound of {x, y}
+        # restriction is unary per pair: (x, z) forces (x ^ y, y) for y <= z
         self.rest = []
         for k, (x, z) in enumerate(self.pairs):
             targets = set()
             for y in range(m):
-                if not leq_rows[y][z]:
-                    continue
-                for w in maxlower[x][y]:
-                    if w != y:
-                        t = self.pidx[(w, y)]
-                        if t != k:
-                            targets.add(t)
+                w = meets[x][y]
+                if leq_rows[y][z] and w is not None and w != y:
+                    t = self.pidx[(w, y)]
+                    if t != k:
+                        targets.add(t)
             self.rest.append(tuple(sorted(targets)))
         # branch order: decreasing height gap, then pair index
         self.branch_order = sorted(
             self.nonrefl, key=lambda k: (-(heights[self.pairs[k][1]] - heights[self.pairs[k][0]]), k)
         )
 
-    # -- closure -----------------------------------------------------------
-
-    def close(self, bits, restrict=True, transit=True, saturate=False, forbidden=0):
-        """Least superset closed under the selected rules, or None if it
-        would meet `forbidden`.  Reflexive pairs are always included."""
-        bits |= self.diag
-        work = deque()
-        probe = bits
-        while probe:
-            low = probe & -probe
-            work.append(low.bit_length() - 1)
-            probe ^= low
-        return self._run(bits, work, restrict, transit, saturate, forbidden)
-
-    def close_add(self, closed, k, restrict=True, transit=True, saturate=False, forbidden=0):
-        """Closure of an already-closed set plus one new pair."""
-        if closed >> k & 1:
-            return closed
-        if forbidden >> k & 1:
-            return None
-        return self._run(closed | (1 << k), deque([k]), restrict, transit, saturate, forbidden)
-
-    def _run(self, bits, work, restrict, transit, saturate, forbidden):
-        pairs = self.pairs
-        pidx = self.pidx
-        up = self.up_mask
-        while work:
-            k = work.popleft()
-            x, z = pairs[k]
-            forced = []
-            if restrict:
-                forced.extend(self.rest[k])
-            if transit and x != z:
-                for j in self.by_first[z]:
-                    if bits >> j & 1:
-                        forced.append(pidx[(x, pairs[j][1])])
-                for j in self.by_second[x]:
-                    if bits >> j & 1:
-                        forced.append(pidx[(pairs[j][0], z)])
-            if saturate and x != z:
-                # x R y <= z and x R z force y R z, scanned in both roles
-                for j in self.by_first[x]:
-                    if bits >> j & 1:
-                        y2 = pairs[j][1]
-                        if y2 == z:
-                            continue
-                        if up[y2] >> z & 1:
-                            forced.append(pidx[(y2, z)])
-                        elif up[z] >> y2 & 1:
-                            forced.append(pidx[(z, y2)])
-            for t in forced:
-                if not bits >> t & 1:
-                    if forbidden >> t & 1:
-                        return None
-                    bits |= 1 << t
-                    work.append(t)
-        return bits
-
-    # -- exhaustive enumeration ---------------------------------------------
-
-    def _extend(self, saturate, inc, exc, k):
-        return self.close_add(inc, k, saturate=saturate, forbidden=exc)
-
-    def _search(self, saturate=False, jobs=1):
-        """All relations closed under restriction+transitivity (and the
-        saturation rule when requested), with `close_add` propagating."""
-        root = self.close(self.diag, saturate=saturate)
-        return search.leaves(self.branch_order, root, partial(self._extend, saturate), jobs=jobs)
-
 
 def context_for(lat):
     ctx = lat._cache.get("order_context")
     if ctx is None:
-        maxlower = [[[w] for w in row] for row in lat.meet_rows]
-        ctx = OrderContext(lat.leq.tolist(), maxlower, lat.height)
+        ctx = OrderContext(lat.leq.tolist(), lat.meet_rows, lat.height)
         lat._cache["order_context"] = ctx
     return ctx
 
@@ -171,31 +92,34 @@ def closure_for(lat):
     """The dense closure of `lat`, built once per lattice."""
     closure = lat._cache.get("dense_closure")
     if closure is None:
-        closure = lat._cache["dense_closure"] = _DenseClosure(lat, context_for(lat))
+        closure = lat._cache["dense_closure"] = _DenseClosure(context_for(lat))
     return closure
 
 
 class _DenseClosure:
-    """The closures of relations on a lattice, over a dense layout.
+    """The one closure of relations on a finite order, over a dense layout.
 
-    The pair (x, z) is bit x*n + z of an n x n row-major matrix.  Adding
-    (x, z) to a reflexive, transitive R adds every (a, b) with a R x and
-    z R b, which is column x of R times row z: one multiplication.
-    Restriction is unary and one pass suffices (a restriction of a
-    restriction of p is a restriction of p), so it is an OR of one mask per
-    pair.  Transitive closure and two-out-of-three both keep a relation
-    restriction-closed, so closing under restriction first is enough; the
-    transitive closure is Warshall's n rank-one updates.
+    It reads only the `OrderContext` of the order.  The pair (x, z) is bit
+    x*n + z of an n x n row-major matrix.  Adding (x, z) to a reflexive,
+    transitive R adds every (a, b) with a R x and z R b, which is column x
+    of R times row z: one multiplication.  Restriction is unary and one
+    pass suffices (a restriction of a restriction of p is a restriction of
+    p), so it is an OR of one mask per pair.  Transitive closure and
+    two-out-of-three both keep a relation restriction-closed, so closing
+    under restriction first is enough; the transitive closure is Warshall's
+    n rank-one updates.
 
-    The Tr search steps by `propagate`: the closure of a transfer system
-    plus one pair is the transitive closure of the system, the pair and the
-    pair's restrictions, added one rank-one update at a time.
+    The searches step by `propagate`: the closure of a transfer system plus
+    one pair is the transitive closure of the system, the pair and the
+    pair's restrictions, added one rank-one update at a time.  The
+    saturated search then adds each pair that two-out-of-three forces the
+    same way, until none is new.
     """
 
-    def __init__(self, lat, ctx):
-        n = lat.n
+    def __init__(self, ctx):
+        n = ctx.m
         self.n = n
-        self.up = lat.up
+        self.up = ctx.up_mask
         self.diag = ctx.diag
         self.col = sum(1 << (a * n) for a in range(n))
         self.row = (1 << n) - 1
@@ -211,8 +135,9 @@ class _DenseClosure:
         self.to_pair_bits = search.byte_tables(pair_bit)
         self.steps = None  # built by the first search: closing alone never needs them
 
-    def transfer_systems(self, jobs=1):
-        """Every transfer system, sorted, in the pair layout."""
+    def transfer_systems(self, jobs=1, saturate=False):
+        """Every transfer system, or every saturated one, sorted, in the
+        pair layout."""
         if self.steps is None:
             # per dense position p: the mask of p and its restrictions, which
             # the closure must contain, and for each of them (x, z*n, bit of
@@ -223,8 +148,9 @@ class _DenseClosure:
                 targets = [pos] + [t for t in _bits(forced) if t != pos]
                 updates = tuple((t // n, t % n * n, 1 << t) for t in targets)
                 self.steps[pos] = (forced, updates)
+        propagate = self.propagate_saturated if saturate else self.propagate
         root = self._dense(self.diag)[0]
-        all_bits = search.leaves(self.order, root, self.propagate, jobs=jobs)
+        all_bits = search.leaves(self.order, root, propagate, jobs=jobs)
         # to the pair layout, in place; both layouts are row-major, so the order is kept
         for j, dense in enumerate(all_bits):
             all_bits[j] = search.gather(self.to_pair_bits, dense)
@@ -240,24 +166,29 @@ class _DenseClosure:
                 inc |= (inc >> x & col) * (inc >> zn & row)
         return None if inc & exc else inc
 
-    def close(self, bits, restrict=True, transit=True, saturate=False, forbidden=0):
-        """`OrderContext.close` in the pair layout: the least superset of
-        `bits` and the diagonal closed under the selected rules, or None if
-        a pair the closure adds lies in `forbidden`."""
-        bits |= self.diag
-        plain, restricted = self._dense(bits)
-        dense = restricted if restrict else plain
-        while True:
-            if transit:
-                dense = self._transitive(dense)
-            if not saturate:
-                break
+    def propagate_saturated(self, inc, exc, k):
+        inc = self.propagate(inc, exc, k)
+        while inc is not None:
+            new = self._saturate(inc) & ~inc
+            if not new:
+                return inc
+            for p in _bits(new):
+                inc = self.propagate(inc, exc, p)
+                if inc is None:
+                    break
+        return None
+
+    def close(self, bits, saturate=False):
+        """The least relation containing `bits` and the diagonal that is
+        closed under restriction and transitivity, and under
+        two-out-of-three when `saturate`, in the pair layout."""
+        dense = self._transitive(self._dense(bits | self.diag)[1])
+        while saturate:
             grown = self._saturate(dense)
             if grown == dense:
                 break
-            dense = grown
-        out = search.gather(self.to_pair_bits, dense)
-        return None if out & ~bits & forbidden else out
+            dense = self._transitive(grown)
+        return search.gather(self.to_pair_bits, dense)
 
     def join(self, union):
         """The transitive closure W(U) of a union U of transfer systems, or
@@ -486,9 +417,9 @@ def generate(lat, pairs_or_bits):
     """Least transfer system containing the given relations.
 
     Closes under reflexivity, then restriction (one mask per pair), then
-    transitivity (Warshall on the dense bit matrix of `closure_for`); the
-    result is re-validated, which checks that no further restriction pass
-    is needed.
+    transitivity (Warshall), on the one closure of the lattice,
+    `closure_for`; the result is re-validated, which checks that no further
+    restriction pass is needed.
     """
     if isinstance(pairs_or_bits, int):
         bits = pairs_or_bits
@@ -500,19 +431,12 @@ def generate(lat, pairs_or_bits):
 def saturated_hull(system):
     """Least saturated transfer system above the argument.
 
-    Alternates two-out-of-three completion with regeneration until the
-    relation stabilizes; both run on the dense closure of `closure_for`,
-    and each regenerated system is re-validated.
+    The closure of the argument under restriction, transitivity and
+    two-out-of-three, on the one closure of the lattice, `closure_for`; the
+    result is re-validated and checked to be saturated.
     """
     lat = system.lattice
-    closure = closure_for(lat)
-    bits = system.bits
-    while True:
-        added = closure.close(bits, restrict=False, transit=False, saturate=True)
-        if added == bits:
-            break
-        bits = generate(lat, added).bits
-    out = TransferSystem(lat, bits)
+    out = TransferSystem(lat, closure_for(lat).close(system.bits, saturate=True))
     if not out.is_saturated():
         raise InvariantViolation("saturated hull is not saturated")
     return out
@@ -609,26 +533,26 @@ def enumerate_transfer_systems(lat, guard=26, jobs=1):
     with jobs > 1 the search is split across worker processes, with the
     same output.
     """
-    ctx = context_for(lat)
-    if guard is not None and len(ctx.nonrefl) > guard:
-        raise SizeLimit(
-            f"{len(ctx.nonrefl)} non-reflexive pairs exceed the enumeration guard {guard}"
-        )
+    _check_guard(context_for(lat), guard)
     return TrLattice._from_sorted_bits(lat, closure_for(lat).transfer_systems(jobs))
 
 
 def enumerate_saturated_systems(lat, guard=80, jobs=1):
     """All saturated transfer systems, enumerated directly.
 
-    Uses the same engine with the two-out-of-three rule added to the
-    closure, so the count is independent of full Tr enumeration.
+    Uses the same search with the two-out-of-three rule added to the
+    propagation, so the count is independent of full Tr enumeration.
     """
-    ctx = context_for(lat)
+    _check_guard(context_for(lat), guard)
+    bits = closure_for(lat).transfer_systems(jobs, saturate=True)
+    return [TransferSystem._wrap(lat, b) for b in bits]
+
+
+def _check_guard(ctx, guard):
     if guard is not None and len(ctx.nonrefl) > guard:
         raise SizeLimit(
             f"{len(ctx.nonrefl)} non-reflexive pairs exceed the enumeration guard {guard}"
         )
-    return [TransferSystem._wrap(lat, b) for b in ctx._search(saturate=True, jobs=jobs)]
 
 
 # -- deleted-extreme subposets --------------------------------------------------
@@ -651,6 +575,7 @@ class Subposet:
             for i in range(m)
         ]
         self._ctx = None
+        self._closure = None
 
     @property
     def m(self):
@@ -658,28 +583,21 @@ class Subposet:
 
     def context(self):
         if self._ctx is None:
-            m = self.m
-            below = [sum(1 << j for j in range(m) if self.leq[j][i]) for i in range(m)]
-            maxlower = [[None] * m for _ in range(m)]
-            for a in range(m):
-                for b in range(m):
-                    common = below[a] & below[b]
-                    found = []
-                    probe = common
-                    while probe:
-                        low = probe & -probe
-                        w = low.bit_length() - 1
-                        probe ^= low
-                        if not any(self.leq[w][v] and v != w for v in _bits(common)):
-                            found.append(w)
-                    maxlower[a][b] = found
-            heights = [0] * m
-            for i in sorted(range(m), key=lambda i: bin(below[i]).count("1")):
-                for j in range(m):
-                    if j != i and self.leq[j][i]:
-                        heights[i] = max(heights[i], heights[j] + 1)
-            self._ctx = OrderContext(self.leq, maxlower, heights)
+            # with only extremes deleted, two elements have a greatest common
+            # lower bound, their meet, unless it is the deleted bottom, and
+            # then none; heights shift by a constant, which keeps every
+            # height gap
+            pos, meet = self._pos, self.base.meet_rows
+            meets = [[pos.get(meet[a][b]) for b in self.elements] for a in self.elements]
+            heights = [self.base.height[x] for x in self.elements]
+            self._ctx = OrderContext(self.leq, meets, heights)
         return self._ctx
+
+    def closure(self):
+        """The dense closure of the subposet, built once."""
+        if self._closure is None:
+            self._closure = _DenseClosure(self.context())
+        return self._closure
 
 
 def _bits(mask):
@@ -754,13 +672,9 @@ def extend_with_bottom(rel):
 def enumerate_subposet_systems(sub, guard=26):
     """All transfer relations on a deleted-extreme subposet.
 
-    Restriction is taken along maximal common lower bounds, which agrees
-    with the meet whenever the subposet happens to be a lattice; pairs of
-    elements with no common lower bound impose nothing.
+    Restriction is taken along meets; pairs of elements whose meet is the
+    deleted bottom have no common lower bound and impose nothing.  The
+    search is the Tr search, on the subposet's own closure.
     """
-    if sub.m == 0:
-        return [SubposetRelation(sub, 0)]
-    ctx = sub.context()
-    if guard is not None and len(ctx.nonrefl) > guard:
-        raise SizeLimit(f"{len(ctx.nonrefl)} non-reflexive pairs exceed guard {guard}")
-    return [SubposetRelation(sub, b) for b in ctx._search()]
+    _check_guard(sub.context(), guard)
+    return [SubposetRelation(sub, b) for b in sub.closure().transfer_systems()]

@@ -158,6 +158,14 @@ def test_verify_single_check(capsys):
     assert "PASS catalan" in out
 
 
+@pytest.mark.parametrize("check", ["catalan", "a102896"])
+def test_verify_negative_max_exits_two(capsys, check):
+    code, out, err = run_cli(["verify", "--check", check, "--max", "-3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_unknown_check(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "--check", "nonsense"])

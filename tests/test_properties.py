@@ -1,7 +1,7 @@
-"""Property tests on relabelled small lattices: the searches against the
-naive oracles, the dense closure against the worklist closure, the lattice's
-list views and the loops built on them against their numpy definitions, and
-the CLI formats against each other.
+"""Property tests on relabelled small lattices: the searches and the dense
+closure against the naive oracles, the fusion recursion against brute
+force, the lattice's list views and the loops built on them against their
+numpy definitions, and the CLI formats against each other.
 
 Every lattice on at most five elements, plus Sub(C3 x C3), whose few
 comparable pairs make the dense Tr layout sparse, is drawn under a random
@@ -9,7 +9,6 @@ relabelling, so that branch orders and bit layouts vary between examples.
 """
 import contextlib
 import io
-import itertools
 import json
 import os
 import tempfile
@@ -20,15 +19,17 @@ from hypothesis import strategies as st
 
 from trsys.characteristic import MonotoneEndomap, interior_system_masks, operator_from_interior_system
 from trsys.cli import main
+from trsys.counting import count_tr_fusion
 from trsys.covers import enumerate_saturated_covers
 from trsys.errors import NotMonotone
 from trsys.functorial import LatticeMap
-from trsys.lattice import Lattice, all_lattices, lattice_to_json, sub_cp_cp
+from trsys.lattice import Lattice, all_lattices, fusion, lattice_to_json, sub_cp_cp
 from trsys.oracles import (
     least_saturated_above,
     least_system_containing,
     naive_interior_operators,
     naive_saturated_covers,
+    naive_saturated_systems,
     naive_transfer_systems,
 )
 from trsys.transfer import (
@@ -63,6 +64,25 @@ def test_transfer_systems_equal_the_subset_filter(lat):
 
 
 @settings(max_examples=100, deadline=None)
+@given(relabelled(BASES), st.booleans())
+@example(sub_cp_cp(3), True)
+def test_saturated_systems_equal_the_subset_filter(lat, dual):
+    if dual:
+        lat = lat.dual()
+    assert bits(enumerate_saturated_systems(lat, guard=None)) == bits(naive_saturated_systems(lat))
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelled(BASES), relabelled(BASES), st.booleans(), st.booleans())
+@example(sub_cp_cp(3), sub_cp_cp(3).dual(), False, False)
+def test_fusion_recursion_equals_brute_force(p, q, dual_p, dual_q):
+    # the four-term count searches every deleted-extreme subposet of p and q
+    p, q = (p.dual() if dual_p else p), (q.dual() if dual_q else q)
+    total = count_tr_fusion(p, q, guard=None).total
+    assert total == len(enumerate_transfer_systems(fusion(p, q), guard=None))
+
+
+@settings(max_examples=100, deadline=None)
 @given(relabelled(MODULAR))
 @example(sub_cp_cp(3))
 def test_saturated_covers_equal_the_subset_filter(lat):
@@ -90,26 +110,25 @@ def test_two_jobs_give_the_serial_output(lat):
         assert bits(enumerate_(lat, guard=None, jobs=2)) == serial
 
 
-@settings(max_examples=150, deadline=None)
-@given(relabelled(BASES), st.booleans(), st.data())
-def test_dense_closure_equals_the_worklist_closure(lat, dual, data):
-    if dual:
-        lat = lat.dual()
-    ctx = context_for(lat)
-    bits = data.draw(st.integers(0, (1 << ctx.pair_count) - 1))
-    forbidden = sum(1 << k for k in data.draw(st.sets(st.integers(0, ctx.pair_count - 1), max_size=3)))
-    for restrict, transit, saturate in itertools.product((False, True), repeat=3):
-        for avoid in (0, forbidden):
-            flags = dict(restrict=restrict, transit=transit, saturate=saturate, forbidden=avoid)
-            assert closure_for(lat).close(bits, **flags) == ctx.close(bits, **flags), flags
-
-
 def systems_and_pairs(lat, dual):
+    """The lattice or its dual, its transfer systems by the subset filter,
+    which reads no closure table, and its non-reflexive pairs."""
     if dual:
         lat = lat.dual()
-    tr = enumerate_transfer_systems(lat, guard=None)
+    tr = naive_transfer_systems(lat)
     pairs = [(x, y) for x in range(lat.n) for y in range(lat.n) if x != y and lat.leq[x, y]]
     return lat, tr, pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(relabelled(BASES), st.booleans(), st.data())
+def test_dense_closure_equals_the_least_systems_above(lat, dual, data):
+    lat, tr, _ = systems_and_pairs(lat, dual)
+    ctx = context_for(lat)
+    bits = data.draw(st.integers(0, (1 << ctx.pair_count) - 1))
+    least = least_system_containing(lat, [p for k, p in enumerate(ctx.pairs) if bits >> k & 1], tr=tr)
+    assert closure_for(lat).close(bits) == least.bits
+    assert closure_for(lat).close(bits, saturate=True) == least_saturated_above(least, tr=tr).bits
 
 
 @settings(max_examples=100, deadline=None)
@@ -130,10 +149,10 @@ def test_saturated_hull_equals_the_least_saturated_system_above(lat, dual, data)
 
 @settings(max_examples=100, deadline=None)
 @given(relabelled(BASES), st.booleans(), st.data())
-def test_join_equals_the_worklist_closure_of_the_union(lat, dual, data):
+def test_join_equals_the_least_system_containing_both(lat, dual, data):
     lat, tr, _ = systems_and_pairs(lat, dual)
     a, b = data.draw(st.sampled_from(list(tr))), data.draw(st.sampled_from(list(tr)))
-    assert (a | b).bits == context_for(lat).close(a.bits | b.bits)
+    assert (a | b).bits == least_system_containing(lat, a.pairs() + b.pairs(), tr=tr).bits
 
 
 @settings(max_examples=100, deadline=None)
