@@ -19,7 +19,7 @@ from .errors import (
     NotSaturated,
     SizeLimit,
 )
-from .transfer import context_for, generate
+from .transfer import generate
 
 
 @dataclass(frozen=True)
@@ -37,15 +37,6 @@ def _cover_table(lat):
         edges = list(lat.covers)
         cached = (edges, {e: i for i, e in enumerate(edges)})
         lat._cache["cover_table"] = cached
-    return cached
-
-
-def _cover_pair_bits(lat):
-    """Per cover edge, its bit in the pair layout of transfer systems."""
-    cached = lat._cache.get("cover_pair_bits")
-    if cached is None:
-        pidx = context_for(lat).pidx
-        cached = lat._cache["cover_pair_bits"] = [1 << pidx[e] for e in _cover_table(lat)[0]]
     return cached
 
 
@@ -150,7 +141,7 @@ class SaturatedCover:
         for pair in edge_pairs:
             pair = tuple(pair)
             if pair not in eidx:
-                raise ValueError(f"{pair} is not a covering relation")
+                raise InvalidCover(f"{pair} is not a covering relation")
             bits |= 1 << eidx[pair]
         return cls(lattice, bits)
 
@@ -246,5 +237,7 @@ def system_to_cover(system):
         raise NotModular("the bijection requires a modular ambient lattice")
     if not system.is_saturated():
         raise NotSaturated("only saturated systems restrict to saturated covers")
-    pair_bits = _cover_pair_bits(lat)
-    return SaturatedCover(lat, sum(1 << i for i, bit in enumerate(pair_bits) if system.bits & bit))
+    edges, _ = _cover_table(lat)
+    n, bits = lat.n, system.bits
+    cover = sum(1 << i for i, (x, y) in enumerate(edges) if bits >> x * n + y & 1)
+    return SaturatedCover(lat, cover)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import AmbientMismatch, InvariantViolation, NotComposable
 from .lattice import boolean_cube, from_order, monotone_image, product
-from .transfer import TransferSystem, context_for, generate
+from .transfer import TransferSystem, generate
 
 
 class LatticeMap:
@@ -141,13 +141,13 @@ def product_split(r, t, pq=None):
         pq = product(p, q)
     elif not pq.same_order(product(p, q)):
         raise AmbientMismatch("product lattice does not match the factors")
-    ctx = context_for(pq)
-    bits = ctx.diag
-    for (a, b), k in ctx.pidx.items():
-        pa, qa = a // q.n, a % q.n
-        pb, qb = b // q.n, b % q.n
-        if r.contains(pa, pb) and t.contains(qa, qb):
-            bits |= 1 << k
+    bits = 0
+    for a in range(pq.n):
+        for b in range(pq.n):
+            pa, qa = a // q.n, a % q.n
+            pb, qb = b // q.n, b % q.n
+            if r.contains(pa, pb) and t.contains(qa, qb):
+                bits |= 1 << a * pq.n + b
     system = TransferSystem(pq, bits)  # validates the componentwise relation
     left, right = product_projections(pq, p, q)
     if pushforward(left, system) != r or pushforward(right, system) != t:

@@ -12,7 +12,6 @@ from .errors import SizeLimit
 from .covers import SaturatedCover, find_cover_violation, _cover_table
 from .transfer import (
     TransferSystem,
-    context_for,
     enumerate_transfer_systems,
     find_violation,
 )
@@ -20,16 +19,17 @@ from .transfer import (
 
 def naive_transfer_systems(lat, max_pairs=12):
     """Every subset of non-reflexive pairs that is a transfer system."""
-    ctx = context_for(lat)
-    free = ctx.nonrefl
+    n = lat.n
+    free = [x * n + y for x in range(n) for y in range(n) if x != y and lat.leq[x, y]]
     if len(free) > max_pairs:
         raise SizeLimit(f"{len(free)} free pairs is too many for the subset filter")
+    diag = sum(1 << x * (n + 1) for x in range(n))
     out = []
     for picks in itertools.product((0, 1), repeat=len(free)):
-        bits = ctx.diag
-        for k, take in zip(free, picks):
+        bits = diag
+        for p, take in zip(free, picks):
             if take:
-                bits |= 1 << k
+                bits |= 1 << p
         if find_violation(lat, bits) is None:
             out.append(bits)
     out.sort()
@@ -77,10 +77,9 @@ def least_system_containing(lat, pairs, tr=None):
     the given pairs."""
     if tr is None:
         tr = enumerate_transfer_systems(lat)
-    ctx = context_for(lat)
     want = 0
     for x, y in pairs:
-        want |= 1 << ctx.pidx[(x, y)]
+        want |= 1 << x * lat.n + y
     candidates = [s for s in tr if s.bits & want == want]
     bits = candidates[0].bits
     for s in candidates[1:]:

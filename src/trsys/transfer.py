@@ -2,20 +2,21 @@
 
 A transfer system is a reflexive, transitive subrelation of the order that
 refines <= and is closed under restriction: x R z and y <= z imply
-(x ^ y) R y.  Systems are stored as bitsets (Python ints) over the
-comparable pairs of their ambient lattice, in row-major order.
+(x ^ y) R y.  Every relation on an n-element order, stored or in flight,
+is a Python int in one layout: the pair (x, y) is bit x*n + y of a
+row-major n x n bit matrix.
 
-Every relation closes on one dense n x n bit matrix per order,
-`_DenseClosure`: restriction is one mask per pair, transitivity is
-Warshall's n rank-one updates, and two-out-of-three is one shift per
-related pair.  A lattice builds it once in `closure_for(lat)`, and a
-deleted-extreme subposet once in `Subposet.closure()`.  `generate`,
+Each order has one private object, `_DenseClosure`, holding its up-sets,
+diagonal, full order, one restriction mask per position and the branch
+order.  A lattice builds it once in `closure_for(lat)`, and a
+deleted-extreme subposet once in `Subposet.closure()`.  On it, restriction
+is one mask per pair, transitivity is Warshall's n rank-one updates, and
+two-out-of-three is one shift per related pair.  `generate`,
 `TransferSystem.join` and `saturated_hull` close there, and the Tr,
 saturated and subposet searches on the backtracking engine in
 `trsys.search` propagate there (adding a pair to a transitive relation is
-one multiplication) and map their leaves back to the pair layout.
-`find_violation` and `is_saturated` check the axioms directly and read no
-closure table.
+one multiplication).  `find_violation` and `is_saturated` check the axioms
+directly on the rows of the bits and read no closure table.
 """
 from __future__ import annotations
 
@@ -35,79 +36,44 @@ from .errors import (
 from .lattice import from_order
 
 
-class OrderContext:
-    """Pair table and restriction targets for one finite order.
-
-    `meets[a][b]` is the meet of a and b, or None where they have no
-    common lower bound.  `rest[k]` holds the pairs that
-    restricting pair k forces, and `branch_order` the order in which the
-    searches decide the non-reflexive pairs.
-    """
-
-    def __init__(self, leq_rows, meets, heights):
-        m = len(leq_rows)
-        self.m = m
-        self.up_mask = [0] * m
-        for x in range(m):
-            for y in range(m):
-                if leq_rows[x][y]:
-                    self.up_mask[x] |= 1 << y
-        self.pairs = [(x, y) for x in range(m) for y in range(m) if leq_rows[x][y]]
-        self.pair_count = len(self.pairs)
-        self.pidx = {p: k for k, p in enumerate(self.pairs)}
-        self.diag = 0
-        for x in range(m):
-            self.diag |= 1 << self.pidx[(x, x)]
-        self.nonrefl = [k for k, (x, y) in enumerate(self.pairs) if x != y]
-        self.by_first = [[] for _ in range(m)]
-        for k, (x, y) in enumerate(self.pairs):
-            if x != y:
-                self.by_first[x].append(k)
-        # restriction is unary per pair: (x, z) forces (x ^ y, y) for y <= z
-        self.rest = []
-        for k, (x, z) in enumerate(self.pairs):
-            targets = set()
-            for y in range(m):
-                w = meets[x][y]
-                if leq_rows[y][z] and w is not None and w != y:
-                    t = self.pidx[(w, y)]
-                    if t != k:
-                        targets.add(t)
-            self.rest.append(tuple(sorted(targets)))
-        # branch order: decreasing height gap, then pair index
-        self.branch_order = sorted(
-            self.nonrefl, key=lambda k: (-(heights[self.pairs[k][1]] - heights[self.pairs[k][0]]), k)
-        )
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def context_for(lat):
-    ctx = lat._cache.get("order_context")
-    if ctx is None:
-        ctx = OrderContext(lat.leq.tolist(), lat.meet_rows, lat.height)
-        lat._cache["order_context"] = ctx
-    return ctx
+def _rows(bits, n):
+    """Row x of the n x n matrix `bits`: the mask of the y with x R y."""
+    mask = (1 << n) - 1
+    return [bits >> x * n & mask for x in range(n)]
 
 
 def closure_for(lat):
-    """The dense closure of `lat`, built once per lattice."""
-    closure = lat._cache.get("dense_closure")
+    """The closure object of `lat`, built once per lattice."""
+    closure = lat._cache.get("closure")
     if closure is None:
-        closure = lat._cache["dense_closure"] = _DenseClosure(context_for(lat))
+        closure = lat._cache["closure"] = _DenseClosure(lat.up, lat.meet_rows, lat.height)
     return closure
 
 
 class _DenseClosure:
-    """The one closure of relations on a finite order, over a dense layout.
+    """The data of one finite order and the one closure of its relations.
 
-    It reads only the `OrderContext` of the order.  The pair (x, z) is bit
-    x*n + z of an n x n row-major matrix.  Adding (x, z) to a reflexive,
-    transitive R adds every (a, b) with a R x and z R b, which is column x
-    of R times row z: one multiplication.  Restriction is unary and one
-    pass suffices (a restriction of a restriction of p is a restriction of
-    p), so it is an OR of one mask per pair.  Transitive closure and
-    two-out-of-three both keep a relation restriction-closed, so closing
-    under restriction first is enough; the transitive closure is Warshall's
-    n rank-one updates.
+    `up[x]` has bit y set when x <= y, and `meets[a][b]` is the meet of a
+    and b, or None where they have no common lower bound.  `diag` and
+    `full` are the diagonal and the whole order, `rest[p]` is the mask of
+    the pair at position p and of every pair its restriction forces, and
+    `order` is the order in which the searches decide the non-reflexive
+    pairs.
+
+    Adding (x, z) to a reflexive, transitive R adds every (a, b) with a R x
+    and z R b, which is column x of R times row z: one multiplication.
+    Restriction is unary and one pass suffices (a restriction of a
+    restriction of p is a restriction of p), so it is an OR of one mask per
+    pair.  Transitive closure and two-out-of-three both keep a relation
+    restriction-closed, so closing under restriction first is enough; the
+    transitive closure is Warshall's n rank-one updates.
 
     The searches step by `propagate`: the closure of a transfer system plus
     one pair is the transitive closure of the system, the pair and the
@@ -116,45 +82,45 @@ class _DenseClosure:
     same way, until none is new.
     """
 
-    def __init__(self, ctx):
-        n = ctx.m
+    def __init__(self, up, meets, heights):
+        n = len(up)
         self.n = n
-        self.up = ctx.up_mask
-        self.diag = ctx.diag
+        self.up = up
         self.col = sum(1 << (a * n) for a in range(n))
         self.row = (1 << n) - 1
-        self.pos = [x * n + z for x, z in ctx.pairs]
-        self.order = [self.pos[k] for k in ctx.branch_order]
-        # per pair: the dense mask of the pair and its restrictions
-        self.rest = [
-            sum(1 << self.pos[j] for j in (k, *ctx.rest[k])) for k in range(ctx.pair_count)
-        ]
-        pair_bit = [0] * (n * n)
-        for k, pos in enumerate(self.pos):
-            pair_bit[pos] = 1 << k
-        self.to_pair_bits = search.byte_tables(pair_bit)
+        self.diag = sum(1 << x * (n + 1) for x in range(n))
+        self.full = sum(up[x] << x * n for x in range(n))
+        # restriction is unary per pair: (x, z) forces (x ^ y, y) for y <= z
+        self.rest = [0] * (n * n)
+        for x in range(n):
+            for z in _bits(up[x]):
+                mask = 1 << x * n + z
+                for y in range(n):
+                    w = meets[x][y]
+                    if up[y] >> z & 1 and w is not None and w != y:
+                        mask |= 1 << w * n + y
+                self.rest[x * n + z] = mask
+        # branch order: decreasing height gap, then position
+        self.order = sorted(
+            _bits(self.full & ~self.diag), key=lambda p: (heights[p // n] - heights[p % n], p)
+        )
         self.steps = None  # built by the first search: closing alone never needs them
 
     def transfer_systems(self, jobs=1, saturate=False):
-        """Every transfer system, or every saturated one, sorted, in the
-        pair layout."""
+        """Every transfer system, or every saturated one, sorted."""
         if self.steps is None:
-            # per dense position p: the mask of p and its restrictions, which
-            # the closure must contain, and for each of them (x, z*n, bit of
-            # (x, z)), the shifts that read column x and row z
+            # per position p of a pair: the mask of p and its restrictions,
+            # which the closure must contain, and for each of them
+            # (x, z*n, bit of (x, z)), the shifts that read column x and row z
             n = self.n
             self.steps = [None] * (n * n)
-            for pos, forced in zip(self.pos, self.rest):
+            for pos in _bits(self.full):
+                forced = self.rest[pos]
                 targets = [pos] + [t for t in _bits(forced) if t != pos]
                 updates = tuple((t // n, t % n * n, 1 << t) for t in targets)
                 self.steps[pos] = (forced, updates)
         propagate = self.propagate_saturated if saturate else self.propagate
-        root = self._dense(self.diag)[0]
-        all_bits = search.leaves(self.order, root, propagate, jobs=jobs)
-        # to the pair layout, in place; both layouts are row-major, so the order is kept
-        for j, dense in enumerate(all_bits):
-            all_bits[j] = search.gather(self.to_pair_bits, dense)
-        return all_bits
+        return search.leaves(self.order, self.diag, propagate, jobs=jobs)
 
     def propagate(self, inc, exc, k):
         forced, updates = self.steps[k]
@@ -181,37 +147,33 @@ class _DenseClosure:
     def close(self, bits, saturate=False):
         """The least relation containing `bits` and the diagonal that is
         closed under restriction and transitivity, and under
-        two-out-of-three when `saturate`, in the pair layout."""
-        dense = self._transitive(self._dense(bits | self.diag)[1])
+        two-out-of-three when `saturate`."""
+        dense = self._transitive(self._restricted(bits | self.diag))
         while saturate:
             grown = self._saturate(dense)
             if grown == dense:
                 break
             dense = self._transitive(grown)
-        return search.gather(self.to_pair_bits, dense)
+        return dense
 
     def join(self, union):
         """The transitive closure W(U) of a union U of transfer systems, or
         None when W(U) misses a restriction of U, that is when the closure
         of U needs restriction beyond transitivity."""
-        plain, restricted = self._dense(union | self.diag)
-        joined = self._transitive(plain)
-        if restricted & ~joined:
+        joined = self._transitive(union | self.diag)
+        if self._restricted(union) & ~joined:
             return None
-        return search.gather(self.to_pair_bits, joined)
+        return joined
 
-    def _dense(self, bits):
-        """Pair-layout `bits` in the dense layout, as is and with every
-        restriction of its pairs."""
-        pos, rest = self.pos, self.rest
-        plain = restricted = 0
-        while bits:
-            low = bits & -bits
-            k = low.bit_length() - 1
-            plain |= 1 << pos[k]
-            restricted |= rest[k]
-            bits ^= low
-        return plain, restricted
+    def _restricted(self, bits):
+        """`bits` with every restriction of its non-reflexive pairs."""
+        rest = self.rest
+        pairs = bits & self.full & ~self.diag
+        while pairs:
+            low = pairs & -pairs
+            bits |= rest[low.bit_length() - 1]
+            pairs ^= low
+        return bits
 
     def _transitive(self, dense):
         """Warshall: through each pivot v in turn, column v times row v."""
@@ -247,27 +209,24 @@ class Violation:
 
 def find_violation(lat, bits):
     """Return the first violated transfer-system axiom, or None."""
-    ctx = context_for(lat)
-    if bits & ~((1 << ctx.pair_count) - 1):
+    n, up, meet = lat.n, lat.up, lat.meet_rows
+    rows = _rows(bits, n)
+    if bits >> n * n or any(row & ~above for row, above in zip(rows, up)):
         return Violation("refinement", ())
-    if bits & ctx.diag != ctx.diag:
-        missing = next(k for k in range(ctx.pair_count) if ctx.diag >> k & 1 and not bits >> k & 1)
-        return Violation("reflexivity", (ctx.pairs[missing][0],))
-    up, meet = lat.up, lat.meet_rows
-    for k in range(ctx.pair_count):
-        if not bits >> k & 1:
-            continue
-        x, z = ctx.pairs[k]
-        if x == z:
-            continue
-        for y in range(lat.n):
-            if up[y] >> z & 1:
-                w = meet[x][y]
-                if w != y and not bits >> ctx.pidx[(w, y)] & 1:
-                    return Violation("restriction", (x, z, y))
-        for j in ctx.by_first[z]:
-            if bits >> j & 1 and not bits >> ctx.pidx[(x, ctx.pairs[j][1])] & 1:
-                return Violation("transitivity", (x, z, ctx.pairs[j][1]))
+    for x in range(n):
+        if not rows[x] >> x & 1:
+            return Violation("reflexivity", (x,))
+    for x in range(n):
+        for z in _bits(rows[x] & ~(1 << x)):
+            for y in range(n):
+                if up[y] >> z & 1:
+                    w = meet[x][y]
+                    if w != y and not rows[w] >> y & 1:
+                        return Violation("restriction", (x, z, y))
+            # z R c but not x R c; the smallest such c is the witness
+            missing = rows[z] & ~rows[x]
+            if missing:
+                return Violation("transitivity", (x, z, (missing & -missing).bit_length() - 1))
     return None
 
 
@@ -293,7 +252,7 @@ class TransferSystem:
     @classmethod
     def from_pairs(cls, lattice, pairs):
         """Validate an explicit relation; raises InvalidTransferSystem."""
-        return cls(lattice, context_for(lattice).diag | _pair_bits(lattice, pairs))
+        return cls(lattice, closure_for(lattice).diag | _pair_bits(lattice, pairs))
 
     def __setattr__(self, name, value):
         raise AttributeError("TransferSystem is immutable")
@@ -311,18 +270,14 @@ class TransferSystem:
     def __repr__(self):
         return f"TransferSystem({self.pairs()})"
 
-    def _ctx(self):
-        return context_for(self.lattice)
-
     def pairs(self):
         """Non-reflexive related pairs, row-major."""
-        ctx = self._ctx()
-        return [ctx.pairs[k] for k in ctx.nonrefl if self.bits >> k & 1]
+        n = self.lattice.n
+        return [divmod(p, n) for p in _bits(self.bits & ~closure_for(self.lattice).diag)]
 
     def contains(self, x, y):
-        ctx = self._ctx()
-        k = ctx.pidx.get((x, y))
-        return k is not None and bool(self.bits >> k & 1)
+        n = self.lattice.n
+        return x in range(n) and y in range(n) and bool(self.bits >> int(x) * n + int(y) & 1)
 
     def downset(self, x):
         """The R-downset of x: all y with y R x."""
@@ -363,18 +318,13 @@ class TransferSystem:
 
     def is_saturated(self):
         """Two-out-of-three: x R y <= z and x R z imply y R z."""
-        ctx = self._ctx()
-        bits = self.bits
-        up = self.lattice.up
-        for k in ctx.nonrefl:
-            if not bits >> k & 1:
-                continue
-            x, y = ctx.pairs[k]
-            for j in ctx.by_first[x]:
-                if j != k and bits >> j & 1:
-                    z = ctx.pairs[j][1]
-                    if z != y and up[y] >> z & 1 and not bits >> ctx.pidx[(y, z)] & 1:
-                        return False
+        n, up = self.lattice.n, self.lattice.up
+        rows = _rows(self.bits, n)
+        for x in range(n):
+            reach = rows[x] & ~(1 << x)
+            for y in _bits(reach):
+                if reach & up[y] & ~rows[y]:
+                    return False
         return True
 
     def minimal_fibrant(self):
@@ -392,24 +342,23 @@ class TransferSystem:
 
 def discrete_system(lat):
     """Only the reflexive relations."""
-    return TransferSystem._wrap(lat, context_for(lat).diag)
+    return TransferSystem._wrap(lat, closure_for(lat).diag)
 
 
 def complete_system(lat):
     """The full order as a transfer system."""
-    ctx = context_for(lat)
-    return TransferSystem._wrap(lat, (1 << ctx.pair_count) - 1)
+    return TransferSystem._wrap(lat, closure_for(lat).full)
 
 
 def _pair_bits(lat, pairs):
-    """The pair-layout bits of explicit pairs (x, y); a pair of elements
-    outside range(n), or with x not <= y, fails refinement."""
-    ctx = context_for(lat)
+    """The bits of explicit pairs (x, y); a pair of elements outside
+    range(n), or with x not <= y, fails refinement."""
+    n = lat.n
     bits = 0
     for x, y in pairs:
-        if not (0 <= x < lat.n and 0 <= y < lat.n and lat.leq[x, y]):
+        if not (x in range(n) and y in range(n) and lat.up[x] >> y & 1):
             raise InvalidTransferSystem(Violation("refinement", (x, y)))
-        bits |= 1 << ctx.pidx[(x, y)]
+        bits |= 1 << int(x) * n + int(y)
     return bits
 
 
@@ -533,7 +482,7 @@ def enumerate_transfer_systems(lat, guard=26, jobs=1):
     with jobs > 1 the search is split across worker processes, with the
     same output.
     """
-    _check_guard(context_for(lat), guard)
+    _check_guard(closure_for(lat), guard)
     return TrLattice._from_sorted_bits(lat, closure_for(lat).transfer_systems(jobs))
 
 
@@ -543,15 +492,15 @@ def enumerate_saturated_systems(lat, guard=80, jobs=1):
     Uses the same search with the two-out-of-three rule added to the
     propagation, so the count is independent of full Tr enumeration.
     """
-    _check_guard(context_for(lat), guard)
+    _check_guard(closure_for(lat), guard)
     bits = closure_for(lat).transfer_systems(jobs, saturate=True)
     return [TransferSystem._wrap(lat, b) for b in bits]
 
 
-def _check_guard(ctx, guard):
-    if guard is not None and len(ctx.nonrefl) > guard:
+def _check_guard(closure, guard):
+    if guard is not None and len(closure.order) > guard:
         raise SizeLimit(
-            f"{len(ctx.nonrefl)} non-reflexive pairs exceed the enumeration guard {guard}"
+            f"{len(closure.order)} non-reflexive pairs exceed the enumeration guard {guard}"
         )
 
 
@@ -574,37 +523,25 @@ class Subposet:
             [bool(base.leq[self.elements[i], self.elements[j]]) for j in range(m)]
             for i in range(m)
         ]
-        self._ctx = None
         self._closure = None
 
     @property
     def m(self):
         return len(self.elements)
 
-    def context(self):
-        if self._ctx is None:
+    def closure(self):
+        """The closure object of the subposet, built once."""
+        if self._closure is None:
             # with only extremes deleted, two elements have a greatest common
             # lower bound, their meet, unless it is the deleted bottom, and
             # then none; heights shift by a constant, which keeps every
             # height gap
             pos, meet = self._pos, self.base.meet_rows
+            up = [sum(1 << j for j, below in enumerate(row) if below) for row in self.leq]
             meets = [[pos.get(meet[a][b]) for b in self.elements] for a in self.elements]
             heights = [self.base.height[x] for x in self.elements]
-            self._ctx = OrderContext(self.leq, meets, heights)
-        return self._ctx
-
-    def closure(self):
-        """The dense closure of the subposet, built once."""
-        if self._closure is None:
-            self._closure = _DenseClosure(self.context())
+            self._closure = _DenseClosure(up, meets, heights)
         return self._closure
-
-
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class SubposetRelation:
@@ -618,9 +555,9 @@ class SubposetRelation:
 
     def pairs(self):
         """Non-reflexive pairs, in the base lattice's element labels."""
-        ctx = self.subposet.context()
-        el = self.subposet.elements
-        return [(el[x], el[y]) for k, (x, y) in enumerate(ctx.pairs) if x != y and self.bits >> k & 1]
+        el, m = self.subposet.elements, self.subposet.m
+        pairs = (divmod(p, m) for p in _bits(self.bits & ~self.subposet.closure().diag))
+        return [(el[x], el[y]) for x, y in pairs]
 
     def __eq__(self, other):
         return (
@@ -645,11 +582,12 @@ def deleted_extremes_subposet(lat, drop_bottom=False, drop_top=False):
 def restrict_to_subposet(system, elements):
     """Induced relation of a transfer system on P minus some extremes."""
     sub = Subposet(system.lattice, elements)
-    ctx = sub.context()
-    bits = ctx.diag
-    for k, (x, y) in enumerate(ctx.pairs):
-        if system.contains(sub.elements[x], sub.elements[y]):
-            bits |= 1 << k
+    el, m = sub.elements, sub.m
+    bits = 0
+    for x in range(m):
+        for y in range(m):
+            if system.contains(el[x], el[y]):
+                bits |= 1 << x * m + y
     return SubposetRelation(sub, bits)
 
 
@@ -676,5 +614,5 @@ def enumerate_subposet_systems(sub, guard=26):
     deleted bottom have no common lower bound and impose nothing.  The
     search is the Tr search, on the subposet's own closure.
     """
-    _check_guard(sub.context(), guard)
+    _check_guard(sub.closure(), guard)
     return [SubposetRelation(sub, b) for b in sub.closure().transfer_systems()]

@@ -12,8 +12,9 @@ from trsys.covers import (
 )
 from trsys.characteristic import count_interior_operators
 from trsys.errors import InvalidCover, NotModular, NotSaturated, SizeLimit
-from trsys.lattice import boolean_cube, chain, from_order, iterated_fusion, product
+from trsys.lattice import boolean_cube, chain, from_order, iterated_fusion, lattice_to_json, product
 from trsys.oracles import naive_saturated_covers
+from trsys.serialize import cover_from_json
 from trsys.transfer import (
     complete_system,
     discrete_system,
@@ -65,6 +66,12 @@ def test_rule_one_violation():
     with pytest.raises(InvalidCover) as info:
         SaturatedCover.from_edges(lat, [(1, 3)])
     assert info.value.violation.rule == 1
+
+
+def test_json_edge_that_is_not_a_cover_is_an_invalid_cover():
+    # (0, 2) is comparable on chain(2) but not a covering relation
+    with pytest.raises(InvalidCover):
+        cover_from_json({"lattice": lattice_to_json(chain(2)), "edges": [[0, 2]]})
 
 
 def test_not_modular_is_refused():
@@ -252,13 +259,10 @@ def test_cover_generation_needs_no_restriction_pass():
     # a saturated cover is already restriction-closed, so its generated
     # system is just the reflexive-transitive closure of the edges, which
     # `join` computes, returning None when restriction would add pairs
-    from trsys.transfer import closure_for, context_for
+    from trsys.transfer import closure_for
 
     for lat in (boolean_cube(2), boolean_cube(3), iterated_fusion(chain(2), 3)):
-        ctx = context_for(lat)
         for cover in enumerate_saturated_covers(lat):
-            bits = 0
-            for e in cover.edges():
-                bits |= 1 << ctx.pidx[e]
+            bits = sum(1 << x * lat.n + y for x, y in cover.edges())
             transitive_only = closure_for(lat).join(bits)
             assert transitive_only == cover_to_system(cover).bits

@@ -1,10 +1,11 @@
 """Property tests on relabelled small lattices: the searches and the dense
 closure against the naive oracles, the fusion recursion against brute
-force, the lattice's list views and the loops built on them against their
-numpy definitions, and the CLI formats against each other.
+force, exact JSON round-trips, the lattice's list views and the loops
+built on them against their numpy definitions, and the CLI formats against
+each other.
 
 Every lattice on at most five elements, plus Sub(C3 x C3), whose few
-comparable pairs make the dense Tr layout sparse, is drawn under a random
+comparable pairs make the n x n bit layout sparse, is drawn under a random
 relabelling, so that branch orders and bit layouts vary between examples.
 """
 import contextlib
@@ -32,9 +33,9 @@ from trsys.oracles import (
     naive_saturated_systems,
     naive_transfer_systems,
 )
+from trsys.serialize import cover_from_json, cover_to_json, system_from_json, system_to_json
 from trsys.transfer import (
     closure_for,
-    context_for,
     enumerate_saturated_systems,
     enumerate_transfer_systems,
     generate,
@@ -124,9 +125,11 @@ def systems_and_pairs(lat, dual):
 @given(relabelled(BASES), st.booleans(), st.data())
 def test_dense_closure_equals_the_least_systems_above(lat, dual, data):
     lat, tr, _ = systems_and_pairs(lat, dual)
-    ctx = context_for(lat)
-    bits = data.draw(st.integers(0, (1 << ctx.pair_count) - 1))
-    least = least_system_containing(lat, [p for k, p in enumerate(ctx.pairs) if bits >> k & 1], tr=tr)
+    # any subset of the comparable pairs, reflexive ones included
+    comparable = [(x, y) for x in range(lat.n) for y in range(lat.n) if lat.leq[x, y]]
+    picks = data.draw(st.sets(st.sampled_from(comparable)))
+    bits = sum(1 << x * lat.n + y for x, y in picks)
+    least = least_system_containing(lat, picks, tr=tr)
     assert closure_for(lat).close(bits) == least.bits
     assert closure_for(lat).close(bits, saturate=True) == least_saturated_above(least, tr=tr).bits
 
@@ -153,6 +156,28 @@ def test_join_equals_the_least_system_containing_both(lat, dual, data):
     lat, tr, _ = systems_and_pairs(lat, dual)
     a, b = data.draw(st.sampled_from(list(tr))), data.draw(st.sampled_from(list(tr)))
     assert (a | b).bits == least_system_containing(lat, a.pairs() + b.pairs(), tr=tr).bits
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelled(BASES))
+@example(sub_cp_cp(3))
+def test_system_json_round_trip_is_exact(lat):
+    for system in enumerate_transfer_systems(lat, guard=None):
+        text = json.dumps(system_to_json(system))
+        back = system_from_json(json.loads(text))
+        assert back == system
+        assert json.dumps(system_to_json(back)) == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelled(MODULAR))
+@example(sub_cp_cp(3))
+def test_cover_json_round_trip_is_exact(lat):
+    for cover in enumerate_saturated_covers(lat, guard=None):
+        text = json.dumps(cover_to_json(cover))
+        back = cover_from_json(json.loads(text))
+        assert back == cover
+        assert json.dumps(cover_to_json(back)) == text
 
 
 @settings(max_examples=100, deadline=None)

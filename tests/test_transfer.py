@@ -20,7 +20,6 @@ from trsys.transfer import (
     TrLattice,
     TransferSystem,
     complete_system,
-    context_for,
     deleted_extremes_subposet,
     discrete_system,
     enumerate_saturated_systems,
@@ -39,11 +38,9 @@ def pentagon():
 
 
 def bits_of(lat, pairs):
-    ctx = context_for(lat)
-    bits = ctx.diag
-    for p in pairs:
-        bits |= 1 << ctx.pidx[p]
-    return bits
+    """The pair (x, y) is bit x*n + y; the diagonal is always in."""
+    n = lat.n
+    return sum(1 << x * (n + 1) for x in range(n)) | sum(1 << x * n + y for x, y in pairs)
 
 
 # -- validation ----------------------------------------------------------------
@@ -71,6 +68,7 @@ def test_missing_transitivity_is_reported():
     violation = find_violation(lat, bits_of(lat, [(0, 1), (1, 2)]))
     assert violation is not None
     assert violation.axiom == "transitivity"
+    assert violation.witness == (0, 1, 2)
 
 
 def test_refinement_guard():
@@ -93,6 +91,15 @@ def test_out_of_range_pairs_fail_refinement(pair):
         assert info.value.violation.witness == pair
 
 
+@pytest.mark.parametrize("lat", [chain(2), boolean_cube(2)], ids=["chain2", "cube2"])
+def test_contains_is_false_out_of_range(lat):
+    # in the n x n layout (0, n + 1) would read the bit of (1, 1)
+    n = lat.n
+    for system in (discrete_system(lat), complete_system(lat)):
+        for x, y in ((0, n), (0, n + 1), (-1, 0), (n, n)):
+            assert not system.contains(x, y)
+
+
 # -- generation ----------------------------------------------------------------
 
 
@@ -113,17 +120,15 @@ def test_generate_all_covers_of_diamond_gives_full_order():
 
 def test_generate_matches_oracle_on_random_seeds():
     lat = iterated_fusion(chain(2), 2)
-    ctx = context_for(lat)
     tr = enumerate_transfer_systems(lat)
-    nonrefl = [ctx.pairs[k] for k in ctx.nonrefl]
+    nonrefl = complete_system(lat).pairs()
     for picks in itertools.combinations(nonrefl, 2):
         assert generate(lat, picks) == least_system_containing(lat, picks, tr=tr)
 
 
 def test_generate_is_a_closure_operator():
     lat = boolean_cube(2)
-    ctx = context_for(lat)
-    nonrefl = [ctx.pairs[k] for k in ctx.nonrefl]
+    nonrefl = complete_system(lat).pairs()
     subsets = [list(c) for r in range(3) for c in itertools.combinations(nonrefl, r)]
     for q in subsets:
         closed = generate(lat, q)
@@ -141,8 +146,7 @@ def test_restriction_after_transitivity_adds_nothing():
     # the three-phase order is enough: restricting the generated system
     # along the lattice's own meets adds no pair
     for lat in (chain(3), boolean_cube(2), iterated_fusion(chain(2), 3), pentagon()):
-        ctx = context_for(lat)
-        nonrefl = [ctx.pairs[k] for k in ctx.nonrefl]
+        nonrefl = complete_system(lat).pairs()
         for r in (1, 2):
             for picks in itertools.combinations(nonrefl, r):
                 system = generate(lat, picks)
@@ -257,8 +261,8 @@ def test_tr_lattice_wraps_systems_on_first_use():
 )
 def test_tr_covers_are_the_hasse_edges_of_refinement(lat):
     tr = enumerate_transfer_systems(lat, guard=None)
-    pairs = context_for(lat).pair_count
-    bits = np.array([[s.bits >> k & 1 for k in range(pairs)] for s in tr], dtype=float)
+    cells = lat.n * lat.n
+    bits = np.array([[s.bits >> k & 1 for k in range(cells)] for s in tr], dtype=float)
     # i refines j when no pair of i is missing from j; float counts stay exact
     lt = (bits @ (1 - bits).T == 0) & ~np.eye(len(tr), dtype=bool)
     between = lt.astype(float) @ lt.astype(float)
