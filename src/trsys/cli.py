@@ -18,7 +18,7 @@ from . import serialize
 from .characteristic import enumerate_interior_operators, fiber_decomposition
 from .counting import bmt_decompose, count_tr_fusion, tr_rank_two
 from .covers import enumerate_saturated_covers
-from .errors import InvalidInput, InvariantViolation, SizeLimit, TrsysError
+from .errors import InvalidInput, SizeLimit, TrsysError
 from .lattice import (
     boolean_cube,
     chain,
@@ -28,11 +28,7 @@ from .lattice import (
     product,
     sub_cp_cp,
 )
-from .transfer import (
-    enumerate_saturated_systems,
-    enumerate_transfer_systems,
-    find_violation,
-)
+from .transfer import enumerate_saturated_systems, enumerate_transfer_systems
 from .verify import ALL_CHECKS, run_checks
 
 HARD_TR_GUARD = 26
@@ -109,10 +105,8 @@ def cmd_enumerate(args, parser):
         return _print_fiber_report(lat, args)
     if kind == "transfer":
         items = list(enumerate_transfer_systems(lat, guard=_guard(args), jobs=args.jobs))
-        _revalidate_systems(lat, items)
     elif kind == "saturated":
         items = enumerate_saturated_systems(lat, guard=None if args.unsafe_guard else 80, jobs=args.jobs)
-        _revalidate_systems(lat, items)
     elif kind == "covers":
         items = enumerate_saturated_covers(lat, guard=None if args.unsafe_guard else 64, jobs=args.jobs)
     else:  # interior
@@ -144,12 +138,6 @@ def cmd_enumerate(args, parser):
                 print(text)
     print(f"{len(items)} items", file=sys.stderr)
     return 0
-
-
-def _revalidate_systems(lat, items):
-    for system in items:
-        if find_violation(lat, system.bits) is not None:
-            raise InvariantViolation("enumerated system failed re-validation")
 
 
 def _print_fiber_report(lat, args):

@@ -176,7 +176,8 @@ def _check_partial_order(leq):
     if int(sym.sum()) != n:
         x, y = np.argwhere(sym & ~np.eye(n, dtype=bool))[0]
         raise CycleDetected(f"elements {x} and {y} are mutually comparable")
-    reach = (leq.astype(np.uint8) @ leq.astype(np.uint8)) > 0
+    # a bool matmul ORs its terms, so unlike a uint8 count of paths it cannot wrap
+    reach = leq @ leq
     if (reach & ~leq).any():
         x, y = np.argwhere(reach & ~leq)[0]
         raise ValueError(f"order not transitive at ({x}, {y})")
@@ -222,8 +223,7 @@ def _bound_table(leq, lower):
 def _cover_pairs(leq):
     n = leq.shape[0]
     lt = leq & ~np.eye(n, dtype=bool)
-    thru = (lt.astype(np.uint8) @ lt.astype(np.uint8)) > 0
-    cov = lt & ~thru
+    cov = lt & ~(lt @ lt)  # bool, as in _check_partial_order
     return sorted((int(x), int(y)) for x, y in np.argwhere(cov))
 
 

@@ -37,6 +37,7 @@ from .oracles import naive_saturated_covers, naive_transfer_systems
 from .transfer import (
     enumerate_saturated_systems,
     enumerate_transfer_systems,
+    saturated_hull,
 )
 
 CATALAN_CHAIN_COUNTS = [1, 2, 5, 14, 42, 132]
@@ -140,17 +141,36 @@ def check_interior_sequence(max_n=4):
 
 
 def check_fibers():
-    """Every chi-fiber is the expected interval; fiber count = operator count."""
+    """Every chi-fiber is the interval [least, greatest] of Tr, closed under
+    meet and join, whose top is saturated and is the saturated hull of each
+    member; fiber count = operator count."""
     res = CheckResult("fibers", True)
     for name, lat in tr_feasible_family():
         tr = enumerate_transfer_systems(lat)
-        fibers = fiber_decomposition(lat, tr=tr)  # raises on any interval failure
+        fibers = fiber_decomposition(lat, tr=tr)
         ops = count_interior_operators(lat)
+        shaped = all(_is_interval_fiber(fiber, tr.bits) for fiber in fibers)
         res.note(
-            len(fibers) == ops,
+            shaped and len(fibers) == ops,
             f"{name}: {len(fibers)} fibers over {ops} interior operators",
         )
     return res
+
+
+def _is_interval_fiber(fiber, tr_bits):
+    low, high = fiber.least.bits, fiber.greatest.bits
+    members = {r.bits for r in fiber.members}
+    interval = {b for b in tr_bits if low & b == low and b & high == b}
+    return (
+        members == interval
+        and {low, high} <= members
+        and fiber.greatest.is_saturated()
+        and all(saturated_hull(r) == fiber.greatest for r in fiber.members)
+        and all(
+            (a & b).bits in members and (a | b).bits in members
+            for a, b in itertools.combinations(fiber.members, 2)
+        )
+    )
 
 
 def check_fusion():
@@ -223,9 +243,10 @@ def check_roundtrips():
         systems = enumerate_saturated_systems(lat)
         ok_cov = all(system_to_cover(cover_to_system(q)) == q for q in covers)
         ok_sys = all(cover_to_system(system_to_cover(r)) == r for r in systems)
+        ok_onto = {system_to_cover(r) for r in systems} == set(covers)
         ok_count = len(covers) == len(systems)
         res.note(
-            ok_cov and ok_sys and ok_count,
+            ok_cov and ok_sys and ok_onto and ok_count,
             f"{name}: {len(covers)} covers <-> {len(systems)} saturated systems",
         )
     return res

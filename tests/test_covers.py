@@ -81,6 +81,8 @@ def test_not_modular_is_refused():
         enumerate_saturated_covers(pentagon())
     with pytest.raises(NotModular):
         rule_one_implications(pentagon())
+    with pytest.raises(NotModular):
+        system_to_cover(discrete_system(pentagon()))
 
 
 def test_diamond_detection():

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from trsys.errors import (
@@ -11,6 +12,7 @@ from trsys.errors import (
     SizeLimit,
 )
 from trsys.lattice import (
+    Lattice,
     all_lattices,
     boolean_cube,
     canonical_form,
@@ -98,6 +100,23 @@ def test_from_order_not_a_lattice():
     # middles have no unique join
     with pytest.raises((NotALattice, NotBounded)):
         from_order(6, [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 5), (4, 5)])
+
+
+def test_non_transitive_order_with_256_middle_paths_is_rejected():
+    # 0 < m < 257 for each of 256 middle elements m, but 0 is not <= 257:
+    # 256 paths from 0 to 257 must still count as a path
+    leq = np.eye(258, dtype=bool)
+    leq[0, 1:257] = True
+    leq[1:257, 257] = True
+    with pytest.raises(ValueError, match="not transitive"):
+        Lattice(leq)
+
+
+def test_long_chain_has_only_its_covers():
+    # 256 elements lie strictly between 0 and 257; that is not a cover
+    lat = chain(257)
+    assert lat.covers == [(x, x + 1) for x in range(257)]
+    assert lat.rank == list(range(258))
 
 
 def test_chain_examples():

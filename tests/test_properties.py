@@ -1,6 +1,7 @@
 """Property tests on relabelled small lattices: the searches and the dense
 closure against the naive oracles, the fusion recursion against brute
-force, exact JSON round-trips, the lattice's list views and the loops
+force, the chi-fiber theorem, the chi image, the cover <-> saturated
+bijection, exact JSON round-trips, the lattice's list views and the loops
 built on them against their numpy definitions, and the CLI formats against
 each other.
 
@@ -18,10 +19,16 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trsys.characteristic import MonotoneEndomap, interior_system_masks, operator_from_interior_system
+from trsys.characteristic import (
+    MonotoneEndomap,
+    characteristic,
+    fiber_decomposition,
+    interior_system_masks,
+    operator_from_interior_system,
+)
 from trsys.cli import main
 from trsys.counting import count_tr_fusion
-from trsys.covers import enumerate_saturated_covers
+from trsys.covers import cover_to_system, enumerate_saturated_covers, system_to_cover
 from trsys.errors import NotMonotone
 from trsys.functorial import LatticeMap
 from trsys.lattice import Lattice, all_lattices, fusion, lattice_to_json, sub_cp_cp
@@ -156,6 +163,43 @@ def test_join_equals_the_least_system_containing_both(lat, dual, data):
     lat, tr, _ = systems_and_pairs(lat, dual)
     a, b = data.draw(st.sampled_from(list(tr))), data.draw(st.sampled_from(list(tr)))
     assert (a | b).bits == least_system_containing(lat, a.pairs() + b.pairs(), tr=tr).bits
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelled(BASES), st.booleans())
+@example(sub_cp_cp(3), False)
+def test_chi_fibers_are_intervals_topped_by_their_saturated_hull(lat, dual):
+    lat, tr, _ = systems_and_pairs(lat, dual)
+    fibers = fiber_decomposition(lat, tr=tr)
+    assert sorted(r.bits for fiber in fibers for r in fiber.members) == bits(tr)
+    for fiber in fibers:
+        low, high = fiber.least.bits, fiber.greatest.bits
+        assert bits(fiber.members) == [b for b in bits(tr) if low & b == low and b & high == b]
+        assert {characteristic(r).image for r in fiber.members} == {fiber.operator.image}
+        assert all(saturated_hull(r) == fiber.greatest for r in fiber.members)
+        assert fiber.greatest.is_saturated()
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelled(BASES), st.booleans())
+@example(sub_cp_cp(3), True)
+def test_chi_image_is_the_set_of_interior_operators(lat, dual):
+    lat, tr, _ = systems_and_pairs(lat, dual)
+    operators = set(naive_interior_operators(lat, max_elements=lat.n))
+    assert {characteristic(r).image for r in tr} == operators
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelled(MODULAR), st.booleans())
+@example(sub_cp_cp(3), False)
+def test_covers_and_saturated_systems_map_onto_each_other(lat, dual):
+    if dual:
+        lat = lat.dual()
+    systems = naive_saturated_systems(lat)
+    covers = enumerate_saturated_covers(lat, guard=None)
+    assert len(covers) == len(systems)
+    assert {system_to_cover(r) for r in systems} == set(covers)
+    assert sorted(cover_to_system(q).bits for q in covers) == bits(systems)
 
 
 @settings(max_examples=60, deadline=None)
