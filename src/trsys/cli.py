@@ -59,6 +59,8 @@ def _require_nonnegative(args, *flags):
 
 def _build_lattice(args, parser):
     _require_nonnegative(args, "n", "m")
+    if args.jobs < 1:
+        raise InvalidInput(f"--jobs must be at least 1, got {args.jobs}")
     fam = args.family
     if fam == "chain":
         _require(parser, args.n is not None, "--family chain needs --n")

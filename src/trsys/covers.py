@@ -204,10 +204,13 @@ def enumerate_saturated_covers(lat, guard=64, jobs=1):
     Rule (1) propagates along precomputed implication masks; rule (2)
     watches each covering diamond, forcing the fourth edge at three-in, so
     no branch holds a three-in diamond and an exclusion cannot strand one.
-    The search runs on the engine in `trsys.search`, split across worker
-    processes when jobs > 1, and its leaves are wrapped without
-    re-validation: the tests and `verify` compare them with the subset
-    filter of `oracles.py` and with the saturated systems.
+    Edges are decided by decreasing height of their lower end, then by
+    index: rule (1) forces edges downwards, so an edge tends to be decided
+    before the edges it forces, which are then still open rather than
+    excluded.  The search runs on the engine in `trsys.search`, split
+    across worker processes when jobs > 1, and its leaves are wrapped
+    without re-validation: the tests and `verify` compare them with the
+    subset filter of `oracles.py` and with the saturated systems.
     """
     if not lat.is_modular():
         raise NotModular("saturated covers are defined on modular lattices")
@@ -215,7 +218,8 @@ def enumerate_saturated_covers(lat, guard=64, jobs=1):
     if guard is not None and len(edges) > guard:
         raise SizeLimit(f"{len(edges)} cover edges exceed guard {guard}")
     rules = _CoverRules(lat)
-    out = search.leaves(list(range(len(edges))), 0, rules.propagate, jobs=jobs)
+    order = sorted(range(len(edges)), key=lambda i: (-lat.height[edges[i][0]], i))
+    out = search.leaves(order, 0, rules.propagate, jobs=jobs)
     return [SaturatedCover._wrap(lat, b) for b in out]
 
 

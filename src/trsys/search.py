@@ -11,7 +11,6 @@ whose exclusion branch is dead.
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
 
 
@@ -23,6 +22,9 @@ def leaves(order, root, propagate, jobs=1):
     states = deque([(0, root, 0)])
     out = _walk(order, states, propagate, width=4 * jobs if jobs > 1 else 0)
     if states:
+        # imported here, so that a serial start skips the pool's ~20 ms of imports
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             subtrees = ([state] for state in states)
             for chunk in pool.map(_walk, repeat(order), subtrees, repeat(propagate)):

@@ -100,9 +100,13 @@ class _DenseClosure:
                     if up[y] >> z & 1 and w is not None and w != y:
                         mask |= 1 << w * n + y
                 self.rest[x * n + z] = mask
-        # branch order: decreasing height gap, then position
+        # branch order: decreasing height gap, then decreasing height of
+        # the upper element, then position.  Restriction forces pairs
+        # downwards, so a pair tends to be decided before those it forces;
+        # only the last key reads the labels, so relabelling reorders ties
         self.order = sorted(
-            _bits(self.full & ~self.diag), key=lambda p: (heights[p // n] - heights[p % n], p)
+            _bits(self.full & ~self.diag),
+            key=lambda p: (heights[p // n] - heights[p % n], -heights[p % n], p),
         )
         self.steps = None  # built by the first search: closing alone never needs them
 
@@ -279,10 +283,6 @@ class TransferSystem:
         n = self.lattice.n
         return x in range(n) and y in range(n) and bool(self.bits >> int(x) * n + int(y) & 1)
 
-    def downset(self, x):
-        """The R-downset of x: all y with y R x."""
-        return [y for y in range(self.lattice.n) if self.contains(y, x)]
-
     def refines(self, other):
         self._check_ambient(other)
         return self.bits & other.bits == self.bits
@@ -329,14 +329,20 @@ class TransferSystem:
 
     def minimal_fibrant(self):
         """The least element related to top (chi at the top element)."""
+        return self._least_related(self.lattice.top)
+
+    def _least_related(self, x):
+        """The meet of the R-downset of x, read from column x of the bits.
+        Restriction and transitivity put it in the downset; the tests and
+        `verify` check that it does, through the chi-fiber theorem."""
         lat = self.lattice
-        meet = lat.meet_rows
-        down = self.downset(lat.top)
-        m = down[0]
-        for y in down[1:]:
-            m = meet[m][y]
-        if not self.contains(m, lat.top):
-            raise InvariantViolation("meet of top-downset escaped the downset")
+        n, meet = lat.n, lat.meet_rows
+        down = self.bits >> x & closure_for(lat).col  # bit a*n for each a R x
+        m = x
+        while down:
+            low = down & -down
+            m = meet[m][(low.bit_length() - 1) // n]
+            down ^= low
         return m
 
 
@@ -467,12 +473,12 @@ class TrLattice:
 def enumerate_transfer_systems(lat, guard=26, jobs=1):
     """All transfer systems on `lat`, as a TrLattice.
 
-    Backtracks over undecided non-reflexive pairs in decreasing rank-gap
-    order, propagating restriction+transitivity closure on inclusion and
-    pruning branches whose closure hits an excluded pair.  The closure
-    runs on a dense n x n bit matrix, one multiplication per added pair;
-    with jobs > 1 the search is split across worker processes, with the
-    same output.
+    Backtracks over undecided non-reflexive pairs in decreasing height-gap
+    order, ties by decreasing height of the upper element, propagating
+    restriction+transitivity closure on inclusion and pruning branches
+    whose closure hits an excluded pair.  The closure runs on a dense
+    n x n bit matrix, one multiplication per added pair; with jobs > 1 the
+    search is split across worker processes, with the same output.
     """
     _check_guard(closure_for(lat), guard)
     return TrLattice._from_sorted_bits(lat, closure_for(lat).transfer_systems(jobs))
@@ -526,8 +532,8 @@ class Subposet:
         if self._closure is None:
             # with only extremes deleted, two elements have a greatest common
             # lower bound, their meet, unless it is the deleted bottom, and
-            # then none; heights shift by a constant, which keeps every
-            # height gap
+            # then none; heights shift by a constant, which keeps the
+            # branch order of the Tr search
             pos, meet = self._pos, self.base.meet_rows
             up = [sum(1 << j for j, below in enumerate(row) if below) for row in self.leq]
             meets = [[pos.get(meet[a][b]) for b in self.elements] for a in self.elements]

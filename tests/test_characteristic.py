@@ -55,10 +55,14 @@ def test_chi_examples_on_the_three_chain():
 
 
 def test_chi_is_certified_interior():
+    # chi wraps its image unchecked: validate it, and check that chi(x) is
+    # related to x, that is that the meet of the R-downset lies in it
     for lat in FEASIBLE:
         for system in enumerate_transfer_systems(lat):
             op = characteristic(system)
             assert isinstance(op, InteriorOperator)
+            assert InteriorOperator(lat, op.image) == op
+            assert all(system.contains(f, x) for x, f in enumerate(op.image))
 
 
 def test_chi_is_antitone():

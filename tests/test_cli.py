@@ -166,6 +166,18 @@ def test_verify_negative_max_exits_two(capsys, check):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("command", ["enumerate", "export"])
+def test_jobs_below_one_exits_two(tmp_path, capsys, command, jobs):
+    out_dir = tmp_path / "out"
+    argv = [command, "--family", "chain", "--n", "2", "--jobs", jobs]
+    argv += ["--kind", "transfer"] if command == "enumerate" else ["--out", str(out_dir)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == "" and not out_dir.exists()
+    assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+
+
 def test_verify_unknown_check(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "--check", "nonsense"])
@@ -255,3 +267,14 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "PASS ranktwo" in proc.stdout
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # the pool is imported by the first search with jobs > 1, not on every start
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, trsys; print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "False\n"

@@ -1,19 +1,21 @@
 """Property tests on relabelled small lattices: the searches and the dense
 closure against the naive oracles, the fusion recursion against brute
 force, the chi-fiber theorem, the chi image, the cover <-> saturated
-bijection, exact JSON round-trips, the lattice's list views and the loops
-built on them against their numpy definitions, and the CLI formats against
-each other.
+bijection, the dead-end-free interior search, exact JSON round-trips, the
+lattice's list views and the loops built on them against their numpy
+definitions, and the CLI formats against each other.
 
 Every lattice on at most five elements, plus Sub(C3 x C3), whose few
 comparable pairs make the n x n bit layout sparse, is drawn under a random
 relabelling, so that branch orders and bit layouts vary between examples.
 """
 import contextlib
+import importlib
 import io
 import json
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -104,6 +106,26 @@ def test_interior_masks_equal_the_raw_map_filter(lat):
     images = naive_interior_operators(lat, max_elements=lat.n)
     want = sorted({sum(1 << v for v in set(image)) for image in images})
     assert interior_system_masks(lat) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabelled(BASES), st.booleans())
+@example(sub_cp_cp(3), True)
+def test_interior_search_includes_only_on_branches_that_reach_a_leaf(lat, dual):
+    # deciding elements by height, a linear extension of the order, no
+    # include meets an excluded element: every include call adds a leaf
+    if dual:
+        lat = lat.dual()
+    module = importlib.import_module("trsys.characteristic")  # the package exports a function of that name
+    join_closure, calls = module._join_closure, []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return join_closure(*args)
+
+    with mock.patch.object(module, "_join_closure", counted):
+        masks = interior_system_masks(lat)
+    assert len(calls) == len(masks) - 1
 
 
 @settings(max_examples=25, deadline=None)
