@@ -11,7 +11,6 @@ recursion, and pushforwards along lattice maps.
 from .characteristic import (
     ChiFiber,
     InteriorOperator,
-    MonotoneEndomap,
     characteristic,
     chi_image_check,
     count_interior_operators,

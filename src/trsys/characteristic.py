@@ -13,7 +13,7 @@ from functools import partial
 
 from . import search
 from .errors import InvariantViolation, SizeLimit
-from .lattice import monotone_image
+from .functorial import LatticeMap
 from .transfer import (
     TransferSystem,
     enumerate_transfer_systems,
@@ -22,54 +22,29 @@ from .transfer import (
 )
 
 
-class MonotoneEndomap:
-    """A monotone self-map of a lattice, stored as its image array."""
+class InteriorOperator(LatticeMap):
+    """Idempotent, contractive, monotone self-map of a lattice."""
 
-    __slots__ = ("lattice", "image")
-
-    def __init__(self, lattice, image):
-        image = monotone_image(lattice, lattice, image)
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "image", image)
-
-    @classmethod
-    def _wrap(cls, lattice, image):
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "lattice", lattice)
-        object.__setattr__(obj, "image", image)
-        return obj
-
-    def __setattr__(self, name, value):
-        raise AttributeError("endomaps are immutable")
-
-    def __call__(self, x):
-        return self.image[x]
-
-    def pointwise_leq(self, other):
-        up = self.lattice.up
-        return all(up[a] >> b & 1 for a, b in zip(self.image, other.image))
-
-    def __eq__(self, other):
-        return isinstance(other, MonotoneEndomap) and self.image == other.image
-
-    def __hash__(self):
-        return hash(self.image)
-
-    def __repr__(self):
-        return f"{type(self).__name__}{self.image}"
-
-
-class InteriorOperator(MonotoneEndomap):
-    """Idempotent, contractive, monotone self-map."""
+    __slots__ = ()
 
     def __init__(self, lattice, image):
-        super().__init__(lattice, image)
+        super().__init__(lattice, lattice, image)
         image, up = self.image, lattice.up
         for x, f in enumerate(image):
             if not up[f] >> x & 1:
                 raise InvariantViolation(f"operator is not contractive at {x}")
             if image[f] != f:
                 raise InvariantViolation(f"operator is not idempotent at {x}")
+
+    @classmethod
+    def _wrap(cls, lattice, image):
+        """The operator without validation, for an image tuple correct by
+        construction."""
+        return super()._wrap(lattice, lattice, image)
+
+    @property
+    def lattice(self):
+        return self.source
 
 
 def characteristic(system):
@@ -122,7 +97,10 @@ def operator_from_interior_system(lat, mask):
 
     Built bottom-up in height order: f(x) = x when x is in the system, and
     otherwise the join of f over the lower covers of x, since every element
-    strictly below x lies below one of them.  This holds for every mask.
+    strictly below x lies below one of them.  This holds for every mask,
+    and the result is wrapped without re-validation: the tests re-validate
+    every enumerated operator and compare them with the raw-map filter of
+    `oracles.py`.
     """
     join = lat.join_rows
     image = [lat.bottom] * lat.n
@@ -134,7 +112,7 @@ def operator_from_interior_system(lat, mask):
             for c in lower:
                 f = join[f][image[c]]
             image[x] = f
-    return InteriorOperator(lat, image)
+    return InteriorOperator._wrap(lat, tuple(image))
 
 
 def _bottom_up(lat):

@@ -31,8 +31,6 @@ from .lattice import (
 from .transfer import enumerate_saturated_systems, enumerate_transfer_systems
 from .verify import ALL_CHECKS, run_checks
 
-HARD_TR_GUARD = 26
-
 
 def _add_lattice_args(parser):
     parser.add_argument(
@@ -94,8 +92,10 @@ def _require(parser, condition, message):
         parser.error(message)
 
 
-def _guard(args):
-    return None if args.unsafe_guard else HARD_TR_GUARD
+def _lifted(args, **limits):
+    """The size limits to pass to a library call: `limits` under
+    --unsafe-guard, and otherwise none, so that the library defaults hold."""
+    return limits if args.unsafe_guard else {}
 
 
 def cmd_enumerate(args, parser):
@@ -106,13 +106,13 @@ def cmd_enumerate(args, parser):
     if args.report == "fibers":
         return _print_fiber_report(lat, args)
     if kind == "transfer":
-        items = list(enumerate_transfer_systems(lat, guard=_guard(args), jobs=args.jobs))
+        items = list(enumerate_transfer_systems(lat, jobs=args.jobs, **_lifted(args, guard=None)))
     elif kind == "saturated":
-        items = enumerate_saturated_systems(lat, guard=None if args.unsafe_guard else 80, jobs=args.jobs)
+        items = enumerate_saturated_systems(lat, jobs=args.jobs, **_lifted(args, guard=None))
     elif kind == "covers":
-        items = enumerate_saturated_covers(lat, guard=None if args.unsafe_guard else 64, jobs=args.jobs)
+        items = enumerate_saturated_covers(lat, jobs=args.jobs, **_lifted(args, guard=None))
     else:  # interior
-        items = enumerate_interior_operators(lat, max_elements=lat.n if args.unsafe_guard else 16)
+        items = enumerate_interior_operators(lat, **_lifted(args, max_elements=lat.n))
 
     if args.format == "table":
         for item in items:
@@ -143,7 +143,7 @@ def cmd_enumerate(args, parser):
 
 
 def _print_fiber_report(lat, args):
-    tr = enumerate_transfer_systems(lat, guard=_guard(args), jobs=args.jobs)
+    tr = enumerate_transfer_systems(lat, jobs=args.jobs, **_lifted(args, guard=None))
     fibers = fiber_decomposition(lat, tr=tr)
     if args.format == "json":
         for fiber in fibers:
@@ -186,7 +186,7 @@ def cmd_export(args, parser):
             fh.write(lattice_to_dot(lat))
         written.append(path)
     elif args.what == "tr-hasse":
-        tr = enumerate_transfer_systems(lat, guard=_guard(args), jobs=args.jobs)
+        tr = enumerate_transfer_systems(lat, jobs=args.jobs, **_lifted(args, guard=None))
         lines = ['digraph "tr-hasse" {', "  rankdir=BT;", "  node [shape=box];"]
         for i, system in enumerate(tr):
             label = " ".join(f"{a}<{b}" for a, b in system.pairs()) or "discrete"
@@ -199,14 +199,14 @@ def cmd_export(args, parser):
             fh.write("\n".join(lines) + "\n")
         written.append(path)
     elif args.what == "systems":
-        tr = enumerate_transfer_systems(lat, guard=_guard(args), jobs=args.jobs)
+        tr = enumerate_transfer_systems(lat, jobs=args.jobs, **_lifted(args, guard=None))
         for i, system in enumerate(tr):
             path = os.path.join(args.out, f"system_{i:04d}.dot")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(serialize.system_to_dot(system, f"system-{i:04d}"))
             written.append(path)
     else:  # covers
-        covers = enumerate_saturated_covers(lat, guard=None if args.unsafe_guard else 64)
+        covers = enumerate_saturated_covers(lat, **_lifted(args, guard=None))
         for i, cover in enumerate(covers):
             path = os.path.join(args.out, f"cover_{i:04d}.dot")
             with open(path, "w", encoding="utf-8") as fh:
@@ -220,7 +220,7 @@ def cmd_export(args, parser):
 def cmd_fusion_count(args, parser):
     left = _read_lattice(args.left)
     right = _read_lattice(args.right)
-    breakdown = count_tr_fusion(left, right, guard=None if args.unsafe_guard else HARD_TR_GUARD)
+    breakdown = count_tr_fusion(left, right, **_lifted(args, guard=None))
     print(f"top term        {breakdown.top_term}")
     print(f"bottom term     {breakdown.bottom_term}")
     for a, c in breakdown.middle_terms_left:
@@ -235,15 +235,15 @@ def cmd_rank_two(args, parser):
     p = args.p
     count = tr_rank_two(p)
     print(f"transfer systems for C_{p} x C_{p}: {count}")
-    n = p + 1
-    if 2 * n + 1 <= HARD_TR_GUARD or args.unsafe_guard:
-        dec = bmt_decompose(n, guard=None if args.unsafe_guard else HARD_TR_GUARD)
-        print(
-            f"census: bottom cube {len(dec.bottom_cube)}, middle {len(dec.middle)}, "
-            f"top cube {len(dec.top_cube)} (total {len(dec.tr)})"
-        )
-    else:
+    try:
+        dec = bmt_decompose(p + 1, **_lifted(args, guard=None))
+    except SizeLimit:
         print("census skipped: lattice exceeds the enumeration guard")
+        return 0
+    print(
+        f"census: bottom cube {len(dec.bottom_cube)}, middle {len(dec.middle)}, "
+        f"top cube {len(dec.top_cube)} (total {len(dec.tr)})"
+    )
     return 0
 
 

@@ -11,27 +11,55 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import AmbientMismatch, InvariantViolation, NotComposable
-from .lattice import boolean_cube, from_order, monotone_image, product
+from .errors import AmbientMismatch, InvariantViolation, NotComposable, NotMonotone
+from .lattice import boolean_cube, from_order, product
 from .transfer import TransferSystem, generate
 
 
 class LatticeMap:
-    """A monotone map between lattices, stored as its image array."""
+    """A monotone map between lattices, stored as its image tuple."""
 
     __slots__ = ("source", "target", "image")
 
     def __init__(self, source, target, image):
-        image = monotone_image(source, target, image)
+        """Raises ValueError when the image misses an element or leaves
+        range(target.n), and NotMonotone at the first cover x < y of
+        `source` with image[x] not <= image[y].  Covers suffice: <= is their
+        reflexive-transitive closure, and a map preserving them preserves
+        it."""
+        image = tuple(map(int, image))
+        if len(image) != source.n:
+            raise ValueError("image must assign every source element")
+        if min(image) < 0 or max(image) >= target.n:
+            raise ValueError("image values out of range")
+        up = target.up
+        for x, y in source.covers:
+            if not up[image[x]] >> image[y] & 1:
+                raise NotMonotone(f"map reverses {x} <= {y}")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "image", image)
 
+    @classmethod
+    def _wrap(cls, source, target, image):
+        """The map without validation, for an image tuple correct by
+        construction."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "source", source)
+        object.__setattr__(obj, "target", target)
+        object.__setattr__(obj, "image", image)
+        return obj
+
     def __setattr__(self, name, value):
-        raise AttributeError("LatticeMap is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __call__(self, x):
         return self.image[x]
+
+    def pointwise_leq(self, other):
+        """Whether self(x) <= other(x) in the target for every x."""
+        up = self.target.up
+        return all(up[a] >> b & 1 for a, b in zip(self.image, other.image))
 
     def is_meet_preserving(self):
         for x in range(self.source.n):
@@ -50,8 +78,11 @@ class LatticeMap:
             and self.target.same_order(other.target)
         )
 
+    def __hash__(self):
+        return hash(self.image)
+
     def __repr__(self):
-        return f"LatticeMap{self.image}"
+        return f"{type(self).__name__}{self.image}"
 
 
 def identity_map(lat):

@@ -18,7 +18,6 @@ from .errors import (
     NotALattice,
     NotBounded,
     NotGraded,
-    NotMonotone,
     NotPrime,
     SizeLimit,
 )
@@ -72,26 +71,6 @@ class Lattice:
         for arr in (self.leq, self.meet, self.join):
             arr.flags.writeable = False
 
-    # -- basic queries ----------------------------------------------------
-
-    def le(self, x, y):
-        return bool(self.leq[x, y])
-
-    def lt(self, x, y):
-        return x != y and bool(self.leq[x, y])
-
-    def up_set(self, x):
-        return [y for y in range(self.n) if self.leq[x, y]]
-
-    def down_set(self, x):
-        return [y for y in range(self.n) if self.leq[y, x]]
-
-    def cover_children(self, y):
-        return [x for (x, z) in self.covers if z == y]
-
-    def cover_parents(self, x):
-        return [z for (w, z) in self.covers if w == x]
-
     def grading(self):
         """Return the rank function, or raise NotGraded.
 
@@ -142,26 +121,6 @@ class Lattice:
         state = self.__dict__.copy()
         state["_cache"] = {}
         return state
-
-
-def monotone_image(source, target, image):
-    """The image array of a monotone map from `source` to `target`, as ints.
-
-    Raises ValueError when the image misses an element or leaves
-    range(target.n), and NotMonotone at the first cover x < y of `source`
-    with image[x] not <= image[y].  Covers suffice: <= is their
-    reflexive-transitive closure, and a map preserving them preserves it.
-    """
-    image = tuple(map(int, image))
-    if len(image) != source.n:
-        raise ValueError("image must assign every source element")
-    if min(image) < 0 or max(image) >= target.n:
-        raise ValueError("image values out of range")
-    up = target.up
-    for x, y in source.covers:
-        if not up[image[x]] >> image[y] & 1:
-            raise NotMonotone(f"map reverses {x} <= {y}")
-    return image
 
 
 # -- construction helpers ---------------------------------------------------

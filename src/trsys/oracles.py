@@ -9,12 +9,22 @@ from __future__ import annotations
 import itertools
 
 from .errors import SizeLimit
-from .covers import SaturatedCover, find_cover_violation, _cover_table
+from .covers import SaturatedCover, find_cover_violation
 from .transfer import (
     TransferSystem,
     enumerate_transfer_systems,
     find_violation,
 )
+
+
+def _subsets(free, base=0):
+    """`base` with every subset of the bit positions `free` added."""
+    for picks in itertools.product((0, 1), repeat=len(free)):
+        bits = base
+        for p, take in zip(free, picks):
+            if take:
+                bits |= 1 << p
+        yield bits
 
 
 def naive_transfer_systems(lat, max_pairs=12):
@@ -24,15 +34,7 @@ def naive_transfer_systems(lat, max_pairs=12):
     if len(free) > max_pairs:
         raise SizeLimit(f"{len(free)} free pairs is too many for the subset filter")
     diag = sum(1 << x * (n + 1) for x in range(n))
-    out = []
-    for picks in itertools.product((0, 1), repeat=len(free)):
-        bits = diag
-        for p, take in zip(free, picks):
-            if take:
-                bits |= 1 << p
-        if find_violation(lat, bits) is None:
-            out.append(bits)
-    out.sort()
+    out = sorted(b for b in _subsets(free, diag) if find_violation(lat, b) is None)
     return [TransferSystem._wrap(lat, b) for b in out]
 
 
@@ -43,14 +45,12 @@ def naive_saturated_systems(lat, max_pairs=12):
 
 def naive_saturated_covers(lat, max_edges=14):
     """Every subset of cover edges satisfying both matchstick rules."""
-    edges, _ = _cover_table(lat)
-    if len(edges) > max_edges:
-        raise SizeLimit(f"{len(edges)} cover edges is too many for the subset filter")
-    out = []
-    for bits in range(1 << len(edges)):
-        if find_cover_violation(lat, bits) is None:
-            out.append(bits)
-    return [SaturatedCover._wrap(lat, b) for b in sorted(out)]
+    n = lat.n
+    free = [x * n + y for x, y in lat.covers]
+    if len(free) > max_edges:
+        raise SizeLimit(f"{len(free)} cover edges is too many for the subset filter")
+    out = sorted(b for b in _subsets(free) if find_cover_violation(lat, b) is None)
+    return [SaturatedCover._wrap(lat, b) for b in out]
 
 
 def naive_interior_operators(lat, max_elements=5):

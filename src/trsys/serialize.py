@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 
 from .covers import SaturatedCover
-from .functorial import LatticeMap
 from .lattice import lattice_from_json, lattice_to_json
 from .transfer import TransferSystem
 
@@ -40,20 +39,6 @@ def cover_from_json(obj):
 
 def operator_to_json(operator):
     return {"image": list(operator.image)}
-
-
-def map_to_json(f):
-    return {
-        "source": lattice_to_json(f.source),
-        "target": lattice_to_json(f.target),
-        "image": list(f.image),
-    }
-
-
-def map_from_json(obj):
-    return LatticeMap(
-        lattice_from_json(obj["source"]), lattice_from_json(obj["target"]), obj["image"]
-    )
 
 
 def fiber_to_json(fiber):

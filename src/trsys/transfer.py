@@ -4,7 +4,9 @@ A transfer system is a reflexive, transitive subrelation of the order that
 refines <= and is closed under restriction: x R z and y <= z imply
 (x ^ y) R y.  Every relation on an n-element order, stored or in flight,
 is a Python int in one layout: the pair (x, y) is bit x*n + y of a
-row-major n x n bit matrix.
+row-major n x n bit matrix.  Saturated covers in `trsys.covers` use the
+same layout, and share the immutable base `_Relation` with
+`TransferSystem`.
 
 Each order has one private object, `_DenseClosure`, holding its up-sets,
 diagonal, full order, one restriction mask per position and the branch
@@ -29,7 +31,6 @@ from . import search
 from .errors import (
     AmbientMismatch,
     InvalidTransferSystem,
-    InvariantViolation,
     SizeLimit,
     UnsupportedSubposet,
 )
@@ -161,13 +162,10 @@ class _DenseClosure:
         return dense
 
     def join(self, union):
-        """The transitive closure W(U) of a union U of transfer systems, or
-        None when W(U) misses a restriction of U, that is when the closure
-        of U needs restriction beyond transitivity."""
-        joined = self._transitive(union | self.diag)
-        if self._restricted(union) & ~joined:
-            return None
-        return joined
+        """The transitive closure of a union of transfer systems, which is
+        the least transfer system containing it: the union is
+        restriction-closed, and transitivity keeps it so."""
+        return self._transitive(union | self.diag)
 
     def _restricted(self, bits):
         """`bits` with every restriction of its non-reflexive pairs."""
@@ -234,36 +232,33 @@ def find_violation(lat, bits):
     return None
 
 
-class TransferSystem:
-    """An immutable transfer system on an ambient lattice."""
+class _Relation:
+    """An immutable relation on a lattice, as bits in the x*n + y layout.
+
+    `TransferSystem` and `covers.SaturatedCover` share this base; each adds
+    its validating constructor and its own methods.
+    """
 
     __slots__ = ("lattice", "bits")
 
     def __init__(self, lattice, bits):
-        violation = find_violation(lattice, bits)
-        if violation is not None:
-            raise InvalidTransferSystem(violation)
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "bits", bits)
 
     @classmethod
     def _wrap(cls, lattice, bits):
+        """The relation without validation, for bits correct by construction."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "lattice", lattice)
         object.__setattr__(obj, "bits", bits)
         return obj
 
-    @classmethod
-    def from_pairs(cls, lattice, pairs):
-        """Validate an explicit relation; raises InvalidTransferSystem."""
-        return cls(lattice, closure_for(lattice).diag | _pair_bits(lattice, pairs))
-
     def __setattr__(self, name, value):
-        raise AttributeError("TransferSystem is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other):
         return (
-            isinstance(other, TransferSystem)
+            type(other) is type(self)
             and self.bits == other.bits
             and self.lattice.same_order(other.lattice)
         )
@@ -272,12 +267,29 @@ class TransferSystem:
         return hash((self.lattice.n, self.lattice.leq.tobytes(), self.bits))
 
     def __repr__(self):
-        return f"TransferSystem({self.pairs()})"
+        return f"{type(self).__name__}({self.pairs()})"
 
     def pairs(self):
         """Non-reflexive related pairs, row-major."""
         n = self.lattice.n
         return [divmod(p, n) for p in _bits(self.bits & ~closure_for(self.lattice).diag)]
+
+
+class TransferSystem(_Relation):
+    """An immutable transfer system on an ambient lattice."""
+
+    __slots__ = ()
+
+    def __init__(self, lattice, bits):
+        violation = find_violation(lattice, bits)
+        if violation is not None:
+            raise InvalidTransferSystem(violation)
+        super().__init__(lattice, bits)
+
+    @classmethod
+    def from_pairs(cls, lattice, pairs):
+        """Validate an explicit relation; raises InvalidTransferSystem."""
+        return cls(lattice, closure_for(lattice).diag | _pair_bits(lattice, pairs))
 
     def contains(self, x, y):
         n = self.lattice.n
@@ -295,19 +307,10 @@ class TransferSystem:
         return TransferSystem._wrap(self.lattice, self.bits & other.bits)
 
     def join(self, other):
-        """Least transfer system containing both operands.
-
-        For valid operands only transitivity can add pairs beyond the
-        union U, which is asserted at runtime.  The transitive closure W(U)
-        runs on the dense closure of `closure_for`; the full closure is
-        W(Rst(U)), which equals W(U) exactly when the restrictions Rst(U)
-        lie in W(U), so the assertion is a mask test.
-        """
+        """Least transfer system containing both operands: the transitive
+        closure of their union, on the dense closure of `closure_for`."""
         self._check_ambient(other)
-        joined = closure_for(self.lattice).join(self.bits | other.bits)
-        if joined is None:
-            raise InvariantViolation("join needed restriction closure beyond transitivity")
-        return TransferSystem._wrap(self.lattice, joined)
+        return TransferSystem._wrap(self.lattice, closure_for(self.lattice).join(self.bits | other.bits))
 
     __and__ = meet
     __or__ = join

@@ -4,7 +4,6 @@ import pytest
 
 from trsys.characteristic import (
     InteriorOperator,
-    MonotoneEndomap,
     characteristic,
     chi_image_check,
     count_interior_operators,
@@ -19,6 +18,7 @@ from trsys.characteristic import (
     operator_from_interior_system,
 )
 from trsys.errors import InvariantViolation, NotMonotone
+from trsys.functorial import LatticeMap
 from trsys.lattice import boolean_cube, chain, from_order, iterated_fusion, product
 from trsys.oracles import naive_interior_operators
 from trsys.transfer import (
@@ -103,7 +103,7 @@ def test_chi_constant_on_meets_and_joins_within_fibers():
 def test_interior_operator_validation():
     lat = chain(2)
     with pytest.raises(NotMonotone):
-        MonotoneEndomap(lat, (2, 1, 0))
+        LatticeMap(lat, lat, (2, 1, 0))
     with pytest.raises(InvariantViolation):
         InteriorOperator(lat, (0, 2, 2))  # not contractive at 1
     with pytest.raises(InvariantViolation):
@@ -111,9 +111,20 @@ def test_interior_operator_validation():
     # -1 would wrap around to the top in a list or an array
     for image in [(0, 1, -1), (0, 1, 3), (0, 1)]:
         with pytest.raises(ValueError):
-            MonotoneEndomap(lat, image)
+            LatticeMap(lat, lat, image)
         with pytest.raises(ValueError):
             InteriorOperator(lat, image)
+
+
+def test_interior_operators_on_different_lattices_differ():
+    # the same image on two orders of four elements is two different maps
+    on_chain = InteriorOperator(chain(3), (0, 0, 0, 0))
+    on_square = InteriorOperator(boolean_cube(2), (0, 0, 0, 0))
+    assert on_chain != on_square
+    assert on_chain == InteriorOperator(chain(3), (0, 0, 0, 0))
+    assert len({on_chain, on_square, InteriorOperator(chain(3), (0, 0, 0, 0))}) == 2
+    assert on_chain.lattice is on_chain.source is on_chain.target
+    assert repr(on_chain) == "InteriorOperator(0, 0, 0, 0)"
 
 
 # -- interior operator enumeration ----------------------------------------------
@@ -147,6 +158,8 @@ def test_interior_systems_are_operator_images():
         for mask in interior_system_masks(lat):
             op = operator_from_interior_system(lat, mask)
             assert interior_system_of(op) == mask
+            # the operator is wrapped unchecked: validate it here
+            assert InteriorOperator(lat, op.image) == op
 
 
 def test_interior_operator_meets_lower_bounds():

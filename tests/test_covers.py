@@ -68,6 +68,16 @@ def test_rule_one_violation():
     assert info.value.violation.rule == 1
 
 
+def test_bits_outside_the_covering_relations_are_refused():
+    lat = boolean_cube(2)
+    # (0, 3) is comparable on cube(2) but not a covering relation
+    for bits in (1 << 40, -1, 1 << 0 * lat.n + 3):
+        with pytest.raises(InvalidCover) as info:
+            SaturatedCover(lat, bits)
+        assert info.value.violation.rule == 0
+    assert SaturatedCover(lat, 1 << 1).edges() == [(0, 1)]
+
+
 def test_json_edge_that_is_not_a_cover_is_an_invalid_cover():
     # (0, 2) is comparable on chain(2) but not a covering relation
     with pytest.raises(InvalidCover):
@@ -96,7 +106,8 @@ def test_diamond_detection():
 def test_rule_one_graph_is_nonempty_on_diamonds():
     lat = boolean_cube(2)
     implies = rule_one_implications(lat)
-    assert any(implies[i] for i in range(len(lat.covers)))
+    assert list(implies) == [x * lat.n + y for x, y in lat.covers]
+    assert any(implies.values())
 
 
 # -- enumeration -----------------------------------------------------------------
@@ -260,11 +271,10 @@ def test_top_face_refines_bottom_face():
 def test_cover_generation_needs_no_restriction_pass():
     # a saturated cover is already restriction-closed, so its generated
     # system is just the reflexive-transitive closure of the edges, which
-    # `join` computes, returning None when restriction would add pairs
+    # `join` computes
     from trsys.transfer import closure_for
 
     for lat in (boolean_cube(2), boolean_cube(3), iterated_fusion(chain(2), 3)):
         for cover in enumerate_saturated_covers(lat):
-            bits = sum(1 << x * lat.n + y for x, y in cover.edges())
-            transitive_only = closure_for(lat).join(bits)
+            transitive_only = closure_for(lat).join(cover.bits)
             assert transitive_only == cover_to_system(cover).bits

@@ -22,7 +22,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trsys.characteristic import (
-    MonotoneEndomap,
     characteristic,
     fiber_decomposition,
     interior_system_masks,
@@ -293,7 +292,7 @@ def test_cover_monotonicity_check_agrees_with_all_pairs(source, target, data):
     def image_into(lat):
         return data.draw(st.lists(st.integers(0, lat.n - 1), min_size=source.n, max_size=source.n))
 
-    for make, lat in ((lambda im: MonotoneEndomap(source, im), source),
+    for make, lat in ((lambda im: LatticeMap(source, source, im), source),
                       (lambda im: LatticeMap(source, target, im), target)):
         image = image_into(lat)
         try:
