@@ -56,7 +56,6 @@ from .errors import (
     NotSaturated,
     SizeLimit,
     TrsysError,
-    UnsupportedSubposet,
 )
 from .functorial import (
     LatticeMap,
@@ -86,19 +85,14 @@ from .lattice import (
     sub_cp_cp,
 )
 from .transfer import (
-    Subposet,
     TransferSystem,
     TrLattice,
     complete_system,
-    deleted_extremes_subposet,
     discrete_system,
     enumerate_saturated_systems,
-    enumerate_subposet_systems,
     enumerate_transfer_systems,
-    extend_with_bottom,
     find_violation,
     generate,
-    restrict_to_subposet,
     saturated_hull,
 )
 

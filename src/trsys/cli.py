@@ -23,13 +23,20 @@ from .lattice import (
     boolean_cube,
     chain,
     iterated_fusion,
+    lattice_from_json,
     lattice_to_dot,
-    load_lattice,
     product,
     sub_cp_cp,
 )
 from .transfer import enumerate_saturated_systems, enumerate_transfer_systems
 from .verify import ALL_CHECKS, run_checks
+
+# The largest lattice JSON read without --unsafe-guard.  Loading costs n^3:
+# n outer products close the order, two n x n bool matmuls check it and find
+# its covers, and the meet and join tables compare n^2 pairs of n-byte rows.
+# On 2 CPUs with Python 3.11, 1,024 elements load in about 6 s (cube(10)) or
+# are refused as unbounded in about 1 s (an antichain).
+MAX_JSON_ELEMENTS = 1024
 
 
 def _add_lattice_args(parser):
@@ -76,12 +83,17 @@ def _build_lattice(args, parser):
         _require(parser, args.p is not None, "--family subcpcp needs --p")
         return sub_cp_cp(args.p)
     _require(parser, args.json_path is not None, "--family json needs --json PATH")
-    return _read_lattice(args.json_path)
+    return _read_lattice(args.json_path, args.unsafe_guard)
 
 
-def _read_lattice(path):
+def _read_lattice(path, unsafe_guard):
     try:
-        return load_lattice(path)
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        if obj["n"] > MAX_JSON_ELEMENTS and not unsafe_guard:
+            # refused before any array is built
+            raise SizeLimit(f"{obj['n']} elements exceed the lattice JSON guard {MAX_JSON_ELEMENTS}")
+        return lattice_from_json(obj)
     except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
         # no readable file, invalid JSON, or not an {"n", "leq_pairs"} object of ints
         raise InvalidInput(f"cannot load a lattice from {path}: {exc!r}") from exc
@@ -218,8 +230,8 @@ def cmd_export(args, parser):
 
 
 def cmd_fusion_count(args, parser):
-    left = _read_lattice(args.left)
-    right = _read_lattice(args.right)
+    left = _read_lattice(args.left, args.unsafe_guard)
+    right = _read_lattice(args.right, args.unsafe_guard)
     breakdown = count_tr_fusion(left, right, **_lifted(args, guard=None))
     print(f"top term        {breakdown.top_term}")
     print(f"bottom term     {breakdown.bottom_term}")

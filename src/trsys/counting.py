@@ -14,12 +14,7 @@ from dataclasses import dataclass
 from .characteristic import fiber_decomposition
 from .errors import ClassificationGap, InvariantViolation, NotPrime
 from .lattice import Lattice, chain, iterated_fusion, _is_prime
-from .transfer import (
-    TrLattice,
-    deleted_extremes_subposet,
-    enumerate_subposet_systems,
-    enumerate_transfer_systems,
-)
+from .transfer import TrLattice, enumerate_transfer_systems
 
 
 def catalan(n):
@@ -55,12 +50,6 @@ class FusionCountBreakdown:
         )
 
 
-def subposet_tr_count(lat, drop_bottom=False, drop_top=False, guard=26):
-    """Number of transfer relations on the lattice minus chosen extremes."""
-    sub = deleted_extremes_subposet(lat, drop_bottom=drop_bottom, drop_top=drop_top)
-    return len(enumerate_subposet_systems(sub, guard=guard))
-
-
 def minimal_fibrant_census(lat, tr=None, guard=26):
     """Map: element a -> number of transfer systems with minimal fibrant a."""
     if tr is None:
@@ -76,20 +65,48 @@ def tr_minimal_fibrant_count(lat, a, tr=None, guard=26):
     return minimal_fibrant_census(lat, tr=tr, guard=guard)[a]
 
 
+def interior_only_count(lat, tr):
+    """|Tr(P - {bottom, top})|, read off Tr(P): the systems in which no
+    element but top is related to top and bottom R y for every y != top.
+
+    The two bijections of `count_tr_fusion` compose: adding every
+    (bottom, y) puts Tr(P - {bottom, top}) onto the bottom-full systems of
+    Tr(P - top), and adding (top, top) puts those onto the systems of Tr(P)
+    counted here.  In bits, column top is the single bit top*n + top, and
+    row bottom holds every non-top bit.
+    """
+    n, bottom, top = lat.n, lat.bottom, lat.top
+    column = sum(1 << x * n + top for x in range(n))
+    alone = 1 << top * n + top
+    below_top = ((1 << n) - 1 ^ 1 << top) << bottom * n
+    return sum(1 for b in tr.bits if b & column == alone and b & below_top == below_top)
+
+
 def count_tr_fusion(p, q, guard=26):
-    """The four-term count of |Tr(P * Q)| from deleted-extreme sub-counts.
+    """The four-term count of |Tr(P * Q)|, read off one enumeration of
+    Tr(P) and one of Tr(Q).
+
+    The top term is |Tr(P - top)| |Tr(Q - top)|, the bottom term
+    |Tr(P - bottom)| |Tr(Q - bottom)|, and an interior element a of P adds
+    |Tr_a(P)| |Tr(Q - {bottom, top})| (and symmetrically for Q).  Each
+    deleted-extreme count is a slice of Tr(P), where "top alone" means
+    that no element but top is related to top:
+
+    - |Tr(P - top)| = census[top], the systems with top alone: the meets
+      of non-top elements avoid top, so adding (top, top) is a bijection.
+    - |Tr(P - bottom)| = census[bottom], the systems with bottom R top:
+      restricting (bottom, top) along y gives bottom R y for every y, and
+      re-adding every (bottom, y) is the inverse of deleting bottom.
+    - |Tr(P - {bottom, top})| = `interior_only_count`, the systems with
+      top alone and bottom R y for every y != top, by both bijections.
 
     Totals agree with direct enumeration of the fusion whenever that is
     feasible (checked in the test suite).
     """
-    p_no_top = subposet_tr_count(p, drop_top=True, guard=guard)
-    q_no_top = subposet_tr_count(q, drop_top=True, guard=guard)
-    p_no_bottom = subposet_tr_count(p, drop_bottom=True, guard=guard)
-    q_no_bottom = subposet_tr_count(q, drop_bottom=True, guard=guard)
-    p_interior_only = subposet_tr_count(p, drop_bottom=True, drop_top=True, guard=guard)
-    q_interior_only = subposet_tr_count(q, drop_bottom=True, drop_top=True, guard=guard)
-    p_census = minimal_fibrant_census(p, guard=guard)
-    q_census = minimal_fibrant_census(q, guard=guard)
+    p_tr = enumerate_transfer_systems(p, guard=guard)
+    q_tr = enumerate_transfer_systems(q, guard=guard)
+    p_census, q_census = minimal_fibrant_census(p, tr=p_tr), minimal_fibrant_census(q, tr=q_tr)
+    p_interior_only, q_interior_only = interior_only_count(p, p_tr), interior_only_count(q, q_tr)
     left = tuple(
         (a, p_census[a] * q_interior_only)
         for a in range(p.n)
@@ -101,8 +118,8 @@ def count_tr_fusion(p, q, guard=26):
         if b not in (q.bottom, q.top)
     )
     return FusionCountBreakdown(
-        top_term=p_no_top * q_no_top,
-        bottom_term=p_no_bottom * q_no_bottom,
+        top_term=p_census[p.top] * q_census[q.top],
+        bottom_term=p_census[p.bottom] * q_census[q.bottom],
         middle_terms_left=left,
         middle_terms_right=right,
     )

@@ -64,10 +64,6 @@ class InvalidCover(TrsysError):
         self.violation = violation
 
 
-class UnsupportedSubposet(TrsysError):
-    """Only subposets obtained by deleting extremes are supported."""
-
-
 class NotMonotone(TrsysError):
     """The map is not order-preserving."""
 

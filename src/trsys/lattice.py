@@ -8,7 +8,6 @@ safe for concurrent reads.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 
 import numpy as np
@@ -338,7 +337,7 @@ def canonical_form(lat, max_perms=5_000_000):
     best = None
     for perm_parts in itertools.product(*(itertools.permutations(g) for g in ordered)):
         perm = [x for part in perm_parts for x in part]
-        key = leq[np.ix_(perm, perm)].tobytes()
+        key = leq[perm][:, perm].tobytes()
         if best is None or key < best:
             best = key
     return (lat.n, tuple(sorted(groups)), best)
@@ -438,11 +437,6 @@ def lattice_to_json(lat):
 
 def lattice_from_json(obj):
     return from_order(obj["n"], [tuple(p) for p in obj["leq_pairs"]], names=obj.get("names"))
-
-
-def load_lattice(path):
-    with open(path, encoding="utf-8") as fh:
-        return lattice_from_json(json.load(fh))
 
 
 def lattice_to_dot(lat, title="lattice"):

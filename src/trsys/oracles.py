@@ -38,6 +38,33 @@ def naive_transfer_systems(lat, max_pairs=12):
     return [TransferSystem._wrap(lat, b) for b in out]
 
 
+def naive_deleted_extreme_count(lat, drop_bottom=False, drop_top=False, max_pairs=12):
+    """Number of transfer relations on the lattice minus the chosen
+    extremes: every subset of the induced order's non-reflexive pairs that
+    is transitive and closed under restriction.  Restriction applies only
+    where the meet survives the deletion, since a meet that is the deleted
+    bottom leaves two elements without a common lower bound."""
+    n, meet = lat.n, lat.meet_rows
+    keep = [x for x in range(n) if not (drop_bottom and x == lat.bottom or drop_top and x == lat.top)]
+    free = [x * n + y for x in keep for y in keep if x != y and lat.leq[x, y]]
+    if len(free) > max_pairs:
+        raise SizeLimit(f"{len(free)} free pairs is too many for the subset filter")
+
+    def is_transfer(bits):
+        for x, z in (divmod(p, n) for p in free if bits >> p & 1):
+            for y in keep:
+                w = meet[x][y]
+                if lat.leq[y, z] and w in keep and not bits >> w * n + y & 1:
+                    return False
+            for c in keep:
+                if bits >> z * n + c & 1 and not bits >> x * n + c & 1:
+                    return False
+        return True
+
+    diag = sum(1 << x * (n + 1) for x in keep)
+    return sum(1 for bits in _subsets(free, diag) if is_transfer(bits))
+
+
 def naive_saturated_systems(lat, max_pairs=12):
     """Subset filter for saturated transfer systems (direct 2-of-3 check)."""
     return [s for s in naive_transfer_systems(lat, max_pairs) if s.is_saturated()]

@@ -8,17 +8,16 @@ row-major n x n bit matrix.  Saturated covers in `trsys.covers` use the
 same layout, and share the immutable base `_Relation` with
 `TransferSystem`.
 
-Each order has one private object, `_DenseClosure`, holding its up-sets,
+Each lattice has one private object, `_DenseClosure`, holding its up-sets,
 diagonal, full order, one restriction mask per position and the branch
-order.  A lattice builds it once in `closure_for(lat)`, and a
-deleted-extreme subposet once in `Subposet.closure()`.  On it, restriction
-is one mask per pair, transitivity is Warshall's n rank-one updates, and
+order, built once in `closure_for(lat)`.  On it, restriction is one mask
+per pair, transitivity is Warshall's n rank-one updates, and
 two-out-of-three is one shift per related pair.  `generate`,
-`TransferSystem.join` and `saturated_hull` close there, and the Tr,
-saturated and subposet searches on the backtracking engine in
-`trsys.search` propagate there (adding a pair to a transitive relation is
-one multiplication).  `find_violation` and `is_saturated` check the axioms
-directly on the rows of the bits and read no closure table.
+`TransferSystem.join` and `saturated_hull` close there, and the Tr and
+saturated searches on the backtracking engine in `trsys.search` propagate
+there (adding a pair to a transitive relation is one multiplication).
+`find_violation` and `is_saturated` check the axioms directly on the rows
+of the bits and read no closure table.
 """
 from __future__ import annotations
 
@@ -28,12 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import search
-from .errors import (
-    AmbientMismatch,
-    InvalidTransferSystem,
-    SizeLimit,
-    UnsupportedSubposet,
-)
+from .errors import AmbientMismatch, InvalidTransferSystem, SizeLimit
 from .lattice import from_order
 
 
@@ -54,19 +48,17 @@ def closure_for(lat):
     """The closure object of `lat`, built once per lattice."""
     closure = lat._cache.get("closure")
     if closure is None:
-        closure = lat._cache["closure"] = _DenseClosure(lat.up, lat.meet_rows, lat.height)
+        closure = lat._cache["closure"] = _DenseClosure(lat)
     return closure
 
 
 class _DenseClosure:
-    """The data of one finite order and the one closure of its relations.
+    """The data of one lattice and the one closure of its relations.
 
-    `up[x]` has bit y set when x <= y, and `meets[a][b]` is the meet of a
-    and b, or None where they have no common lower bound.  `diag` and
-    `full` are the diagonal and the whole order, `rest[p]` is the mask of
-    the pair at position p and of every pair its restriction forces, and
-    `order` is the order in which the searches decide the non-reflexive
-    pairs.
+    `up[x]` has bit y set when x <= y.  `diag` and `full` are the diagonal
+    and the whole order, `rest[p]` is the mask of the pair at position p
+    and of every pair its restriction forces, and `order` is the order in
+    which the searches decide the non-reflexive pairs.
 
     Adding (x, z) to a reflexive, transitive R adds every (a, b) with a R x
     and z R b, which is column x of R times row z: one multiplication.
@@ -83,8 +75,8 @@ class _DenseClosure:
     same way, until none is new.
     """
 
-    def __init__(self, up, meets, heights):
-        n = len(up)
+    def __init__(self, lat):
+        n, up, meets, heights = lat.n, lat.up, lat.meet_rows, lat.height
         self.n = n
         self.up = up
         self.col = sum(1 << (a * n) for a in range(n))
@@ -98,7 +90,7 @@ class _DenseClosure:
                 mask = 1 << x * n + z
                 for y in range(n):
                     w = meets[x][y]
-                    if up[y] >> z & 1 and w is not None and w != y:
+                    if up[y] >> z & 1 and w != y:
                         mask |= 1 << w * n + y
                 self.rest[x * n + z] = mask
         # branch order: decreasing height gap, then decreasing height of
@@ -483,7 +475,7 @@ def enumerate_transfer_systems(lat, guard=26, jobs=1):
     n x n bit matrix, one multiplication per added pair; with jobs > 1 the
     search is split across worker processes, with the same output.
     """
-    _check_guard(closure_for(lat), guard)
+    _check_guard(lat, guard)
     return TrLattice._from_sorted_bits(lat, closure_for(lat).transfer_systems(jobs))
 
 
@@ -493,127 +485,12 @@ def enumerate_saturated_systems(lat, guard=80, jobs=1):
     Uses the same search with the two-out-of-three rule added to the
     propagation, so the count is independent of full Tr enumeration.
     """
-    _check_guard(closure_for(lat), guard)
+    _check_guard(lat, guard)
     bits = closure_for(lat).transfer_systems(jobs, saturate=True)
     return [TransferSystem._wrap(lat, b) for b in bits]
 
 
-def _check_guard(closure, guard):
-    if guard is not None and len(closure.order) > guard:
-        raise SizeLimit(
-            f"{len(closure.order)} non-reflexive pairs exceed the enumeration guard {guard}"
-        )
-
-
-# -- deleted-extreme subposets --------------------------------------------------
-
-
-class Subposet:
-    """The induced order on a lattice minus a subset of its extremes."""
-
-    def __init__(self, base, elements):
-        extremes = {base.bottom, base.top}
-        dropped = set(range(base.n)) - set(elements)
-        if not dropped <= extremes:
-            raise UnsupportedSubposet(f"may only delete extremes, got {sorted(dropped)}")
-        self.base = base
-        self.elements = tuple(sorted(set(elements)))
-        self._pos = {x: i for i, x in enumerate(self.elements)}
-        m = len(self.elements)
-        self.leq = [
-            [bool(base.leq[self.elements[i], self.elements[j]]) for j in range(m)]
-            for i in range(m)
-        ]
-        self._closure = None
-
-    @property
-    def m(self):
-        return len(self.elements)
-
-    def closure(self):
-        """The closure object of the subposet, built once."""
-        if self._closure is None:
-            # with only extremes deleted, two elements have a greatest common
-            # lower bound, their meet, unless it is the deleted bottom, and
-            # then none; heights shift by a constant, which keeps the
-            # branch order of the Tr search
-            pos, meet = self._pos, self.base.meet_rows
-            up = [sum(1 << j for j, below in enumerate(row) if below) for row in self.leq]
-            meets = [[pos.get(meet[a][b]) for b in self.elements] for a in self.elements]
-            heights = [self.base.height[x] for x in self.elements]
-            self._closure = _DenseClosure(up, meets, heights)
-        return self._closure
-
-
-class SubposetRelation:
-    """A transfer relation on a deleted-extreme subposet."""
-
-    __slots__ = ("subposet", "bits")
-
-    def __init__(self, subposet, bits):
-        self.subposet = subposet
-        self.bits = bits
-
-    def pairs(self):
-        """Non-reflexive pairs, in the base lattice's element labels."""
-        el, m = self.subposet.elements, self.subposet.m
-        pairs = (divmod(p, m) for p in _bits(self.bits & ~self.subposet.closure().diag))
-        return [(el[x], el[y]) for x, y in pairs]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SubposetRelation)
-            and self.bits == other.bits
-            and self.subposet.elements == other.subposet.elements
-        )
-
-    def __hash__(self):
-        return hash((self.subposet.elements, self.bits))
-
-
-def deleted_extremes_subposet(lat, drop_bottom=False, drop_top=False):
-    keep = [
-        x
-        for x in range(lat.n)
-        if not (drop_bottom and x == lat.bottom) and not (drop_top and x == lat.top)
-    ]
-    return Subposet(lat, keep)
-
-
-def restrict_to_subposet(system, elements):
-    """Induced relation of a transfer system on P minus some extremes."""
-    sub = Subposet(system.lattice, elements)
-    el, m = sub.elements, sub.m
-    bits = 0
-    for x in range(m):
-        for y in range(m):
-            if system.contains(el[x], el[y]):
-                bits |= 1 << x * m + y
-    return SubposetRelation(sub, bits)
-
-
-def extend_with_bottom(rel):
-    """Inverse of restriction for bottom-full systems.
-
-    Takes a transfer relation on P minus bottom and re-adds all relations
-    out of bottom, producing the unique transfer system on P restricting
-    to it.
-    """
-    sub = rel.subposet
-    base = sub.base
-    if set(sub.elements) != set(range(base.n)) - {base.bottom}:
-        raise UnsupportedSubposet("expected the subposet deleting exactly the bottom")
-    pairs = list(rel.pairs())
-    pairs.extend((base.bottom, x) for x in range(base.n) if x != base.bottom)
-    return TransferSystem.from_pairs(base, pairs)
-
-
-def enumerate_subposet_systems(sub, guard=26):
-    """All transfer relations on a deleted-extreme subposet.
-
-    Restriction is taken along meets; pairs of elements whose meet is the
-    deleted bottom have no common lower bound and impose nothing.  The
-    search is the Tr search, on the subposet's own closure.
-    """
-    _check_guard(sub.closure(), guard)
-    return [SubposetRelation(sub, b) for b in sub.closure().transfer_systems()]
+def _check_guard(lat, guard):
+    pairs = len(closure_for(lat).order)
+    if guard is not None and pairs > guard:
+        raise SizeLimit(f"{pairs} non-reflexive pairs exceed the enumeration guard {guard}")

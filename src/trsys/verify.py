@@ -224,12 +224,13 @@ def bmt_reference_lattice(n):
 def check_bmt(max_n=4):
     """Block decomposition of Tr([2]^{*n}) and the 19-node Hasse shape."""
     res = CheckResult("bmt", True)
+    decs = {}
     for n in range(3, max_n + 1):
-        dec = bmt_decompose(n)  # raises on classification or cover-rule failure
+        dec = decs[n] = bmt_decompose(n)  # raises on classification or cover-rule failure
         sizes = (len(dec.bottom_cube), len(dec.middle), len(dec.top_cube))
         want = (1 << n, n, 1 << n)
         res.note(sizes == want, f"n={n}: block sizes {sizes} (want {want})")
-    dec3 = bmt_decompose(3)
+    dec3 = decs[3] if 3 in decs else bmt_decompose(3)
     iso = is_isomorphic(dec3.tr.hasse_lattice(), bmt_reference_lattice(3))
     res.note(iso, "Tr([2]*3) Hasse diagram matches the 19-node reference shape")
     return res

@@ -2,9 +2,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
+from trsys import cli
 from trsys.cli import main
 from trsys.lattice import chain, iterated_fusion, lattice_to_json
 from trsys.serialize import dump
@@ -141,6 +143,32 @@ def test_malformed_lattice_input_exits_two(tmp_path, capsys, args, content):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_oversized_lattice_json_is_refused_before_it_is_built(tmp_path, capsys, monkeypatch):
+    # n is read before any array is built: an order matrix for 100,000
+    # elements would take 10 GB
+    path = tmp_path / "lat.json"
+    path.write_text('{"n": 100000, "leq_pairs": []}')
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "lattice_from_json", lambda obj: pytest.fail("built before the guard"))
+        for argv in (
+            ["enumerate", "--family", "json", "--json", str(path)],
+            ["fusion-count", "--left", str(path), "--right", str(path)],
+        ):
+            start = time.perf_counter()
+            code, out, err = run_cli(argv, capsys)
+            assert time.perf_counter() - start < 1
+            assert code == 3
+            assert err.startswith("guard breached: 100000 elements")
+    # one above the cap, --unsafe-guard builds the order, an antichain,
+    # which is then refused as unbounded
+    path.write_text(json.dumps({"n": cli.MAX_JSON_ELEMENTS + 1, "leq_pairs": []}))
+    code, out, err = run_cli(
+        ["enumerate", "--family", "json", "--json", str(path), "--unsafe-guard"], capsys
+    )
+    assert code == 2
+    assert "bottom" in err
 
 
 def test_output_is_deterministic_across_jobs(capsys):

@@ -1,6 +1,7 @@
 """Property tests on relabelled small lattices: the searches and the dense
 closure against the naive oracles, the fusion recursion against brute
-force, the chi-fiber theorem, the chi image, the cover <-> saturated
+force and its deleted-extreme slices of Tr against the subset filter, the
+chi-fiber theorem, the chi image, the cover <-> saturated
 bijection, the dead-end-free interior search, exact JSON round-trips, the
 lattice's list views and the loops built on them against their numpy
 definitions, and the CLI formats against each other.
@@ -28,7 +29,7 @@ from trsys.characteristic import (
     operator_from_interior_system,
 )
 from trsys.cli import main
-from trsys.counting import count_tr_fusion
+from trsys.counting import count_tr_fusion, interior_only_count, minimal_fibrant_census
 from trsys.covers import cover_to_system, enumerate_saturated_covers, system_to_cover
 from trsys.errors import NotMonotone
 from trsys.functorial import LatticeMap
@@ -36,6 +37,7 @@ from trsys.lattice import Lattice, all_lattices, fusion, lattice_to_json, sub_cp
 from trsys.oracles import (
     least_saturated_above,
     least_system_containing,
+    naive_deleted_extreme_count,
     naive_interior_operators,
     naive_saturated_covers,
     naive_saturated_systems,
@@ -85,10 +87,27 @@ def test_saturated_systems_equal_the_subset_filter(lat, dual):
 @given(relabelled(BASES), relabelled(BASES), st.booleans(), st.booleans())
 @example(sub_cp_cp(3), sub_cp_cp(3).dual(), False, False)
 def test_fusion_recursion_equals_brute_force(p, q, dual_p, dual_q):
-    # the four-term count searches every deleted-extreme subposet of p and q
+    # the four-term count reads every term off one enumeration of Tr(p)
+    # and one of Tr(q)
     p, q = (p.dual() if dual_p else p), (q.dual() if dual_q else q)
     total = count_tr_fusion(p, q, guard=None).total
     assert total == len(enumerate_transfer_systems(fusion(p, q), guard=None))
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabelled(BASES), st.booleans())
+@example(sub_cp_cp(3), True)
+def test_deleted_extreme_slices_equal_the_subset_filter(lat, dual):
+    # the fusion recursion's |Tr(P - top)|, |Tr(P - bottom)| and
+    # |Tr(P - {bottom, top})|, read off Tr(P), against subsets of the
+    # induced order on the deleted poset
+    if dual:
+        lat = lat.dual()
+    tr = enumerate_transfer_systems(lat, guard=None)
+    census = minimal_fibrant_census(lat, tr=tr)
+    assert census[lat.top] == naive_deleted_extreme_count(lat, drop_top=True)
+    assert census[lat.bottom] == naive_deleted_extreme_count(lat, drop_bottom=True)
+    assert interior_only_count(lat, tr) == naive_deleted_extreme_count(lat, drop_bottom=True, drop_top=True)
 
 
 @settings(max_examples=100, deadline=None)

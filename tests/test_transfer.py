@@ -3,12 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from trsys.errors import (
-    AmbientMismatch,
-    InvalidTransferSystem,
-    SizeLimit,
-    UnsupportedSubposet,
-)
+from trsys.counting import interior_only_count, minimal_fibrant_census
+from trsys.errors import AmbientMismatch, InvalidTransferSystem, SizeLimit
 from trsys.lattice import boolean_cube, chain, from_order, iterated_fusion, lattice_to_json, product, sub_cp_cp
 from trsys.oracles import (
     least_saturated_above,
@@ -20,15 +16,11 @@ from trsys.transfer import (
     TrLattice,
     TransferSystem,
     complete_system,
-    deleted_extremes_subposet,
     discrete_system,
     enumerate_saturated_systems,
-    enumerate_subposet_systems,
     enumerate_transfer_systems,
-    extend_with_bottom,
     find_violation,
     generate,
-    restrict_to_subposet,
     saturated_hull,
 )
 
@@ -354,56 +346,60 @@ def test_minimal_fibrant():
         assert system.minimal_fibrant() == a
 
 
-# -- deleted-extreme subposets ----------------------------------------------------
-
-
-def test_restrict_complete_system_of_chain():
-    lat = chain(2)
-    rel = restrict_to_subposet(complete_system(lat), [1, 2])
-    assert rel.pairs() == [(1, 2)]
-
-
-def test_only_extremes_may_be_deleted():
-    with pytest.raises(UnsupportedSubposet):
-        restrict_to_subposet(complete_system(chain(2)), [0, 2])
+# -- deleted-extreme counts, read off Tr(P) -------------------------------------
+#
+# |Tr(P - top)| is census[top], |Tr(P - bottom)| is census[bottom] and
+# |Tr(P - {bottom, top})| is `interior_only_count`; tests/test_properties.py
+# compares all three with the subset filter on the induced order.
 
 
 def test_antichain_has_single_system():
+    # [2]*n minus both extremes is an n-element antichain
     for n in range(2, 6):
         lat = iterated_fusion(chain(2), n)
-        sub = deleted_extremes_subposet(lat, drop_bottom=True, drop_top=True)
-        assert len(enumerate_subposet_systems(sub)) == 1
+        assert interior_only_count(lat, enumerate_transfer_systems(lat)) == 1
 
 
 def test_deleted_extreme_counts_on_fusions():
     # n independent relation choices survive deleting either extreme
     for n in range(1, 6):
         lat = iterated_fusion(chain(2), n)
-        no_top = deleted_extremes_subposet(lat, drop_top=True)
-        no_bottom = deleted_extremes_subposet(lat, drop_bottom=True)
-        assert len(enumerate_subposet_systems(no_top)) == 2 ** n
-        assert len(enumerate_subposet_systems(no_bottom)) == 2 ** n
+        census = minimal_fibrant_census(lat)
+        assert census[lat.top] == 2 ** n
+        assert census[lat.bottom] == 2 ** n
 
 
 def test_deleted_extremes_of_chain_are_chains():
-    # [m] minus an extreme is [m-1]; counts follow the Catalan sequence
+    # [m] minus an extreme is [m-1], and minus both is [m-2]; counts
+    # follow the Catalan sequence
     for m in range(1, 5):
-        sub = deleted_extremes_subposet(chain(m), drop_top=True)
-        assert len(enumerate_subposet_systems(sub)) == len(enumerate_transfer_systems(chain(m - 1)))
+        tr = enumerate_transfer_systems(chain(m))
+        census = minimal_fibrant_census(chain(m), tr=tr)
+        shorter = len(enumerate_transfer_systems(chain(m - 1)))
+        assert census[m] == census[0] == shorter
+        if m >= 2:
+            assert interior_only_count(chain(m), tr) == len(enumerate_transfer_systems(chain(m - 2)))
 
 
 def test_bottom_extension_round_trip():
+    # the systems with bottom R top are the bottom-full ones, and deleting
+    # bottom maps them one-to-one onto the relations on P - bottom
     lat = boolean_cube(2)
+    n, bottom = lat.n, lat.bottom
     tr = enumerate_transfer_systems(lat)
-    keep = [x for x in range(lat.n) if x != lat.bottom]
     bottom_full = [
-        s for s in tr if all(s.contains(lat.bottom, x) for x in range(lat.n))
+        s for s in tr if all(s.contains(bottom, x) for x in range(n))
     ]
     assert len(bottom_full) == 4
-    for s in bottom_full:
-        assert extend_with_bottom(restrict_to_subposet(s, keep)) == s
-    # and the restriction map hits every system on the deleted poset
-    sub = deleted_extremes_subposet(lat, drop_bottom=True)
-    all_sub = {r.bits for r in enumerate_subposet_systems(sub)}
-    restricted = {restrict_to_subposet(s, keep).bits for s in bottom_full}
-    assert restricted == all_sub
+    assert [s for s in tr if s.contains(bottom, lat.top)] == bottom_full
+    assert minimal_fibrant_census(lat, tr=tr)[bottom] == 4
+    keep = [x for x in range(n) if x != bottom]
+    restricted = {
+        frozenset((x, y) for x in keep for y in keep if s.contains(x, y)) for s in bottom_full
+    }
+    assert len(restricted) == 4
+    # the two atoms of cube(2) have the deleted bottom as their meet, so
+    # P - bottom is a V: each atom may or may not be related to the top
+    diagonal = frozenset((x, x) for x in keep)
+    up_a, up_b = ((x, lat.top) for x in keep if x != lat.top)
+    assert restricted == {diagonal, diagonal | {up_a}, diagonal | {up_b}, diagonal | {up_a, up_b}}
