@@ -24,7 +24,6 @@ from .counting import (
     FusionCountBreakdown,
     bmt_decompose,
     catalan,
-    chi_structure_rank_two,
     count_tr_chain_fusion,
     count_tr_fusion,
     tr_minimal_fibrant_count,
@@ -40,7 +39,6 @@ from .covers import (
 )
 from .errors import (
     AmbientMismatch,
-    ClassificationGap,
     CycleDetected,
     InvalidCover,
     InvalidInput,

@@ -178,22 +178,25 @@ def fiber_minimum(lat, operator):
 def fiber_decomposition(lat, tr=None):
     """Group Tr(P) by characteristic operator, one fiber per operator.
 
-    Each fiber's least element is `fiber_minimum` of its operator and its
-    greatest is the saturated hull of that minimum.  That the fiber is
-    exactly the interval between them, closed under meet and join, with a
-    saturated top that is the hull of every member, is the fiber theorem;
+    Each fiber keeps the operator that `characteristic` returned for its
+    members.  Its least element is `fiber_minimum` of that operator and its
+    greatest is the saturated hull of that minimum.  That the operators are
+    exactly the interior operators, and that the fiber is exactly the
+    interval between its ends, closed under meet and join, with a saturated
+    top that is the hull of every member, is the fiber theorem;
     `verify.check_fibers` and the tests check it.
     """
     if tr is None:
         tr = enumerate_transfer_systems(lat)
     groups = {}
     for r in tr:
-        groups.setdefault(characteristic(r).image, []).append(r)
+        f = characteristic(r)
+        groups.setdefault(f.image, (f, []))[1].append(r)
     fibers = []
     for image in sorted(groups):
-        operator = InteriorOperator(lat, image)
+        operator, members = groups[image]
         least = fiber_minimum(lat, operator)
-        members = tuple(sorted(groups[image], key=lambda s: s.bits))
+        members = tuple(sorted(members, key=lambda s: s.bits))
         fibers.append(ChiFiber(operator, least, saturated_hull(least), members))
     return fibers
 

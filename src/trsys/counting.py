@@ -4,15 +4,17 @@ The number of transfer systems on a fusion P * Q splits into four terms by
 the minimal fibrant element (top, bottom, an interior element of P, an
 interior element of Q).  Specializing to chains gives a Catalan formula;
 specializing to iterated fusions of the three-chain gives the closed count
-2^(p+2) + p + 1 for the rank-two elementary Abelian group C_p x C_p.
+2^(p+2) + p + 1 for the rank-two elementary Abelian group C_p x C_p, and
+`bmt_decompose` sorts those systems into the paper's bottom cube, middle
+and top cube.  The functions here only count and classify; the theorems
+behind them are checked in `verify` and the tests.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .characteristic import fiber_decomposition
-from .errors import ClassificationGap, InvariantViolation, NotPrime
+from .errors import NotPrime
 from .lattice import Lattice, chain, iterated_fusion, _is_prime
 from .transfer import TrLattice, enumerate_transfer_systems
 
@@ -161,166 +163,46 @@ def tr_rank_two(p):
 
 @dataclass(frozen=True)
 class BMTDecomposition:
-    """Partition of Tr([2]^{*n}) into a bottom n-cube, a middle discrete
-    n-set, and a top n-cube, with explicit cube isomorphisms (bitmask over
-    the middles -> system)."""
+    """The block census of Tr([2]^{*n}): a bottom n-cube, a discrete middle
+    n-set and a top n-cube.
+
+    On [2]^{*n} the bottom is 0, the i-th middle is i + 1 and the top is
+    n + 1.  `bottom_cube` maps the mask of middles that bottom relates to,
+    `middle` the index i of the one middle related to top, and `top_cube`
+    the mask of middles related to top, each to its system.
+    """
 
     lattice: Lattice
     tr: TrLattice
-    bottom_cube: tuple
-    middle: tuple
-    top_cube: tuple
-    bottom_iso: dict
-    top_iso: dict
-
-    @property
-    def middles(self):
-        lat = self.lattice
-        return [x for x in range(lat.n) if x not in (lat.bottom, lat.top)]
+    bottom_cube: dict
+    middle: dict
+    top_cube: dict
 
 
 def bmt_decompose(n, guard=26):
-    """Classify Tr([2]^{*n}) into the B / M / T blocks and verify the
-    cross-block covering rules.
+    """Sort Tr([2]^{*n}) into the bottom cube, the middle and the top cube
+    in one pass over the bits.
 
-    Raises ClassificationGap if some system fits no block, and
-    InvariantViolation if the Hasse structure deviates from: cube-internal
-    covers, each bottom-cube coatom covered by exactly one middle element,
-    each top-cube atom covering exactly one middle element, and the top
-    cube's minimum covering the bottom cube's maximum.
+    A system in which bottom relates to top goes to the top cube; else, one
+    in which some middle relates to top goes to the middle block of the
+    first such middle; else it goes to the bottom cube.  That these rules
+    are exact, so that each block is full and each system is the one its
+    key names, and that the Hasse diagram joins the blocks by the three
+    cross-cover rules is the classification theorem: `verify.check_bmt`
+    and the tests check it.
     """
     lat = iterated_fusion(chain(2), n)
     tr = enumerate_transfer_systems(lat, guard=guard)
-    mids = [x for x in range(lat.n) if x not in (lat.bottom, lat.top)]
-    mid_pos = {a: i for i, a in enumerate(mids)}
-    bottom, top = lat.bottom, lat.top
-
-    b_block, m_block, t_block = {}, {}, {}
+    size, top, full = lat.n, lat.top, (1 << n) - 1
+    to_top = [1 << (1 + i) * size + top for i in range(n)]  # the i-th middle R top
+    bottom_cube, middle, top_cube = {}, {}, {}
     for system in tr:
-        pairs = set(system.pairs())
-        bottom_rels = {y for (x, y) in pairs if x == bottom and y != top}
-        top_rels = {x for (x, y) in pairs if y == top and x != bottom}
-        rest = pairs - {(bottom, y) for y in bottom_rels} - {(x, top) for x in top_rels}
-        mask_b = sum(1 << mid_pos[a] for a in bottom_rels)
-        mask_t = sum(1 << mid_pos[a] for a in top_rels)
-        if not top_rels and not rest:
-            # relations confined to bottom -> middle: the bottom cube
-            b_block[mask_b] = system
-        elif (
-            len(top_rels) == 1
-            and not rest
-            and bottom_rels == set(mids) - top_rels
-        ):
-            # exactly one middle related to top, bottom related to the rest
-            m_block[next(iter(top_rels))] = system
-        elif rest == {(bottom, top)} and bottom_rels == set(mids):
-            # bottom related to everything plus any set of middle -> top
-            t_block[mask_t] = system
-        else:
-            raise ClassificationGap(f"system {system} fits no block")
-
-    if set(b_block) != set(range(1 << n)) or set(t_block) != set(range(1 << n)):
-        raise ClassificationGap("cube blocks are not full subset lattices")
-    if set(m_block) != set(mids):
-        raise ClassificationGap("middle block does not hit every interior element")
-
-    # the subset masks are order isomorphisms onto the blocks
-    for iso in (b_block, t_block):
-        for s in iso:
-            for t in iso:
-                subset = s & t == s
-                refines = iso[s].refines(iso[t])
-                if subset != refines:
-                    raise ClassificationGap("cube isomorphism is not an order isomorphism")
-
-    _verify_bmt_covers(lat, tr, b_block, m_block, t_block, mids, n)
-    return BMTDecomposition(
-        lattice=lat,
-        tr=tr,
-        bottom_cube=tuple(b_block[m] for m in sorted(b_block)),
-        middle=tuple(m_block[a] for a in sorted(m_block)),
-        top_cube=tuple(t_block[m] for m in sorted(t_block)),
-        bottom_iso=dict(sorted(b_block.items())),
-        top_iso=dict(sorted(t_block.items())),
-    )
-
-
-def _verify_bmt_covers(lat, tr, b_block, m_block, t_block, mids, n):
-    full = (1 << n) - 1
-    index = {s.bits: ("B", mask) for mask, s in b_block.items()}
-    index.update({s.bits: ("M", a) for a, s in m_block.items()})
-    index.update({s.bits: ("T", mask) for mask, s in t_block.items()})
-    mid_pos = {a: i for i, a in enumerate(mids)}
-
-    expected = set()
-    for mask in range(1 << n):
-        for i in range(n):
-            if not mask >> i & 1:
-                expected.add((("B", mask), ("B", mask | (1 << i))))
-                expected.add((("T", mask), ("T", mask | (1 << i))))
-    for a in mids:
-        coatom = full & ~(1 << mid_pos[a])
-        expected.add((("B", coatom), ("M", a)))          # rule (i)
-        expected.add((("M", a), ("T", 1 << mid_pos[a])))  # rule (ii)
-    expected.add((("B", full), ("T", 0)))                 # rule (iii)
-
-    actual = set()
-    for i, j in tr.covers:
-        actual.add((index[tr[i].bits], index[tr[j].bits]))
-    if actual != expected:
-        raise InvariantViolation(
-            f"covers deviate from the block rules: extra {actual - expected}, missing {expected - actual}"
-        )
-
-
-@dataclass(frozen=True)
-class RankTwoChiReport:
-    """Fiber structure of the characteristic map on Tr([2]^{*n})."""
-
-    n: int
-    fiber_count: int
-    singleton_fibers: int
-    top_fiber_size: int
-    saturated_count: int
-
-
-def chi_structure_rank_two(n, guard=26):
-    """Verify the characteristic-map structure on [2]^{*n}.
-
-    Every bottom-cube and middle system is saturated and forms a singleton
-    fiber; the top cube is a single fiber of size 2^n over the constant-
-    bottom operator; the saturated count is 2^n + n + 1.
-    """
-    dec = bmt_decompose(n, guard=guard)
-    lat, tr = dec.lattice, dec.tr
-    fibers = fiber_decomposition(lat, tr=tr)
-    members_by_bits = {}
-    for fib in fibers:
-        for s in fib.members:
-            members_by_bits[s.bits] = fib
-
-    for s in dec.bottom_cube + dec.middle:
-        fib = members_by_bits[s.bits]
-        if len(fib.members) != 1:
-            raise InvariantViolation("a bottom/middle system is not a singleton fiber")
-        if not s.is_saturated():
-            raise InvariantViolation("a bottom/middle system is not saturated")
-    top_fibers = {members_by_bits[s.bits] for s in dec.top_cube}
-    if len(top_fibers) != 1:
-        raise InvariantViolation("the top cube is not a single fiber")
-    top_fiber = next(iter(top_fibers))
-    if len(top_fiber.members) != 1 << n:
-        raise InvariantViolation("top fiber has the wrong size")
-    if set(top_fiber.operator.image) != {lat.bottom}:
-        raise InvariantViolation("top fiber is not over the constant-bottom operator")
-
-    saturated = sum(1 for s in tr if s.is_saturated())
-    if saturated != (1 << n) + n + 1:
-        raise InvariantViolation("saturated count deviates from 2^n + n + 1")
-    return RankTwoChiReport(
-        n=n,
-        fiber_count=len(fibers),
-        singleton_fibers=sum(1 for f in fibers if len(f.members) == 1),
-        top_fiber_size=len(top_fiber.members),
-        saturated_count=saturated,
-    )
+        bits = system.bits
+        related = [i for i, bit in enumerate(to_top) if bits & bit]
+        if bits >> top & 1:  # bottom R top
+            top_cube[sum(1 << i for i in related)] = system
+        elif related:
+            middle[related[0]] = system
+        else:  # row bottom, read at the middles
+            bottom_cube[bits >> 1 & full] = system
+    return BMTDecomposition(lat, tr, bottom_cube, middle, top_cube)

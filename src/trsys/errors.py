@@ -74,7 +74,3 @@ class NotComposable(TrsysError):
 
 class InvariantViolation(TrsysError):
     """An internal invariant failed; this always signals a bug."""
-
-
-class ClassificationGap(InvariantViolation):
-    """A transfer system fits none of the expected structural blocks."""

@@ -253,43 +253,37 @@ def product(p, q, max_n=4096):
     return Lattice(leq, names=names)
 
 
-def fusion(p, q):
-    """Glue two bounded lattices along their extremes.
+def fusion(*operands):
+    """Glue bounded lattices along their extremes.
 
-    The result has a fresh bottom and top; the interiors of the operands
-    are embedded side by side and kept mutually incomparable.  Operands are
-    always relabelled, so fusing a lattice with itself is well defined.
+    The result has a fresh bottom at 0 and top last; the interiors of the
+    operands are embedded in turn as blocks side by side, and kept mutually
+    incomparable.  Operands are always relabelled, so fusing a lattice with
+    itself is well defined.
     """
-    p_int = [x for x in range(p.n) if x not in (p.bottom, p.top)]
-    q_int = [x for x in range(q.n) if x not in (q.bottom, q.top)]
-    n = 2 + len(p_int) + len(q_int)
-    bottom, top = 0, n - 1
-    pos = {}
-    for i, x in enumerate(p_int):
-        pos[("p", x)] = 1 + i
-    for i, x in enumerate(q_int):
-        pos[("q", x)] = 1 + len(p_int) + i
+    interiors = [[x for x in range(p.n) if x not in (p.bottom, p.top)] for p in operands]
+    n = 2 + sum(map(len, interiors))
     leq = np.eye(n, dtype=bool)
-    leq[bottom, :] = True
-    leq[:, top] = True
-    for side, src, interior in (("p", p, p_int), ("q", q, q_int)):
-        for x in interior:
-            for y in interior:
-                if src.leq[x, y]:
-                    leq[pos[(side, x)], pos[(side, y)]] = True
+    leq[0, :] = True
+    leq[:, n - 1] = True
+    start = 1
+    for p, interior in zip(operands, interiors):
+        stop = start + len(interior)
+        leq[start:stop, start:stop] = p.leq[np.ix_(interior, interior)]
+        start = stop
     return Lattice(leq)
 
 
 def iterated_fusion(p, k):
-    """k-fold fusion of p with itself; k=0 is the two-point lattice [1]."""
+    """k-fold fusion of p with itself; k=0 is the two-point lattice [1]
+    and k=1 is p."""
     if k < 0:
         raise ValueError("fusion exponent must be nonnegative")
     if k == 0:
         return chain(1)
-    out = p
-    for _ in range(k - 1):
-        out = fusion(out, p)
-    return out
+    if k == 1:
+        return p
+    return fusion(*[p] * k)
 
 
 def sub_cp_cp(p):

@@ -2,14 +2,18 @@
 
 Each check returns a CheckResult; the CLI `verify` command prints one
 pass/fail line per check and the pytest acceptance module asserts them
-individually.  Expected constants live here, once.
+individually.  Expected constants live here, once.  The library calls
+compute and classify without re-checking their results; the theorems
+behind them, such as the rank-two block census with its covers and chi
+structure (`check_bmt`) and the chi-fiber theorem (`check_fibers`), are
+checked here and in the tests.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
 
-from .characteristic import count_interior_operators, fiber_decomposition
+from .characteristic import chi_image_check, count_interior_operators, fiber_decomposition
 from .counting import (
     bmt_decompose,
     count_tr_chain_fusion,
@@ -29,7 +33,6 @@ from .lattice import (
     chain,
     from_order,
     fusion,
-    is_isomorphic,
     iterated_fusion,
     product,
 )
@@ -143,7 +146,7 @@ def check_interior_sequence(max_n=4):
 def check_fibers():
     """Every chi-fiber is the interval [least, greatest] of Tr, closed under
     meet and join, whose top is saturated and is the saturated hull of each
-    member; fiber count = operator count."""
+    member; the fiber operators are the interior operators."""
     res = CheckResult("fibers", True)
     for name, lat in tr_feasible_family():
         tr = enumerate_transfer_systems(lat)
@@ -151,8 +154,8 @@ def check_fibers():
         ops = count_interior_operators(lat)
         shaped = all(_is_interval_fiber(fiber, tr.bits) for fiber in fibers)
         res.note(
-            shaped and len(fibers) == ops,
-            f"{name}: {len(fibers)} fibers over {ops} interior operators",
+            shaped and len(fibers) == ops and chi_image_check(lat, tr),
+            f"{name}: {len(fibers)} fibers over the {ops} interior operators",
         )
     return res
 
@@ -222,18 +225,63 @@ def bmt_reference_lattice(n):
 
 
 def check_bmt(max_n=4):
-    """Block decomposition of Tr([2]^{*n}) and the 19-node Hasse shape."""
+    """The block census of Tr([2]^{*n}) for each n up to `max_n`: the
+    blocks are full and fill Tr, each system is the one its key names, the
+    Hasse edges are those of the reference shape, and the chi structure is
+    the published one."""
     res = CheckResult("bmt", True)
-    decs = {}
-    for n in range(3, max_n + 1):
-        dec = decs[n] = bmt_decompose(n)  # raises on classification or cover-rule failure
+    for n in range(1, max_n + 1):
+        dec, cube = bmt_decompose(n), 1 << n
+        tr, full, systems = dec.tr, True, {}  # label in bmt_reference_lattice(n) -> system
+        blocks = ((0, dec.bottom_cube, cube), (cube, dec.middle, n), (cube + n, dec.top_cube, cube))
+        for offset, block, keys in blocks:
+            full = full and sorted(block) == list(range(keys))
+            systems.update((offset + key, system) for key, system in block.items())
         sizes = (len(dec.bottom_cube), len(dec.middle), len(dec.top_cube))
-        want = (1 << n, n, 1 << n)
-        res.note(sizes == want, f"n={n}: block sizes {sizes} (want {want})")
-    dec3 = decs[3] if 3 in decs else bmt_decompose(3)
-    iso = is_isomorphic(dec3.tr.hasse_lattice(), bmt_reference_lattice(3))
-    res.note(iso, "Tr([2]*3) Hasse diagram matches the 19-node reference shape")
+        res.note(full and sum(sizes) == len(tr), f"n={n}: full blocks {sizes} fill the {len(tr)} systems")
+        named = all(set(system.pairs()) == _bmt_pairs(n, label) for label, system in systems.items())
+        res.note(named, f"n={n}: every system is the one its block key names")
+        label_of = {system.bits: label for label, system in systems.items()}
+        covers = sorted((label_of.get(tr.bits[i], -1), label_of.get(tr.bits[j], -1)) for i, j in tr.covers)
+        res.note(
+            covers == bmt_reference_lattice(n).covers,
+            f"n={n}: the {len(covers)} Hasse edges are the reference shape's",
+        )
+        res.note(_has_bmt_chi_structure(dec, n), f"n={n}: chi structure of the blocks")
     return res
+
+
+def _bmt_pairs(n, label):
+    """The non-reflexive pairs of the system that a label of
+    `bmt_reference_lattice(n)` names, on [2]^{*n} with bottom 0, the i-th
+    middle i + 1 and top n + 1."""
+    cube, top = 1 << n, n + 1
+    middles = lambda mask: [1 + i for i in range(n) if mask >> i & 1]
+    if label < cube:  # bottom R the masked middles
+        return {(0, y) for y in middles(label)}
+    if label < cube + n:  # the i-th middle R top, bottom R the others
+        i = label - cube
+        return {(0, y) for y in middles(cube - 1 ^ 1 << i)} | {(1 + i, top)}
+    # bottom R everything, the masked middles R top
+    return {(0, y) for y in range(1, top + 1)} | {(x, top) for x in middles(label - cube - n)}
+
+
+def _has_bmt_chi_structure(dec, n):
+    """The bottom-cube and middle systems are saturated singleton fibers,
+    the top cube is one fiber of size 2^n over the constant-bottom
+    operator, and fibers = saturated systems = 2^n + n + 1."""
+    lat = dec.lattice
+    fibers = {f.operator.image: f for f in fiber_decomposition(lat, tr=dec.tr)}
+    singletons = {f.members[0].bits for f in fibers.values() if len(f.members) == 1}
+    saturated = {s.bits for s in dec.tr if s.is_saturated()}
+    lower = {s.bits for s in (*dec.bottom_cube.values(), *dec.middle.values())}
+    top_fiber = fibers[(lat.bottom,) * lat.n].members  # chi of the complete system
+    return (
+        lower <= singletons & saturated
+        and {s.bits for s in top_fiber} == {s.bits for s in dec.top_cube.values()}
+        and len(top_fiber) == 1 << n
+        and len(fibers) == len(saturated) == (1 << n) + n + 1
+    )
 
 
 def check_roundtrips():

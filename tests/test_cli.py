@@ -270,6 +270,16 @@ def test_rank_two_command(capsys):
     assert "bottom cube 8, middle 3, top cube 8" in out
 
 
+def test_rank_two_census_inside_the_guard(capsys):
+    # p = 11: 25 non-reflexive pairs, the largest prime the default guard admits
+    code, out, err = run_cli(["rank-two", "--p", "11"], capsys)
+    assert code == 0
+    assert out == (
+        "transfer systems for C_11 x C_11: 8204\n"
+        "census: bottom cube 4096, middle 12, top cube 4096 (total 8204)\n"
+    )
+
+
 def test_rank_two_guard_skip(capsys):
     code, out, err = run_cli(["rank-two", "--p", "31"], capsys)
     assert code == 0

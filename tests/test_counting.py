@@ -1,9 +1,11 @@
 import pytest
 
+from trsys import verify
+from trsys.characteristic import fiber_decomposition
 from trsys.counting import (
+    BMTDecomposition,
     bmt_decompose,
     catalan,
-    chi_structure_rank_two,
     count_tr_chain_fusion,
     count_tr_fusion,
     minimal_fibrant_census,
@@ -13,7 +15,6 @@ from trsys.counting import (
 from trsys.errors import NotPrime
 from trsys.lattice import boolean_cube, chain, fusion, is_isomorphic, iterated_fusion
 from trsys.transfer import enumerate_transfer_systems
-from trsys.verify import bmt_reference_lattice
 
 
 def test_catalan_values():
@@ -114,33 +115,54 @@ def test_three_routes_agree():
 def test_bmt_block_sizes():
     for n in (1, 2, 3, 4):
         dec = bmt_decompose(n)
-        assert len(dec.bottom_cube) == 2 ** n
-        assert len(dec.middle) == n
-        assert len(dec.top_cube) == 2 ** n
+        assert set(dec.bottom_cube) == set(dec.top_cube) == set(range(2 ** n))
+        assert set(dec.middle) == set(range(n))
         assert len(dec.tr) == 2 ** (n + 1) + n
 
 
 def test_bmt_cube_isomorphisms():
     dec = bmt_decompose(3)
-    for iso in (dec.bottom_iso, dec.top_iso):
-        assert set(iso) == set(range(8))
-        for s in iso:
-            for t in iso:
-                assert (s & t == s) == iso[s].refines(iso[t])
+    for cube in (dec.bottom_cube, dec.top_cube):
+        assert set(cube) == set(range(8))
+        for s in cube:
+            for t in cube:
+                assert (s & t == s) == cube[s].refines(cube[t])
 
 
 def test_bmt_hasse_matches_reference_shape():
+    # canonical forms: a route independent of the block labels of check_bmt
     for n in (2, 3):
         dec = bmt_decompose(n)
-        assert is_isomorphic(dec.tr.hasse_lattice(), bmt_reference_lattice(n))
+        assert is_isomorphic(dec.tr.hasse_lattice(), verify.bmt_reference_lattice(n))
 
 
 def test_chi_structure_reports():
-    r3 = chi_structure_rank_two(3)
-    assert r3.fiber_count == 12
-    assert r3.top_fiber_size == 8
-    assert r3.saturated_count == 12
-    r2 = chi_structure_rank_two(2)
-    assert r2.fiber_count == 7
-    r1 = chi_structure_rank_two(1)
-    assert r1.fiber_count == 4
+    for n, want in ((1, 4), (2, 7), (3, 12)):
+        dec = bmt_decompose(n)
+        fibers = fiber_decomposition(dec.lattice, tr=dec.tr)
+        assert len(fibers) == want
+        top_fiber = next(f for f in fibers if dec.top_cube[0] in f.members)
+        assert len(top_fiber.members) == 2 ** n
+        assert sum(1 for s in dec.tr if s.is_saturated()) == want
+    assert verify.check_bmt(3).ok
+
+
+def test_check_bmt_fails_on_a_wrong_census(monkeypatch):
+    # two bottom-cube keys swapped: the blocks stay full, but two systems
+    # are not the ones their keys name and the mapped covers move
+    def swapped(n):
+        dec = bmt_decompose(n)
+        bottom = dict(dec.bottom_cube)
+        bottom[0], bottom[1] = bottom[1], bottom[0]
+        return BMTDecomposition(dec.lattice, dec.tr, bottom, dec.middle, dec.top_cube)
+
+    monkeypatch.setattr(verify, "bmt_decompose", swapped)
+    result = verify.check_bmt(2)
+    assert not result.ok
+    failed = [line for line in result.lines if line.startswith("FAIL")]
+    assert failed == [
+        "FAIL n=1: every system is the one its block key names",
+        "FAIL n=1: the 5 Hasse edges are the reference shape's",
+        "FAIL n=2: every system is the one its block key names",
+        "FAIL n=2: the 13 Hasse edges are the reference shape's",
+    ]

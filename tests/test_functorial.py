@@ -26,6 +26,7 @@ from trsys.transfer import (
     complete_system,
     discrete_system,
     enumerate_transfer_systems,
+    find_violation,
 )
 
 
@@ -144,13 +145,16 @@ def test_product_split_examples():
 
 
 def test_product_split_round_trip():
-    c1, c2 = chain(1), chain(2)
-    pq = product(c1, c2)
-    for r in enumerate_transfer_systems(c1):
-        for t in enumerate_transfer_systems(c2):
-            system = product_split(r, t, pq)
-            back_r, back_t = split_to_factors(system, c1, c2)
-            assert back_r == r and back_t == t
+    # the componentwise bits are a transfer system, and the projections
+    # recover both factors
+    for p, q in ((chain(1), chain(2)), (boolean_cube(2), chain(1)), (chain(2), chain(2))):
+        pq = product(p, q)
+        for r in enumerate_transfer_systems(p):
+            for t in enumerate_transfer_systems(q):
+                system = product_split(r, t, pq)
+                assert find_violation(pq, system.bits) is None
+                back_r, back_t = split_to_factors(system, p, q)
+                assert back_r == r and back_t == t
 
 
 def test_projections_are_meet_preserving():

@@ -153,6 +153,8 @@ def test_fusion_examples():
     assert sorted(f2.covers) == [(0, 1), (0, 2), (1, 3), (2, 3)]
     f3 = iterated_fusion(chain(2), 3)
     assert f3.n == 5 and is_isomorphic(f3, sub_cp_cp(2))
+    # bottom 0, then each operand's interior in turn, then top
+    assert fusion(chain(2), chain(3), chain(1)).covers == [(0, 1), (0, 2), (1, 4), (2, 3), (3, 4)]
 
 
 def test_fusion_with_point_keeps_other_operand():

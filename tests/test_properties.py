@@ -1,10 +1,11 @@
 """Property tests on relabelled small lattices: the searches and the dense
-closure against the naive oracles, the fusion recursion against brute
-force and its deleted-extreme slices of Tr against the subset filter, the
-chi-fiber theorem, the chi image, the cover <-> saturated
-bijection, the dead-end-free interior search, exact JSON round-trips, the
-lattice's list views and the loops built on them against their numpy
-definitions, and the CLI formats against each other.
+closure against the naive oracles, the n-ary fusion against the pairwise
+fold, the fusion recursion against brute force and its deleted-extreme
+slices of Tr against the subset filter, the chi-fiber theorem, the chi
+image, the cover <-> saturated bijection, the dead-end-free interior
+search, exact JSON round-trips, the lattice's list views and the loops
+built on them against their numpy definitions, and the CLI formats against
+each other.
 
 Every lattice on at most five elements, plus Sub(C3 x C3), whose few
 comparable pairs make the n x n bit layout sparse, is drawn under a random
@@ -33,7 +34,7 @@ from trsys.counting import count_tr_fusion, interior_only_count, minimal_fibrant
 from trsys.covers import cover_to_system, enumerate_saturated_covers, system_to_cover
 from trsys.errors import NotMonotone
 from trsys.functorial import LatticeMap
-from trsys.lattice import Lattice, all_lattices, fusion, lattice_to_json, sub_cp_cp
+from trsys.lattice import Lattice, all_lattices, chain, fusion, iterated_fusion, lattice_to_json, sub_cp_cp
 from trsys.oracles import (
     least_saturated_above,
     least_system_containing,
@@ -92,6 +93,18 @@ def test_fusion_recursion_equals_brute_force(p, q, dual_p, dual_q):
     p, q = (p.dual() if dual_p else p), (q.dual() if dual_q else q)
     total = count_tr_fusion(p, q, guard=None).total
     assert total == len(enumerate_transfer_systems(fusion(p, q), guard=None))
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelled(BASES), st.integers(0, 5))
+@example(sub_cp_cp(3), 5)
+def test_iterated_fusion_equals_the_pairwise_fold(p, k):
+    # the one n-ary fusion has the labels of the left fold
+    # fusion(... fusion(fusion(p, p), p) ..., p)
+    fold = chain(1) if k == 0 else p
+    for _ in range(k - 1):
+        fold = fusion(fold, p)
+    assert np.array_equal(iterated_fusion(p, k).leq, fold.leq)
 
 
 @settings(max_examples=100, deadline=None)
