@@ -87,7 +87,7 @@ def interior_system_masks(lat, max_elements=16):
     """
     if lat.n > max_elements:
         raise SizeLimit(f"{lat.n} elements exceed interior enumeration guard {max_elements}")
-    tables = [search.byte_tables(1 << int(j) for j in row) for row in lat.join]
+    tables = [search.byte_tables(1 << j for j in row) for row in lat.join]
     order = [x for x, _ in _bottom_up(lat) if x != lat.bottom]
     return search.leaves(order, 1 << lat.bottom, partial(_join_closure, tables))
 
@@ -102,7 +102,7 @@ def operator_from_interior_system(lat, mask):
     every enumerated operator and compare them with the raw-map filter of
     `oracles.py`.
     """
-    join = lat.join_rows
+    join = lat.join
     image = [lat.bottom] * lat.n
     for x, lower in _bottom_up(lat):
         if mask >> x & 1:
@@ -222,5 +222,5 @@ def is_moore_family(lat, elements):
     """Contains top and is closed under pairwise meets."""
     if lat.top not in elements:
         return False
-    meet = lat.meet_rows
+    meet = lat.meet
     return all(meet[x][y] in elements for x in elements for y in elements)

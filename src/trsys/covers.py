@@ -23,7 +23,8 @@ from .errors import (
     NotSaturated,
     SizeLimit,
 )
-from .transfer import TransferSystem, _Relation, _bits, closure_for
+from .lattice import _bits
+from .transfer import TransferSystem, _Relation, closure_for
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ def covering_diamonds(lat):
     cached = lat._cache.get("diamonds")
     if cached is not None:
         return cached
-    n, up, meet, join = lat.n, lat.up, lat.meet_rows, lat.join_rows
+    n, up, meet, join = lat.n, lat.up, lat.meet, lat.join
     cover = _cover_mask(lat)
     out = []
     for x in range(n):
@@ -77,7 +78,7 @@ def rule_one_implications(lat):
     cached = lat._cache.get("rule_one")
     if cached is not None:
         return cached
-    n, meet, join = lat.n, lat.meet_rows, lat.join_rows
+    n, meet, join = lat.n, lat.meet, lat.join
     cover = _cover_mask(lat)
     implies = {p: set() for p in _bits(cover)}
     for x in range(n):

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import AmbientMismatch, InvariantViolation, NotComposable, NotMonotone
-from .lattice import boolean_cube, from_order, product
+from .lattice import _bits, boolean_cube, from_order, product
 from .transfer import TransferSystem, generate
 
 
@@ -62,13 +62,12 @@ class LatticeMap:
         return all(up[a] >> b & 1 for a, b in zip(self.image, other.image))
 
     def is_meet_preserving(self):
-        for x in range(self.source.n):
-            for y in range(self.source.n):
-                if self.image[int(self.source.meet[x, y])] != int(
-                    self.target.meet[self.image[x], self.image[y]]
-                ):
-                    return False
-        return True
+        image, target_meet = self.image, self.target.meet
+        return all(
+            image[m] == target_meet[image[x]][image[y]]
+            for x, row in enumerate(self.source.meet)
+            for y, m in enumerate(row)
+        )
 
     def __eq__(self, other):
         return (
@@ -193,20 +192,17 @@ def split_to_factors(system, p, q):
 
 
 def random_monotone_map(source, target, rng):
-    """Monotone map sampled by randomized extension along a linear order.
+    """Monotone map sampled by randomized extension along the height order.
 
     Each element's image is drawn uniformly from the up-set of the join of
-    the images of the elements below it.
+    the images of the elements below it, which precede it by height.
     """
-    order = sorted(range(source.n), key=lambda x: source.height[x])
     image = [None] * source.n
-    for x in order:
+    for x in sorted(range(source.n), key=source.height.__getitem__):
         floor = target.bottom
-        for y in range(source.n):
-            if y != x and source.leq[y, x] and image[y] is not None:
-                floor = int(target.join[floor, image[y]])
-        choices = [v for v in range(target.n) if target.leq[floor, v]]
-        image[x] = rng.choice(choices)
+        for y in _bits(source._down[x] & ~(1 << x)):
+            floor = target.join[floor][image[y]]
+        image[x] = rng.choice(list(_bits(target.up[floor])))
     return LatticeMap(source, target, image)
 
 

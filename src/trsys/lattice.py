@@ -1,9 +1,11 @@
 """Finite bounded lattices: construction, validation, and queries.
 
-Elements are dense integer indices 0..n-1.  The order matrix, meet/join
-tables, cover list, and (when the lattice is graded) the rank function are
-all computed at construction time; instances are immutable afterwards and
-safe for concurrent reads.
+Elements are dense integer indices 0..n-1.  Construction reads two int
+rows per element off the order matrix, the up-set and the down-set, and
+derives every table from them: the partial-order check, bottom and top,
+meet and join, covers, heights and ranks.  Instances are immutable
+afterwards and safe for concurrent reads.  `_bits`, the one iterator over
+the set bits of such a row, serves every module.
 """
 from __future__ import annotations
 
@@ -22,16 +24,24 @@ from .errors import (
 )
 
 
+def _bits(mask):
+    """The positions of the set bits of `mask`, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class Lattice:
     """A finite bounded lattice on elements 0..n-1.
 
     Attributes:
         n: element count.
         names: display label per element.
-        leq: n x n boolean matrix, leq[x, y] iff x <= y.
-        meet, join: n x n index tables (greatest lower / least upper bound).
+        leq: n x n boolean matrix, leq[x, y] iff x <= y (read-only).
         up: one int bitmask per element; bit y of up[x] is set iff x <= y.
-        meet_rows, join_rows: the meet and join tables as lists of lists.
+        meet, join: n x n index tables (greatest lower / least upper
+            bound) as lists of lists, read meet[x][y]; do not mutate them.
         bottom, top: indices of the extremes.
         covers: sorted list of pairs (x, y) with y covering x.
         height: longest cover-path length from bottom, per element.
@@ -45,30 +55,24 @@ class Lattice:
         n = leq.shape[0]
         if n == 0:
             raise NotBounded("the empty order has no bottom or top")
-        _check_partial_order(leq)
+        self.up, self._down = _rows(leq), _rows(leq.T)
+        _check_partial_order(self.up, self._down)
         self.n = n
         self.leq = leq
         self.names = [str(i) for i in range(n)] if names is None else list(names)
         if len(self.names) != n:
             raise ValueError("need exactly one name per element")
-        self.bottom = _unique_bottom(leq)
-        self.top = _unique_top(leq)
-        self.meet = _bound_table(leq, lower=True)
-        self.join = _bound_table(leq, lower=False)
-        # Python views of the tables, for per-element loops, where a numpy
-        # scalar read costs far more than a list index or a shift
-        packed = np.packbits(leq, axis=1, bitorder="little")
-        self.up = [int.from_bytes(row.tobytes(), "little") for row in packed]
-        self.meet_rows = self.meet.tolist()
-        self.join_rows = self.join.tolist()
-        self.covers = _cover_pairs(leq)
-        self.height = _heights(self.covers, leq.sum(axis=0))
+        self.bottom = _extreme(self.up, "bottom")
+        self.top = _extreme(self._down, "top")
+        self.meet = _bound_table(self._down, "meet")
+        self.join = _bound_table(self.up, "join")
+        self.covers = _cover_pairs(self.up)
+        self.height = _heights(self.covers, [d.bit_count() for d in self._down])
         graded = all(self.height[y] == self.height[x] + 1 for x, y in self.covers)
         self.rank = list(self.height) if graded else None
         self._modular = None
         self._cache = {}
-        for arr in (self.leq, self.meet, self.join):
-            arr.flags.writeable = False
+        self.leq.flags.writeable = False
 
     def grading(self):
         """Return the rank function, or raise NotGraded.
@@ -97,11 +101,10 @@ class Lattice:
         """
         meet, join = self.meet, self.join
         for x in range(self.n):
-            for y in range(self.n):
-                if x == y or not self.leq[x, y]:
-                    continue
+            for y in _bits(self.up[x] & ~(1 << x)):
+                mx, my, jx, jy = meet[x], meet[y], join[x], join[y]
                 for z in range(self.n):
-                    if meet[x, z] == meet[y, z] and join[x, z] == join[y, z]:
+                    if mx[z] == my[z] and jx[z] == jy[z]:
                         return (x, y, z)
         return None
 
@@ -125,64 +128,71 @@ class Lattice:
 # -- construction helpers ---------------------------------------------------
 
 
-def _check_partial_order(leq):
-    n = leq.shape[0]
-    diag = leq[np.diag_indices(n)]
-    if not diag.all():
+def _rows(leq):
+    """Row x of the bool matrix `leq` as an int, bit y for column y."""
+    packed = np.packbits(leq, axis=1, bitorder="little")
+    data, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+
+
+def _check_partial_order(up, down):
+    """Reflexive, then antisymmetric, then transitive; each failure names
+    its first row-major witness."""
+    n = len(up)
+    if any(not row >> x & 1 for x, row in enumerate(up)):
         raise ValueError("order matrix must be reflexive")
-    sym = leq & leq.T
-    if int(sym.sum()) != n:
-        x, y = np.argwhere(sym & ~np.eye(n, dtype=bool))[0]
-        raise CycleDetected(f"elements {x} and {y} are mutually comparable")
-    # a bool matmul ORs its terms, so unlike a uint8 count of paths it cannot wrap
-    reach = leq @ leq
-    if (reach & ~leq).any():
-        x, y = np.argwhere(reach & ~leq)[0]
-        raise ValueError(f"order not transitive at ({x}, {y})")
+    for x in range(n):
+        both = up[x] & down[x] & ~(1 << x)
+        if both:
+            raise CycleDetected(f"elements {x} and {next(_bits(both))} are mutually comparable")
+    for x in range(n):
+        reach = 0
+        for y in _bits(up[x]):
+            reach |= up[y]
+        missing = reach & ~up[x]
+        if missing:
+            raise ValueError(f"order not transitive at ({x}, {next(_bits(missing))})")
 
 
-def _unique_bottom(leq):
-    n = leq.shape[0]
-    rows = [x for x in range(n) if leq[x, :].all()]
-    if len(rows) != 1:
-        raise NotBounded(f"expected one bottom element, found {rows}")
-    return rows[0]
+def _extreme(rows, kind):
+    """The one element whose row holds every element: the bottom on the
+    up-sets, the top on the down-sets."""
+    full = (1 << len(rows)) - 1
+    found = [x for x, row in enumerate(rows) if row == full]
+    if len(found) != 1:
+        raise NotBounded(f"expected one {kind} element, found {found}")
+    return found[0]
 
 
-def _unique_top(leq):
-    n = leq.shape[0]
-    cols = [y for y in range(n) if leq[:, y].all()]
-    if len(cols) != 1:
-        raise NotBounded(f"expected one top element, found {cols}")
-    return cols[0]
-
-
-def _bound_table(leq, lower):
-    """Meet (lower=True) or join table via principal-set lookup.
+def _bound_table(sets, kind):
+    """The meet table on the down-sets, or the join table on the up-sets.
 
     The greatest lower bound of x, y exists exactly when the set of common
     lower bounds is the principal down-set of one of its members.
     """
-    n = leq.shape[0]
-    sets = leq.T if lower else leq  # column x = down-set, row x = up-set
-    index = {sets[x].tobytes(): x for x in range(n)}
-    table = np.zeros((n, n), dtype=np.int64)
-    kind = "meet" if lower else "join"
+    n = len(sets)
+    index = {s: x for x, s in enumerate(sets)}
+    table = [[0] * n for _ in range(n)]
     for x in range(n):
+        row = table[x]
         for y in range(x, n):
-            common = sets[x] & sets[y]
-            z = index.get(common.tobytes())
+            z = index.get(sets[x] & sets[y])
             if z is None:
                 raise NotALattice(f"elements {x} and {y} have no {kind}")
-            table[x, y] = table[y, x] = z
+            row[y] = table[y][x] = z
     return table
 
 
-def _cover_pairs(leq):
-    n = leq.shape[0]
-    lt = leq & ~np.eye(n, dtype=bool)
-    cov = lt & ~(lt @ lt)  # bool, as in _check_partial_order
-    return sorted((int(x), int(y)) for x, y in np.argwhere(cov))
+def _cover_pairs(up):
+    """The minimal elements of each strict up-set, as sorted pairs."""
+    out = []
+    for x, row in enumerate(up):
+        strict = row & ~(1 << x)
+        above = 0
+        for y in _bits(strict):
+            above |= up[y] & ~(1 << y)
+        out.extend((x, y) for y in _bits(strict & ~above))
+    return out
 
 
 def _heights(covers, below_counts):
@@ -195,7 +205,7 @@ def _heights(covers, below_counts):
     for x, y in covers:
         parents_of[y].append(x)
     h = [0] * len(below_counts)
-    for x in np.argsort(below_counts, kind="stable").tolist():
+    for x in sorted(range(len(below_counts)), key=below_counts.__getitem__):
         for p in parents_of[x]:
             h[x] = max(h[x], h[p] + 1)
     return h
@@ -217,10 +227,6 @@ def from_order(n, pairs, names=None):
         leq[x, y] = True
     for k in range(n):
         leq |= np.outer(leq[:, k], leq[k, :])
-    sym = leq & leq.T & ~np.eye(n, dtype=bool)
-    if sym.any():
-        x, y = np.argwhere(sym)[0]
-        raise CycleDetected(f"generating pairs force a cycle through {x} and {y}")
     return Lattice(leq, names=names)
 
 
@@ -339,20 +345,22 @@ def canonical_form(lat, max_perms=5_000_000):
 
 def _refined_classes(lat):
     n = lat.n
-    parents_of = {x: [] for x in range(n)}
-    children_of = {x: [] for x in range(n)}
+    parents_of = [[] for _ in range(n)]
+    children_of = [[] for _ in range(n)]
     for x, y in lat.covers:
         parents_of[x].append(y)
         children_of[y].append(x)
-    coheight = _heights([(y, x) for x, y in lat.covers], lat.leq.sum(axis=1))
+    above = [row.bit_count() for row in lat.up]
+    below = [row.bit_count() for row in lat._down]
+    coheight = _heights([(y, x) for x, y in lat.covers], above)
     sig = [
         (
             lat.height[x],
             coheight[x],
             len(parents_of[x]),
             len(children_of[x]),
-            int(lat.leq[:, x].sum()),
-            int(lat.leq[x, :].sum()),
+            below[x],
+            above[x],
         )
         for x in range(n)
     ]
@@ -367,7 +375,9 @@ def _refined_classes(lat):
             for x in range(n)
         ]
         new = _compress(sig)
-        if new == labels:
+        # the numbering of equal partitions can differ from round to
+        # round, so the fixed point is the one of the class count
+        if len(set(new)) == len(set(labels)):
             return labels
         labels = new
 
@@ -401,14 +411,9 @@ def all_lattices(n):
         for k, (i, j) in enumerate(free):
             if bits >> k & 1:
                 leq[i, j] = True
-        closed = leq.copy()
-        for k in range(n):
-            closed |= np.outer(closed[:, k], closed[k, :])
-        if not np.array_equal(closed, leq):
-            continue
         try:
-            lat = Lattice(leq)
-        except (NotALattice, NotBounded):
+            lat = Lattice(leq)  # raises ValueError when leq is not transitive
+        except (ValueError, NotALattice, NotBounded):
             continue
         key = canonical_form(lat)
         if key not in seen:

@@ -44,7 +44,7 @@ def naive_deleted_extreme_count(lat, drop_bottom=False, drop_top=False, max_pair
     is transitive and closed under restriction.  Restriction applies only
     where the meet survives the deletion, since a meet that is the deleted
     bottom leaves two elements without a common lower bound."""
-    n, meet = lat.n, lat.meet_rows
+    n, meet = lat.n, lat.meet
     keep = [x for x in range(n) if not (drop_bottom and x == lat.bottom or drop_top and x == lat.top)]
     free = [x * n + y for x in keep for y in keep if x != y and lat.leq[x, y]]
     if len(free) > max_pairs:

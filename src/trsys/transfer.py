@@ -28,14 +28,7 @@ import numpy as np
 
 from . import search
 from .errors import AmbientMismatch, InvalidTransferSystem, SizeLimit
-from .lattice import from_order
-
-
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+from .lattice import _bits, from_order
 
 
 def _rows(bits, n):
@@ -76,7 +69,7 @@ class _DenseClosure:
     """
 
     def __init__(self, lat):
-        n, up, meets, heights = lat.n, lat.up, lat.meet_rows, lat.height
+        n, up, meets, heights = lat.n, lat.up, lat.meet, lat.height
         self.n = n
         self.up = up
         self.col = sum(1 << (a * n) for a in range(n))
@@ -203,7 +196,7 @@ class Violation:
 
 def find_violation(lat, bits):
     """Return the first violated transfer-system axiom, or None."""
-    n, up, meet = lat.n, lat.up, lat.meet_rows
+    n, up, meet = lat.n, lat.up, lat.meet
     rows = _rows(bits, n)
     if bits >> n * n or any(row & ~above for row, above in zip(rows, up)):
         return Violation("refinement", ())
@@ -331,7 +324,7 @@ class TransferSystem(_Relation):
         Restriction and transitivity put it in the downset; the tests and
         `verify` check that it does, through the chi-fiber theorem."""
         lat = self.lattice
-        n, meet = lat.n, lat.meet_rows
+        n, meet = lat.n, lat.meet
         down = self.bits >> x & closure_for(lat).col  # bit a*n for each a R x
         m = x
         while down:

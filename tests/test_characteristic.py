@@ -170,7 +170,7 @@ def test_interior_operator_meets_lower_bounds():
                 for y in range(lat.n):
                     for z in range(lat.n):
                         if lat.leq[y, x] and lat.leq[z, x] and lat.leq[op.image[x], y]:
-                            assert lat.leq[op.image[z], int(lat.meet[y, z])]
+                            assert lat.leq[op.image[z], lat.meet[y][z]]
 
 
 def test_closure_operators_match_on_self_dual_lattices():

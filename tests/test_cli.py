@@ -251,6 +251,24 @@ def test_export_covers(tmp_path, capsys):
     assert "color=gray" in text
 
 
+def test_export_covers_passes_jobs_on(tmp_path, capsys, monkeypatch):
+    original, calls = cli.enumerate_saturated_covers, []
+
+    def recorded(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "enumerate_saturated_covers", recorded)
+    code, out, err = run_cli(
+        ["export", "--family", "fuse2", "--n", "3", "--what", "covers", "--jobs", "2",
+         "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0
+    assert [kwargs.get("jobs") for kwargs in calls] == [2]
+    assert len(os.listdir(tmp_path)) == 12
+
+
 def test_fusion_count_command(tmp_path, capsys):
     left = tmp_path / "left.json"
     right = tmp_path / "right.json"

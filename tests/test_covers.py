@@ -207,7 +207,7 @@ def test_covers_are_restriction_closed():
             for (r, t) in cover.edges():
                 for ell in range(lat.n):
                     if lat.leq[ell, t]:
-                        b = int(lat.meet[r, ell])
+                        b = lat.meet[r][ell]
                         if b != ell:
                             assert (b, ell) in rel
                             assert (b, ell) in set(lat.covers)

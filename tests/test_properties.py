@@ -3,9 +3,10 @@ closure against the naive oracles, the n-ary fusion against the pairwise
 fold, the fusion recursion against brute force and its deleted-extreme
 slices of Tr against the subset filter, the chi-fiber theorem, the chi
 image, the cover <-> saturated bijection, the dead-end-free interior
-search, exact JSON round-trips, the lattice's list views and the loops
-built on them against their numpy definitions, and the CLI formats against
-each other.
+search, exact JSON round-trips, the lattice tables against their
+definitions on the order matrix, malformed orders against their first
+witnesses, the loops built on the tables against their definitions, and the
+CLI formats against each other.
 
 Every lattice on at most five elements, plus Sub(C3 x C3), whose few
 comparable pairs make the n x n bit layout sparse, is drawn under a random
@@ -16,11 +17,13 @@ import importlib
 import io
 import json
 import os
+import re
 import tempfile
 from unittest import mock
 
 import numpy as np
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trsys.characteristic import (
@@ -32,7 +35,7 @@ from trsys.characteristic import (
 from trsys.cli import main
 from trsys.counting import count_tr_fusion, interior_only_count, minimal_fibrant_census
 from trsys.covers import cover_to_system, enumerate_saturated_covers, system_to_cover
-from trsys.errors import NotMonotone
+from trsys.errors import CycleDetected, NotMonotone
 from trsys.functorial import LatticeMap
 from trsys.lattice import Lattice, all_lattices, chain, fusion, iterated_fusion, lattice_to_json, sub_cp_cp
 from trsys.oracles import (
@@ -277,26 +280,88 @@ def test_cover_json_round_trip_is_exact(lat):
         assert json.dumps(cover_to_json(back)) == text
 
 
+def least_in(le, candidates):
+    """The elements of `candidates` below all of them in the order `le`."""
+    return [z for z in candidates if le[z, candidates].all()]
+
+
 @settings(max_examples=100, deadline=None)
 @given(relabelled(BASES), st.booleans())
-def test_list_views_equal_the_numpy_tables(lat, dual):
+def test_tables_equal_their_definitions_on_the_order_matrix(lat, dual):
     if dual:
         lat = lat.dual()
-    n = lat.n
-    assert lat.up == [sum(1 << y for y in range(n) if lat.leq[x, y]) for x in range(n)]
-    for rows, table in ((lat.meet_rows, lat.meet), (lat.join_rows, lat.join)):
-        assert rows == [[int(table[x, y]) for y in range(n)] for x in range(n)]
-        assert {type(v) for row in rows for v in row} == {int}
+    n, leq = lat.n, lat.leq
+    assert lat.up == [sum(1 << y for y in range(n) if leq[x, y]) for x in range(n)]
+    # a join is the least common upper bound; a meet is the same in the
+    # reversed order
+    for table, le in ((lat.join, leq), (lat.meet, leq.T)):
+        assert {type(v) for row in table for v in row} == {int}
+        for x in range(n):
+            for y in range(n):
+                assert [table[x][y]] == least_in(le, np.flatnonzero(le[x] & le[y]))
+    assert [lat.bottom] == least_in(leq, np.arange(n))
+    assert [lat.top] == least_in(leq.T, np.arange(n))
+    strict = leq & ~np.eye(n, dtype=bool)
+    covers = [(x, y) for x in range(n) for y in range(n) if strict[x, y] and not (strict[x] & strict[:, y]).any()]
+    assert lat.covers == covers
+    # the height is the longest cover path from bottom
+    height = {lat.bottom: 0}
+    while len(height) < n:
+        for y in range(n):
+            below = [x for x, z in covers if z == y]
+            if y not in height and below and all(x in height for x in below):
+                height[y] = 1 + max(height[x] for x in below)
+    assert lat.height == [height[x] for x in range(n)]
+
+
+def drawn_pairs(lat, data, with_middle):
+    """One to three drawn pairs x < z of `lat`, with some y strictly between
+    them when `with_middle`; the example is skipped when there is none."""
+    leq = lat.leq
+    pairs = [
+        (x, z)
+        for x in range(lat.n)
+        for z in range(lat.n)
+        if x != z and leq[x, z] and (not with_middle or (leq[x] & leq[:, z]).sum() > 2)
+    ]
+    assume(pairs)
+    return data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3, unique=True))
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabelled(BASES), st.booleans(), st.data())
+def test_two_cycles_raise_at_the_first_mutually_comparable_pair(lat, dual, data):
+    lat = lat.dual() if dual else lat
+    leq = np.array(lat.leq)
+    for x, z in drawn_pairs(lat, data, with_middle=False):
+        leq[z, x] = True
+    a, b = np.argwhere(leq & leq.T & ~np.eye(lat.n, dtype=bool))[0]
+    with pytest.raises(CycleDetected, match=re.escape(f"elements {a} and {b} are mutually comparable")):
+        Lattice(leq)
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabelled(BASES), st.booleans(), st.data())
+def test_missing_transitive_pairs_raise_at_the_first_two_step_path(lat, dual, data):
+    lat = lat.dual() if dual else lat
+    leq = np.array(lat.leq)
+    for x, z in drawn_pairs(lat, data, with_middle=True):
+        leq[x, z] = False
+    # an integer count of paths, which cannot wrap at these sizes
+    two_steps = (leq.astype(np.int64) @ leq.astype(np.int64) > 0) & ~leq
+    a, c = np.argwhere(two_steps)[0]
+    with pytest.raises(ValueError, match=re.escape(f"order not transitive at ({a}, {c})")):
+        Lattice(leq)
 
 
 def join_of_elements_below(lat, mask):
-    """The operator of a mask by its definition, on the numpy tables."""
+    """The operator of a mask by its definition."""
     image = []
     for x in range(lat.n):
         best = lat.bottom
         for s in range(lat.n):
             if mask >> s & 1 and lat.leq[s, x]:
-                best = int(lat.join[best, s])
+                best = lat.join[best][s]
         image.append(best)
     return tuple(image)
 

@@ -145,7 +145,7 @@ def test_restriction_after_transitivity_adds_nothing():
                 for x, z in system.pairs():
                     for y in range(lat.n):
                         if lat.leq[y, z]:
-                            assert system.contains(int(lat.meet[x, y]), y)
+                            assert system.contains(lat.meet[x][y], y)
 
 
 # -- enumeration ---------------------------------------------------------------
