@@ -132,12 +132,9 @@ def cmd_enumerate(args, parser):
             if kind == "interior":
                 print(" ".join(map(str, item.image)))
             else:
-                row = item.edges() if kind == "covers" else item.pairs()
-                print(" ".join(f"{a}<{b}" for a, b in row) or "(none)")
+                print(" ".join(f"{a}<{b}" for a, b in item.pairs()) or "(none)")
     elif args.format == "json":
-        to_json = {"covers": serialize.cover_to_json, "interior": serialize.operator_to_json}
-        for item in items:
-            print(json.dumps(to_json.get(kind, serialize.system_to_json)(item), sort_keys=True))
+        sys.stdout.writelines(line + "\n" for line in serialize.json_lines(lat, items, kind))
     else:  # dot
         if kind == "covers":
             dots = (serialize.cover_to_dot(c, f"cover-{i:04d}") for i, c in enumerate(items))

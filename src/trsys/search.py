@@ -84,7 +84,8 @@ def byte_tables(values):
 def gather(tables, bits):
     """OR of `values[j]` over the set bits j of `bits` (see byte_tables)."""
     out = 0
-    for table, byte in zip(tables, bits.to_bytes(len(tables), "little")):
-        if byte:
-            out |= table[byte]
+    for table in tables:
+        out |= table[bits & 255]
+        if not (bits := bits >> 8):
+            break
     return out

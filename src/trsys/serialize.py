@@ -37,6 +37,18 @@ def cover_from_json(obj):
     return SaturatedCover.from_edges(lat, [tuple(e) for e in obj["edges"]])
 
 
+def json_lines(lat, items, kind):
+    """`json.dumps(..., sort_keys=True)` of `operator_to_json`, `cover_to_json`
+    (kind "covers") or `system_to_json` of each item on `lat`, encoding `lat` once."""
+    if kind == "interior":
+        return (json.dumps(operator_to_json(op), sort_keys=True) for op in items)
+    lattice = json.dumps(lattice_to_json(lat), sort_keys=True)
+    head, tail = '{"lattice": ' + lattice + ', "pairs": ', "}"
+    if kind == "covers":  # "edges" sorts before "lattice"
+        head, tail = '{"edges": ', ', "lattice": ' + lattice + "}"
+    return (head + "[" + ", ".join(f"[{x}, {y}]" for x, y in r.pairs()) + "]" + tail for r in items)
+
+
 def operator_to_json(operator):
     return {"image": list(operator.image)}
 

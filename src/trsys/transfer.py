@@ -12,10 +12,10 @@ Each lattice has one private object, `_DenseClosure`, holding its up-sets,
 diagonal, full order, one restriction mask per position and the branch
 order, built once in `closure_for(lat)`.  On it, restriction is one mask
 per pair, transitivity is Warshall's n rank-one updates, and
-two-out-of-three is one shift per related pair.  `generate`,
-`TransferSystem.join` and `saturated_hull` close there, and the Tr and
-saturated searches on the backtracking engine in `trsys.search` propagate
-there (adding a pair to a transitive relation is one multiplication).
+two-out-of-three is one shift per related pair in each row that grew.
+`generate`, `TransferSystem.join` and `saturated_hull` close there, and the
+Tr and saturated searches on the engine in `trsys.search` propagate there,
+one multiplication per added pair; an include fails once one meets an exclusion.
 `find_violation` and `is_saturated` check the axioms directly on the rows
 of the bits and read no closure table.
 """
@@ -63,9 +63,10 @@ class _DenseClosure:
 
     The searches step by `propagate`: the closure of a transfer system plus
     one pair is the transitive closure of the system, the pair and the
-    pair's restrictions, added one rank-one update at a time.  The
-    saturated search then adds each pair that two-out-of-three forces the
-    same way, until none is new.
+    pair's restrictions, one rank-one update at a time, stopping at the
+    first that meets an excluded pair.  The saturated search then adds the
+    pairs that two-out-of-three forces, scanning only the rows that grew:
+    a row that meets the rule keeps meeting it while other rows grow.
     """
 
     def __init__(self, lat):
@@ -120,30 +121,33 @@ class _DenseClosure:
         for x, zn, bit in updates:
             if not inc & bit:
                 inc |= (inc >> x & col) * (inc >> zn & row)
-        return None if inc & exc else inc
+                if inc & exc:
+                    return None
+        return inc
 
     def propagate_saturated(self, inc, exc, k):
-        inc = self.propagate(inc, exc, k)
-        while inc is not None:
-            new = self._saturate(inc) & ~inc
-            if not new:
-                return inc
+        """`propagate`, then two-out-of-three on the rows that grew; `inc` must be saturated."""
+        old, inc = inc, self.propagate(inc, exc, k)
+        while inc is not None and (new := self._saturate(inc, inc ^ old) & ~inc):
+            if new & exc:
+                return None
+            old = inc
             for p in _bits(new):
-                inc = self.propagate(inc, exc, p)
-                if inc is None:
-                    break
-        return None
+                if not inc >> p & 1 and (inc := self.propagate(inc, exc, p)) is None:
+                    return None
+        return inc
 
     def close(self, bits, saturate=False):
         """The least relation containing `bits` and the diagonal that is
         closed under restriction and transitivity, and under
         two-out-of-three when `saturate`."""
-        dense = self._transitive(self._restricted(bits | self.diag))
+        dense = changed = self._transitive(self._restricted(bits | self.diag))
         while saturate:
-            grown = self._saturate(dense)
+            grown = self._saturate(dense, changed)
             if grown == dense:
                 break
-            dense = self._transitive(grown)
+            changed = self._transitive(grown) ^ dense
+            dense ^= changed
         return dense
 
     def join(self, union):
@@ -169,11 +173,13 @@ class _DenseClosure:
             dense |= (dense >> v & col) * (dense >> v * n & row)
         return dense
 
-    def _saturate(self, dense):
-        """One pass of two-out-of-three: x R y <= z and x R z give y R z,
-        so row y gains row x above y."""
+    def _saturate(self, dense, changed):
+        """Two-out-of-three on each row x holding a bit of `changed`: x R y
+        <= z and x R z give y R z, so row y gains row x above y."""
         n, row, up = self.n, self.row, self.up
-        for x in range(n):
+        while changed:
+            x = ((changed & -changed).bit_length() - 1) // n
+            changed = changed >> (x + 1) * n << (x + 1) * n
             reach = dense >> x * n & row
             for y in _bits(reach & ~(1 << x)):
                 dense |= (reach & up[y]) << y * n
@@ -249,7 +255,7 @@ class _Relation:
         )
 
     def __hash__(self):
-        return hash((self.lattice.n, self.lattice.leq.tobytes(), self.bits))
+        return hash((self.lattice.n, self.bits))
 
     def __repr__(self):
         return f"{type(self).__name__}({self.pairs()})"
@@ -309,10 +315,13 @@ class TransferSystem(_Relation):
         n, up = self.lattice.n, self.lattice.up
         rows = _rows(self.bits, n)
         for x in range(n):
-            reach = rows[x] & ~(1 << x)
-            for y in _bits(reach):
+            reach = others = rows[x] & ~(1 << x)
+            while others:
+                low = others & -others
+                y = low.bit_length() - 1
                 if reach & up[y] & ~rows[y]:
                     return False
+                others ^= low
         return True
 
     def minimal_fibrant(self):
@@ -442,9 +451,9 @@ class TrLattice:
             lt = np.zeros((m, m), dtype=bool)
             for i, j in itertools.permutations(range(m), 2):
                 lt[i, j] = self.leq(i, j)
-            lt &= ~np.eye(m, dtype=bool)
-            thru = (lt.astype(np.uint8) @ lt.astype(np.uint8)) > 0
-            self._covers = sorted((int(a), int(b)) for a, b in np.argwhere(lt & ~thru))
+            paths = lt.view(np.uint8)  # the same bytes, so the product needs no copies
+            thru = (paths @ paths) > 0
+            self._covers = sorted((int(a), int(b)) for a, b in np.argwhere(lt > thru))
         return self._covers
 
     def hasse_lattice(self):

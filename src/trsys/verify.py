@@ -290,9 +290,10 @@ def check_roundtrips():
     for name, lat in modular_family():
         covers = enumerate_saturated_covers(lat)
         systems = enumerate_saturated_systems(lat)
+        images = [system_to_cover(r) for r in systems]
         ok_cov = all(system_to_cover(cover_to_system(q)) == q for q in covers)
-        ok_sys = all(cover_to_system(system_to_cover(r)) == r for r in systems)
-        ok_onto = {system_to_cover(r) for r in systems} == set(covers)
+        ok_sys = all(cover_to_system(q) == r for q, r in zip(images, systems))
+        ok_onto = set(images) == set(covers)
         ok_count = len(covers) == len(systems)
         res.note(
             ok_cov and ok_sys and ok_onto and ok_count,

@@ -8,8 +8,10 @@ import pytest
 
 from trsys import cli
 from trsys.cli import main
-from trsys.lattice import chain, iterated_fusion, lattice_to_json
-from trsys.serialize import dump
+from trsys.covers import enumerate_saturated_covers
+from trsys.lattice import boolean_cube, chain, iterated_fusion, lattice_to_json
+from trsys.serialize import cover_to_json, dump, system_to_json
+from trsys.transfer import enumerate_saturated_systems, enumerate_transfer_systems
 
 
 def run_cli(args, capsys):
@@ -56,6 +58,20 @@ def test_enumerate_saturated_json(capsys):
         obj = json.loads(line)
         assert set(obj) == {"lattice", "pairs"}
         assert set(obj["lattice"]) == {"n", "names", "leq_pairs"}
+
+
+@pytest.mark.parametrize("kind", ["transfer", "saturated", "covers"])
+def test_json_lines_are_the_dumps_of_the_library_dicts(capsys, kind):
+    lat = boolean_cube(3)
+    if kind == "transfer":
+        items, to_json = enumerate_transfer_systems(lat), system_to_json
+    elif kind == "saturated":
+        items, to_json = enumerate_saturated_systems(lat), system_to_json
+    else:
+        items, to_json = enumerate_saturated_covers(lat), cover_to_json
+    code, out, _ = run_cli(["enumerate", "--family", "cube", "--n", "3", "--kind", kind, "--format", "json"], capsys)
+    assert code == 0
+    assert out == "".join(json.dumps(to_json(item), sort_keys=True) + "\n" for item in items)
 
 
 def test_enumerate_interior_json_format(capsys):

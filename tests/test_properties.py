@@ -197,6 +197,36 @@ def test_dense_closure_equals_the_least_systems_above(lat, dual, data):
     assert closure_for(lat).close(bits, saturate=True) == least_saturated_above(least, tr=tr).bits
 
 
+@settings(max_examples=150, deadline=None)
+@given(relabelled(BASES), st.booleans(), st.data())
+def test_saturated_step_equals_the_saturated_closure(lat, dual, data):
+    # the search's include step from a saturated system: the closure of the
+    # system plus one pair, or None when that closure meets the exclusions
+    if dual:
+        lat = lat.dual()
+    closure = closure_for(lat)
+    inc = data.draw(st.sampled_from(bits(enumerate_saturated_systems(lat, guard=None))))
+    outside = [p for p in range(lat.n * lat.n) if closure.full >> p & 1 and not inc >> p & 1]
+    assume(outside)
+    k = data.draw(st.sampled_from(outside))
+    exc = sum(1 << p for p in data.draw(st.sets(st.sampled_from(outside))))
+    least = closure.close(inc | 1 << k, saturate=True)
+    assert closure.propagate_saturated(inc, exc, k) == (None if least & exc else least)
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabelled(BASES), st.booleans())
+@example(sub_cp_cp(3), False)
+def test_is_saturated_equals_the_triple_definition(lat, dual):
+    lat, tr, _ = systems_and_pairs(lat, dual)
+    triples = [
+        (x, y, z) for x in range(lat.n) for y in range(lat.n) for z in range(lat.n) if lat.leq[y, z]
+    ]
+    for r in tr:
+        two_of_three = all(r.contains(y, z) for x, y, z in triples if r.contains(x, y) and r.contains(x, z))
+        assert r.is_saturated() == two_of_three
+
+
 @settings(max_examples=100, deadline=None)
 @given(relabelled(BASES), st.booleans(), st.data())
 def test_generate_equals_the_meet_of_the_systems_above(lat, dual, data):

@@ -5,7 +5,7 @@ import pytest
 
 from trsys.counting import interior_only_count, minimal_fibrant_census
 from trsys.errors import AmbientMismatch, InvalidTransferSystem, SizeLimit
-from trsys.lattice import boolean_cube, chain, from_order, iterated_fusion, lattice_to_json, product, sub_cp_cp
+from trsys.lattice import Lattice, boolean_cube, chain, from_order, iterated_fusion, lattice_to_json, product, sub_cp_cp
 from trsys.oracles import (
     least_saturated_above,
     least_system_containing,
@@ -204,6 +204,13 @@ def test_parallel_enumeration_matches_sequential():
     assert seq == par
 
 
+def test_parallel_saturated_enumeration_matches_sequential_on_relabelled_cube():
+    perm = [5, 12, 0, 9, 3, 14, 7, 1, 10, 15, 2, 8, 13, 4, 11, 6]
+    lat = Lattice(boolean_cube(4).leq[np.ix_(perm, perm)])
+    seq = [s.bits for s in enumerate_saturated_systems(lat)]
+    assert [s.bits for s in enumerate_saturated_systems(lat, jobs=2)] == seq
+
+
 def test_tr_lattice_is_a_lattice():
     for lat in (chain(3), boolean_cube(2), iterated_fusion(chain(2), 3)):
         tr = enumerate_transfer_systems(lat)
@@ -295,6 +302,17 @@ def test_join_matches_enumerated_lub():
 def test_ambient_mismatch():
     with pytest.raises(AmbientMismatch):
         discrete_system(chain(2)).meet(discrete_system(chain(3)))
+
+
+def test_relations_hash_by_order_size_and_bits():
+    # equal orders on distinct lattice objects give equal, equally hashed
+    # relations; a different order with the same size and bits collides
+    # in the hash and compares unequal
+    a, b = generate(boolean_cube(2), [(0, 1)]), generate(boolean_cube(2), [(0, 1)])
+    assert a.lattice is not b.lattice
+    assert a == b and hash(a) == hash(b) and b in {a}
+    on_chain = TransferSystem(chain(3), a.bits)
+    assert hash(on_chain) == hash(a) and on_chain != a and on_chain not in {a}
 
 
 # -- saturation ------------------------------------------------------------------
