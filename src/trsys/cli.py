@@ -10,6 +10,7 @@ input, 3 size guard breached.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -257,7 +258,10 @@ def cmd_rank_two(args, parser):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The one parser of the process: a fresh parser per `main` call would
+    leave its argparse objects in reference cycles."""
     parser = argparse.ArgumentParser(prog="trsys", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

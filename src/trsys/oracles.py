@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from .errors import SizeLimit
 from .covers import SaturatedCover, find_cover_violation
 from .transfer import (
@@ -123,3 +125,15 @@ def least_saturated_above(system, tr=None):
     minima = [s for s in above if all(s.refines(t) for t in above)]
     assert len(minima) == 1, "the saturated systems above the input have no least member"
     return minima[0]
+
+
+def naive_hasse_edges(tr):
+    """Hasse edges of refinement on a TrLattice by the definition: i
+    strictly refines j and no system lies strictly between them, counted by
+    a float64 matmul of unpacked bits, whose counts stay exact."""
+    cells = tr.lattice.n ** 2
+    bits = np.array([[b >> k & 1 for k in range(cells)] for b in tr.bits], dtype=float).reshape(len(tr), cells)
+    # i refines j when no pair of i is missing from j
+    lt = (bits @ (1 - bits).T == 0) & ~np.eye(len(tr), dtype=bool)
+    between = lt.astype(float) @ lt.astype(float)
+    return [(int(i), int(j)) for i, j in np.argwhere(lt & (between == 0))]

@@ -1,8 +1,10 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
 
@@ -329,6 +331,18 @@ def test_json_family_round_trip(tmp_path, capsys):
     )
     assert code == 0
     assert len(out.strip().splitlines()) == 19
+
+
+def test_successive_main_calls_share_one_parser(capsys):
+    argv = ["enumerate", "--family", "chain", "--n", "2", "--kind", "transfer", "--format", "json"]
+    parse = argparse.ArgumentParser.parse_args
+    with mock.patch.object(argparse.ArgumentParser, "parse_args", autospec=True, side_effect=parse) as spy:
+        first = run_cli(argv, capsys)
+        second = run_cli(argv, capsys)
+    assert first == second and first[0] == 0
+    assert len(first[1].splitlines()) == 5
+    parsers = [call.args[0] for call in spy.call_args_list]
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
 
 
 def test_console_entry_point():

@@ -1,7 +1,8 @@
 """Property tests on relabelled small lattices: the searches and the dense
-closure against the naive oracles, the n-ary fusion against the pairwise
-fold, the fusion recursion against brute force and its deleted-extreme
-slices of Tr against the subset filter, the chi-fiber theorem, the chi
+closure against the naive oracles, the Hasse edges of Tr against their
+definition, the n-ary fusion against the pairwise fold, the fusion
+recursion against brute force and its deleted-extreme slices of Tr
+against the subset filter, the chi-fiber theorem, the chi
 image, the cover <-> saturated bijection, the dead-end-free interior
 search, exact JSON round-trips, the lattice tables against their
 definitions on the order matrix, malformed orders against their first
@@ -42,6 +43,7 @@ from trsys.oracles import (
     least_saturated_above,
     least_system_containing,
     naive_deleted_extreme_count,
+    naive_hasse_edges,
     naive_interior_operators,
     naive_saturated_covers,
     naive_saturated_systems,
@@ -85,6 +87,16 @@ def test_saturated_systems_equal_the_subset_filter(lat, dual):
     if dual:
         lat = lat.dual()
     assert bits(enumerate_saturated_systems(lat, guard=None)) == bits(naive_saturated_systems(lat))
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabelled(BASES), st.booleans())
+@example(sub_cp_cp(3), True)
+def test_tr_covers_are_the_exact_hasse_edges(lat, dual):
+    if dual:
+        lat = lat.dual()
+    tr = enumerate_transfer_systems(lat, guard=None)
+    assert tr.covers == naive_hasse_edges(tr)
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,6 +9,7 @@ from trsys.lattice import Lattice, boolean_cube, chain, from_order, iterated_fus
 from trsys.oracles import (
     least_saturated_above,
     least_system_containing,
+    naive_hasse_edges,
     naive_transfer_systems,
 )
 from trsys.serialize import system_from_json
@@ -234,10 +235,18 @@ def test_tr_lattice_wraps_systems_on_first_use():
     lat = boolean_cube(2)
     tr = enumerate_transfer_systems(lat)
     assert len(tr) == 10 and tr.leq(0, 9) and tr.meet_index(3, 9) == 3
-    assert tr._systems is None  # counting and order queries read `bits`
+    assert tr.join_index(1, 2) == 3 and tr.join_index(3, 5) == 6
+    assert len(tr.covers) == 13 and tr.hasse_lattice().n == 10
+    assert tr._systems is None  # counting, order queries and the Hasse edges read `bits`
     shuffled = TrLattice(lat, reversed(list(tr)))  # the public constructor sorts
     assert tr.bits == shuffled.bits == [s.bits for s in tr.systems]
     assert tr.covers == shuffled.covers
+
+
+def test_tr_covers_of_fewer_than_two_systems_are_empty():
+    lat = boolean_cube(2)
+    assert TrLattice(lat, []).covers == []
+    assert TrLattice(lat, [discrete_system(lat)]).covers == []
 
 
 @pytest.mark.parametrize(
@@ -245,27 +254,26 @@ def test_tr_lattice_wraps_systems_on_first_use():
     [
         boolean_cube(3),
         chain(5),
+        chain(6),
         sub_cp_cp(5),
         pytest.param(
             product(chain(2), chain(2)),
             marks=pytest.mark.xfail(
                 strict=True,
-                reason="TrLattice.covers counts paths with a uint8 matmul, which wraps "
-                "at 256: it reports 122 pairs of Tr([2]x[2]) with 256, 512 or 768 "
-                "systems strictly between them, such as (0, 426), as Hasse edges",
+                reason="TrLattice.covers casts each float32 tile of path counts to uint8, "
+                "which keeps the wrap at 256 of the earlier integer matmul: it reports "
+                "122 pairs of Tr([2]x[2]) with 256, 512 or 768 systems strictly between "
+                "them, such as (0, 426), as Hasse edges",
             ),
         ),
     ],
-    ids=["cube3", "chain5", "subcpcp5", "rect2x2"],
+    ids=["cube3", "chain5", "chain6", "subcpcp5", "rect2x2"],
 )
 def test_tr_covers_are_the_hasse_edges_of_refinement(lat):
+    # chain(5), chain(6) and cube(3) have 132, 429 and 450 systems, so their
+    # last 128 x 128 tiles of path counts are partial
     tr = enumerate_transfer_systems(lat, guard=None)
-    cells = lat.n * lat.n
-    bits = np.array([[s.bits >> k & 1 for k in range(cells)] for s in tr], dtype=float)
-    # i refines j when no pair of i is missing from j; float counts stay exact
-    lt = (bits @ (1 - bits).T == 0) & ~np.eye(len(tr), dtype=bool)
-    between = lt.astype(float) @ lt.astype(float)
-    assert tr.covers == sorted((int(i), int(j)) for i, j in np.argwhere(lt & (between == 0)))
+    assert tr.covers == naive_hasse_edges(tr)
 
 
 # -- meet / join ----------------------------------------------------------------
