@@ -112,6 +112,37 @@ def _lifted(args, **limits):
     return limits if args.unsafe_guard else {}
 
 
+def _items(kind, lat, args):
+    """The items of `kind` on `lat` from its one library call, whose size limit
+    --unsafe-guard lifts.  The interior-operator search ignores --jobs."""
+    if kind == "interior":
+        return enumerate_interior_operators(lat, **_lifted(args, max_elements=lat.n))
+    search = {
+        "transfer": enumerate_transfer_systems,
+        "saturated": enumerate_saturated_systems,
+        "covers": enumerate_saturated_covers,
+    }[kind]
+    return search(lat, jobs=args.jobs, **_lifted(args, guard=None))
+
+
+def _dots(items, kind, name):
+    """The DOT text of each system, or cover, of `items`, titled `{name}-{i:04d}`."""
+    to_dot = serialize.cover_to_dot if kind == "covers" else serialize.system_to_dot
+    return (to_dot(item, f"{name}-{i:04d}") for i, item in enumerate(items))
+
+
+def _write(path, text):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
+
+
+def _write_dots(out, stem, texts):
+    """Write the i-th of `texts` to `out/{stem}_{i:04d}.dot`; the paths."""
+    os.makedirs(out, exist_ok=True)
+    return [_write(os.path.join(out, f"{stem}_{i:04d}.dot"), text) for i, text in enumerate(texts)]
+
+
 def cmd_enumerate(args, parser):
     kind = args.kind
     if args.report is None and kind == "interior" and args.format == "dot":
@@ -119,43 +150,24 @@ def cmd_enumerate(args, parser):
     lat = _build_lattice(args, parser)
     if args.report == "fibers":
         return _print_fiber_report(lat, args)
-    if kind == "transfer":
-        items = list(enumerate_transfer_systems(lat, jobs=args.jobs, **_lifted(args, guard=None)))
-    elif kind == "saturated":
-        items = enumerate_saturated_systems(lat, jobs=args.jobs, **_lifted(args, guard=None))
-    elif kind == "covers":
-        items = enumerate_saturated_covers(lat, jobs=args.jobs, **_lifted(args, guard=None))
-    else:  # interior
-        items = enumerate_interior_operators(lat, **_lifted(args, max_elements=lat.n))
-
+    items = _items(kind, lat, args)
     if args.format == "table":
         for item in items:
-            if kind == "interior":
-                print(" ".join(map(str, item.image)))
-            else:
-                print(" ".join(f"{a}<{b}" for a, b in item.pairs()) or "(none)")
+            print(" ".join(map(str, item.image)) if kind == "interior" else serialize.pair_label(item))
     elif args.format == "json":
         sys.stdout.writelines(line + "\n" for line in serialize.json_lines(lat, items, kind))
     else:  # dot
-        if kind == "covers":
-            dots = (serialize.cover_to_dot(c, f"cover-{i:04d}") for i, c in enumerate(items))
-        else:
-            dots = (serialize.system_to_dot(s, f"{kind}-{i:04d}") for i, s in enumerate(items))
+        dots = _dots(items, kind, "cover" if kind == "covers" else kind)
         if args.out:
-            os.makedirs(args.out, exist_ok=True)
-            for i, text in enumerate(dots):
-                with open(os.path.join(args.out, f"{kind}_{i:04d}.dot"), "w", encoding="utf-8") as fh:
-                    fh.write(text)
+            _write_dots(args.out, kind, dots)
         else:
-            for text in dots:
-                print(text)
+            sys.stdout.writelines(text + "\n" for text in dots)
     print(f"{len(items)} items", file=sys.stderr)
     return 0
 
 
 def _print_fiber_report(lat, args):
-    tr = enumerate_transfer_systems(lat, jobs=args.jobs, **_lifted(args, guard=None))
-    fibers = fiber_decomposition(lat, tr=tr)
+    fibers = fiber_decomposition(lat, tr=_items("transfer", lat, args))
     if args.format == "json":
         for fiber in fibers:
             print(json.dumps(serialize.fiber_to_json(fiber), sort_keys=True))
@@ -163,8 +175,7 @@ def _print_fiber_report(lat, args):
         print(f"{'operator':<24} {'size':>4}  least / greatest")
         for fiber in fibers:
             op = ",".join(map(str, fiber.operator.image))
-            least = " ".join(f"{a}<{b}" for a, b in fiber.least.pairs()) or "(none)"
-            greatest = " ".join(f"{a}<{b}" for a, b in fiber.greatest.pairs()) or "(none)"
+            least, greatest = serialize.pair_label(fiber.least), serialize.pair_label(fiber.greatest)
             print(f"{op:<24} {len(fiber.members):>4}  {least} / {greatest}")
     print(f"{len(fibers)} fibers", file=sys.stderr)
     return 0
@@ -190,39 +201,14 @@ def cmd_verify(args, parser):
 def cmd_export(args, parser):
     lat = _build_lattice(args, parser)
     os.makedirs(args.out, exist_ok=True)
-    written = []
     if args.what == "hasse":
-        path = os.path.join(args.out, "hasse.dot")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(lattice_to_dot(lat))
-        written.append(path)
+        written = [_write(os.path.join(args.out, "hasse.dot"), lattice_to_dot(lat))]
     elif args.what == "tr-hasse":
-        tr = enumerate_transfer_systems(lat, jobs=args.jobs, **_lifted(args, guard=None))
-        lines = ['digraph "tr-hasse" {', "  rankdir=BT;", "  node [shape=box];"]
-        for i, system in enumerate(tr):
-            label = " ".join(f"{a}<{b}" for a, b in system.pairs()) or "discrete"
-            lines.append(f'  t{i} [label="{label}"];')
-        for i, j in tr.covers:
-            lines.append(f"  t{i} -> t{j};")
-        lines.append("}")
-        path = os.path.join(args.out, "tr_hasse.dot")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        written.append(path)
-    elif args.what == "systems":
-        tr = enumerate_transfer_systems(lat, jobs=args.jobs, **_lifted(args, guard=None))
-        for i, system in enumerate(tr):
-            path = os.path.join(args.out, f"system_{i:04d}.dot")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(serialize.system_to_dot(system, f"system-{i:04d}"))
-            written.append(path)
-    else:  # covers
-        covers = enumerate_saturated_covers(lat, jobs=args.jobs, **_lifted(args, guard=None))
-        for i, cover in enumerate(covers):
-            path = os.path.join(args.out, f"cover_{i:04d}.dot")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(serialize.cover_to_dot(cover, f"cover-{i:04d}"))
-            written.append(path)
+        tr_hasse = serialize.tr_hasse_to_dot(_items("transfer", lat, args))
+        written = [_write(os.path.join(args.out, "tr_hasse.dot"), tr_hasse)]
+    else:  # one file per system or per cover
+        kind, name = ("transfer", "system") if args.what == "systems" else ("covers", "cover")
+        written = _write_dots(args.out, name, _dots(_items(kind, lat, args), kind, name))
     for path in written:
         print(path)
     return 0

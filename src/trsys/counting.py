@@ -52,19 +52,19 @@ class FusionCountBreakdown:
         )
 
 
-def minimal_fibrant_census(lat, tr=None, guard=26):
+def minimal_fibrant_census(lat, tr=None):
     """Map: element a -> number of transfer systems with minimal fibrant a."""
     if tr is None:
-        tr = enumerate_transfer_systems(lat, guard=guard)
+        tr = enumerate_transfer_systems(lat)
     census = {a: 0 for a in range(lat.n)}
     for system in tr:
         census[system.minimal_fibrant()] += 1
     return census
 
 
-def tr_minimal_fibrant_count(lat, a, tr=None, guard=26):
+def tr_minimal_fibrant_count(lat, a, tr=None):
     """|Tr_a(P)|: transfer systems whose minimal fibrant is the element a."""
-    return minimal_fibrant_census(lat, tr=tr, guard=guard)[a]
+    return minimal_fibrant_census(lat, tr=tr)[a]
 
 
 def interior_only_count(lat, tr):

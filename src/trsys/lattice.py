@@ -24,6 +24,11 @@ from .errors import (
 )
 
 
+MAX_CUBE_DIMENSION = 20  # the size guards of boolean_cube, product and canonical_form
+MAX_PRODUCT_ELEMENTS = 4096
+MAX_CANONICAL_PERMUTATIONS = 5_000_000
+
+
 def _bits(mask):
     """The positions of the set bits of `mask`, in increasing order."""
     while mask:
@@ -239,10 +244,10 @@ def chain(m):
     return Lattice(leq)
 
 
-def boolean_cube(k, max_k=20):
+def boolean_cube(k):
     """Subsets of a k-set ordered by inclusion, as bitmask elements."""
-    if k > max_k:
-        raise SizeLimit(f"boolean_cube({k}) exceeds guard {max_k}")
+    if k > MAX_CUBE_DIMENSION:
+        raise SizeLimit(f"boolean_cube({k}) exceeds guard {MAX_CUBE_DIMENSION}")
     n = 1 << k
     idx = np.arange(n)
     leq = (idx[:, None] & ~idx[None, :]) == 0
@@ -250,10 +255,10 @@ def boolean_cube(k, max_k=20):
     return Lattice(leq, names=names)
 
 
-def product(p, q, max_n=4096):
+def product(p, q):
     """Componentwise-ordered product; element (i, j) has index i*q.n + j."""
-    if p.n * q.n > max_n:
-        raise SizeLimit(f"product would have {p.n * q.n} elements (guard {max_n})")
+    if p.n * q.n > MAX_PRODUCT_ELEMENTS:
+        raise SizeLimit(f"product would have {p.n * q.n} elements (guard {MAX_PRODUCT_ELEMENTS})")
     leq = np.kron(p.leq, q.leq)
     names = [f"({a},{b})" for a in p.names for b in q.names]
     return Lattice(leq, names=names)
@@ -315,7 +320,7 @@ def _is_prime(p):
 # -- canonical forms and isomorphism ----------------------------------------
 
 
-def canonical_form(lat, max_perms=5_000_000):
+def canonical_form(lat):
     """Isomorphism-invariant key: lexicographically minimal order matrix.
 
     Elements are first partitioned by iterated structural invariants
@@ -331,8 +336,8 @@ def canonical_form(lat, max_perms=5_000_000):
     total = 1
     for g in ordered:
         total *= math.factorial(len(g))
-        if total > max_perms:
-            raise SizeLimit(f"canonical form needs {total}+ permutations (guard {max_perms})")
+        if total > MAX_CANONICAL_PERMUTATIONS:
+            raise SizeLimit(f"canonical form needs {total}+ permutations (guard {MAX_CANONICAL_PERMUTATIONS})")
     leq = lat.leq
     best = None
     for perm_parts in itertools.product(*(itertools.permutations(g) for g in ordered)):
@@ -387,10 +392,8 @@ def _compress(signatures):
     return [order[s] for s in signatures]
 
 
-def is_isomorphic(p, q, max_perms=5_000_000):
-    if p.n != q.n or len(p.covers) != len(q.covers):
-        return False
-    return canonical_form(p, max_perms) == canonical_form(q, max_perms)
+def is_isomorphic(p, q):
+    return p.n == q.n and len(p.covers) == len(q.covers) and canonical_form(p) == canonical_form(q)
 
 
 def all_lattices(n):
@@ -438,12 +441,17 @@ def lattice_from_json(obj):
     return from_order(obj["n"], [tuple(p) for p in obj["leq_pairs"]], names=obj.get("names"))
 
 
-def lattice_to_dot(lat, title="lattice"):
-    """Hasse diagram (covers only), drawn bottom-up."""
-    lines = [f'digraph "{title}" {{', "  rankdir=BT;", "  node [shape=circle];"]
-    for x in range(lat.n):
-        lines.append(f'  v{x} [label="{lat.names[x]}"];')
-    for x, y in lat.covers:
-        lines.append(f"  v{x} -> v{y};")
+def dot_digraph(title, node_style, labels, edges, prefix="v"):
+    """A DOT digraph drawn bottom-up, the one builder of every DOT text: node
+    `{prefix}{i}` carries the i-th of `labels`, and each (x, y, style) of
+    `edges` runs from node x to node y, with the attributes `style`, if any."""
+    lines = [f'digraph "{title}" {{', "  rankdir=BT;", f"  node [{node_style}];"]
+    lines += (f'  {prefix}{i} [label="{label}"];' for i, label in enumerate(labels))
+    lines += (f"  {prefix}{x} -> {prefix}{y}{f' [{style}]' if style else ''};" for x, y, style in edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def lattice_to_dot(lat, title="lattice"):
+    """Hasse diagram (covers only), drawn bottom-up."""
+    return dot_digraph(title, "shape=circle", lat.names, ((x, y, "") for x, y in lat.covers))

@@ -19,6 +19,10 @@ from .transfer import (
 )
 
 
+MAX_SUBSET_PAIRS = 12  # the subset filters' guards on the free pairs and cover edges
+MAX_SUBSET_EDGES = 14
+
+
 def _subsets(free, base=0):
     """`base` with every subset of the bit positions `free` added."""
     for picks in itertools.product((0, 1), repeat=len(free)):
@@ -29,18 +33,18 @@ def _subsets(free, base=0):
         yield bits
 
 
-def naive_transfer_systems(lat, max_pairs=12):
+def naive_transfer_systems(lat):
     """Every subset of non-reflexive pairs that is a transfer system."""
     n = lat.n
     free = [x * n + y for x in range(n) for y in range(n) if x != y and lat.leq[x, y]]
-    if len(free) > max_pairs:
+    if len(free) > MAX_SUBSET_PAIRS:
         raise SizeLimit(f"{len(free)} free pairs is too many for the subset filter")
     diag = sum(1 << x * (n + 1) for x in range(n))
     out = sorted(b for b in _subsets(free, diag) if find_violation(lat, b) is None)
     return [TransferSystem._wrap(lat, b) for b in out]
 
 
-def naive_deleted_extreme_count(lat, drop_bottom=False, drop_top=False, max_pairs=12):
+def naive_deleted_extreme_count(lat, drop_bottom=False, drop_top=False):
     """Number of transfer relations on the lattice minus the chosen
     extremes: every subset of the induced order's non-reflexive pairs that
     is transitive and closed under restriction.  Restriction applies only
@@ -49,7 +53,7 @@ def naive_deleted_extreme_count(lat, drop_bottom=False, drop_top=False, max_pair
     n, meet = lat.n, lat.meet
     keep = [x for x in range(n) if not (drop_bottom and x == lat.bottom or drop_top and x == lat.top)]
     free = [x * n + y for x in keep for y in keep if x != y and lat.leq[x, y]]
-    if len(free) > max_pairs:
+    if len(free) > MAX_SUBSET_PAIRS:
         raise SizeLimit(f"{len(free)} free pairs is too many for the subset filter")
 
     def is_transfer(bits):
@@ -67,16 +71,16 @@ def naive_deleted_extreme_count(lat, drop_bottom=False, drop_top=False, max_pair
     return sum(1 for bits in _subsets(free, diag) if is_transfer(bits))
 
 
-def naive_saturated_systems(lat, max_pairs=12):
+def naive_saturated_systems(lat):
     """Subset filter for saturated transfer systems (direct 2-of-3 check)."""
-    return [s for s in naive_transfer_systems(lat, max_pairs) if s.is_saturated()]
+    return [s for s in naive_transfer_systems(lat) if s.is_saturated()]
 
 
-def naive_saturated_covers(lat, max_edges=14):
+def naive_saturated_covers(lat):
     """Every subset of cover edges satisfying both matchstick rules."""
     n = lat.n
     free = [x * n + y for x, y in lat.covers]
-    if len(free) > max_edges:
+    if len(free) > MAX_SUBSET_EDGES:
         raise SizeLimit(f"{len(free)} cover edges is too many for the subset filter")
     out = sorted(b for b in _subsets(free) if find_cover_violation(lat, b) is None)
     return [SaturatedCover._wrap(lat, b) for b in out]

@@ -3,13 +3,14 @@
 Transfer-system diagrams draw every non-reflexive relation with upward
 (unmarked) edges, not just the covering ones; saturated-cover diagrams
 draw the chosen cover edges in bold over the gray Hasse background.
+Every DOT text comes from `lattice.dot_digraph`.
 """
 from __future__ import annotations
 
 import json
 
 from .covers import SaturatedCover
-from .lattice import lattice_from_json, lattice_to_json
+from .lattice import dot_digraph, lattice_from_json, lattice_to_json
 from .transfer import TransferSystem
 
 
@@ -62,32 +63,30 @@ def fiber_to_json(fiber):
     }
 
 
+def pair_label(system, empty="(none)"):
+    """The non-reflexive pairs of `system` as "a<b a<c ...", or `empty`."""
+    return " ".join(f"{a}<{b}" for a, b in system.pairs()) or empty
+
+
 def system_to_dot(system, title="transfer-system"):
     """All non-reflexive relations as upward edges."""
-    lat = system.lattice
-    lines = [f'digraph "{title}" {{', "  rankdir=BT;", "  node [shape=circle];"]
-    for x in range(lat.n):
-        lines.append(f'  v{x} [label="{lat.names[x]}"];')
-    for x, y in system.pairs():
-        lines.append(f"  v{x} -> v{y} [arrowhead=none];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    edges = ((x, y, "arrowhead=none") for x, y in system.pairs())
+    return dot_digraph(title, "shape=circle", system.lattice.names, edges)
 
 
 def cover_to_dot(cover, title="saturated-cover"):
     """Chosen cover edges bold over the gray Hasse diagram."""
-    lat = cover.lattice
     chosen = set(cover.edges())
-    lines = [f'digraph "{title}" {{', "  rankdir=BT;", "  node [shape=circle, color=gray];"]
-    for x in range(lat.n):
-        lines.append(f'  v{x} [label="{lat.names[x]}"];')
-    for x, y in lat.covers:
-        if (x, y) in chosen:
-            lines.append(f"  v{x} -> v{y} [arrowhead=none, penwidth=3];")
-        else:
-            lines.append(f"  v{x} -> v{y} [arrowhead=none, color=gray];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    edges = ((x, y, "arrowhead=none, " + ("penwidth=3" if (x, y) in chosen else "color=gray"))
+             for x, y in cover.lattice.covers)
+    return dot_digraph(title, "shape=circle, color=gray", cover.lattice.names, edges)
+
+
+def tr_hasse_to_dot(tr, title="tr-hasse"):
+    """The Hasse diagram of the refinement order on the TrLattice `tr`, one
+    box per system, labelled by its pairs."""
+    labels = (pair_label(system, "discrete") for system in tr)
+    return dot_digraph(title, "shape=box", labels, ((i, j, "") for i, j in tr.covers), prefix="t")
 
 
 def dump(obj, path):

@@ -11,8 +11,8 @@ import pytest
 from trsys import cli
 from trsys.cli import main
 from trsys.covers import enumerate_saturated_covers
-from trsys.lattice import boolean_cube, chain, iterated_fusion, lattice_to_json
-from trsys.serialize import cover_to_json, dump, system_to_json
+from trsys.lattice import boolean_cube, chain, iterated_fusion, lattice_to_dot, lattice_to_json
+from trsys.serialize import cover_to_dot, cover_to_json, dump, system_to_dot, system_to_json
 from trsys.transfer import enumerate_saturated_systems, enumerate_transfer_systems
 
 
@@ -230,16 +230,33 @@ def test_verify_unknown_check(capsys):
     assert info.value.code == 2
 
 
+TR_HASSE_CHAIN2 = """\
+digraph "tr-hasse" {
+  rankdir=BT;
+  node [shape=box];
+  t0 [label="discrete"];
+  t1 [label="0<1"];
+  t2 [label="0<1 0<2"];
+  t3 [label="1<2"];
+  t4 [label="0<1 0<2 1<2"];
+  t0 -> t1;
+  t0 -> t3;
+  t1 -> t2;
+  t2 -> t4;
+  t3 -> t4;
+}
+"""
+
+
 def test_export_tr_hasse(tmp_path, capsys):
     code, out, err = run_cli(
         ["export", "--family", "chain", "--n", "2", "--what", "tr-hasse",
          "--out", str(tmp_path)],
         capsys,
     )
-    assert code == 0
-    text = (tmp_path / "tr_hasse.dot").read_text()
-    assert text.count(" -> ") == 5  # the pentagon
-    assert text.count("[label=") == 5
+    assert (code, out, err) == (0, f"{tmp_path / 'tr_hasse.dot'}\n", "")
+    # the pentagon: 5 systems and 5 edges, the empty label drawn as "discrete"
+    assert (tmp_path / "tr_hasse.dot").read_text() == TR_HASSE_CHAIN2
 
 
 def test_export_systems_draw_all_relations(tmp_path, capsys):
@@ -257,16 +274,23 @@ def test_export_systems_draw_all_relations(tmp_path, capsys):
 
 
 def test_export_covers(tmp_path, capsys):
+    exported, enumerated = tmp_path / "export", tmp_path / "enumerate"
     code, out, err = run_cli(
         ["export", "--family", "fuse2", "--n", "3", "--what", "covers",
-         "--out", str(tmp_path)],
+         "--out", str(exported)],
         capsys,
     )
     assert code == 0
-    files = sorted(os.listdir(tmp_path))
+    files = sorted(os.listdir(exported))
     assert len(files) == 12
-    text = (tmp_path / files[0]).read_text()
+    text = (exported / files[0]).read_text()
     assert "color=gray" in text
+    # enumerate writes the same bytes, under the stem covers_ for cover_
+    argv = ["enumerate", "--family", "fuse2", "--n", "3", "--kind", "covers", "--format", "dot", "--out", str(enumerated)]
+    assert run_cli(argv, capsys)[0] == 0
+    assert sorted(os.listdir(enumerated)) == ["covers_" + name.removeprefix("cover_") for name in files]
+    for name in files:
+        assert (exported / name).read_bytes() == (enumerated / ("covers_" + name.removeprefix("cover_"))).read_bytes()
 
 
 def test_export_covers_passes_jobs_on(tmp_path, capsys, monkeypatch):
@@ -285,6 +309,53 @@ def test_export_covers_passes_jobs_on(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert [kwargs.get("jobs") for kwargs in calls] == [2]
     assert len(os.listdir(tmp_path)) == 12
+
+
+def test_export_hasse(tmp_path, capsys):
+    code, out, err = run_cli(
+        ["export", "--family", "cube", "--n", "3", "--what", "hasse", "--out", str(tmp_path)], capsys
+    )
+    assert (code, out, err) == (0, f"{tmp_path / 'hasse.dot'}\n", "")
+    assert os.listdir(tmp_path) == ["hasse.dot"]
+    assert (tmp_path / "hasse.dot").read_text() == lattice_to_dot(boolean_cube(3))
+
+
+@pytest.mark.parametrize("kind", ["transfer", "saturated", "covers"])
+def test_enumerate_dot_to_stdout(capsys, kind):
+    lat = chain(2)
+    if kind == "covers":
+        items = enumerate_saturated_covers(lat)
+        texts = [cover_to_dot(c, f"cover-{i:04d}") for i, c in enumerate(items)]
+    else:
+        enumerate_ = enumerate_transfer_systems if kind == "transfer" else enumerate_saturated_systems
+        items = enumerate_(lat)
+        texts = [system_to_dot(s, f"{kind}-{i:04d}") for i, s in enumerate(items)]
+    code, out, err = run_cli(["enumerate", "--family", "chain", "--n", "2", "--kind", kind, "--format", "dot"], capsys)
+    assert (code, err) == (0, f"{len(items)} items\n")
+    assert out == "".join(text + "\n" for text in texts)
+
+
+@pytest.mark.parametrize("kind,count,title", [("transfer", 5, "transfer"), ("saturated", 4, "saturated"), ("covers", 4, "cover")])
+def test_enumerate_dot_out_writes_one_file_per_item(tmp_path, capsys, kind, count, title):
+    code, out, err = run_cli(
+        ["enumerate", "--family", "chain", "--n", "2", "--kind", kind, "--format", "dot", "--out", str(tmp_path)],
+        capsys,
+    )
+    assert (code, out, err) == (0, "", f"{count} items\n")
+    names = [f"{kind}_{i:04d}.dot" for i in range(count)]
+    assert sorted(os.listdir(tmp_path)) == names
+    for i, name in enumerate(names):
+        assert (tmp_path / name).read_text().startswith(f'digraph "{title}-{i:04d}" {{\n')
+
+
+def test_verify_verbose_prints_every_line(capsys):
+    code, out, err = run_cli(["verify", "--check", "catalan", "--verbose"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "PASS catalan" and lines[-1] == "1/1 checks passed"
+    assert lines[1:-1] == [f"  pass |Tr([{n}])| = {c} (want {c})" for n, c in enumerate([1, 2, 5, 14, 42, 132])]
+    _, quiet, _ = run_cli(["verify", "--check", "catalan"], capsys)
+    assert quiet.splitlines() == [lines[0], lines[-1]]
 
 
 def test_fusion_count_command(tmp_path, capsys):
