@@ -125,9 +125,9 @@ def _items(kind, lat, args):
     return search(lat, jobs=args.jobs, **_lifted(args, guard=None))
 
 
-def _dots(items, kind, name):
-    """The DOT text of each system, or cover, of `items`, titled `{name}-{i:04d}`."""
-    to_dot = serialize.cover_to_dot if kind == "covers" else serialize.system_to_dot
+def _dots(items, name):
+    """The DOT text of each of `items`, titled `{name}-{i:04d}`: covers if `name` is "cover"."""
+    to_dot = serialize.cover_to_dot if name == "cover" else serialize.system_to_dot
     return (to_dot(item, f"{name}-{i:04d}") for i, item in enumerate(items))
 
 
@@ -139,7 +139,6 @@ def _write(path, text):
 
 def _write_dots(out, stem, texts):
     """Write the i-th of `texts` to `out/{stem}_{i:04d}.dot`; the paths."""
-    os.makedirs(out, exist_ok=True)
     return [_write(os.path.join(out, f"{stem}_{i:04d}.dot"), text) for i, text in enumerate(texts)]
 
 
@@ -157,8 +156,9 @@ def cmd_enumerate(args, parser):
     elif args.format == "json":
         sys.stdout.writelines(line + "\n" for line in serialize.json_lines(lat, items, kind))
     else:  # dot
-        dots = _dots(items, kind, "cover" if kind == "covers" else kind)
+        dots = _dots(items, "cover" if kind == "covers" else kind)
         if args.out:
+            os.makedirs(args.out, exist_ok=True)
             _write_dots(args.out, kind, dots)
         else:
             sys.stdout.writelines(text + "\n" for text in dots)
@@ -208,7 +208,7 @@ def cmd_export(args, parser):
         written = [_write(os.path.join(args.out, "tr_hasse.dot"), tr_hasse)]
     else:  # one file per system or per cover
         kind, name = ("transfer", "system") if args.what == "systems" else ("covers", "cover")
-        written = _write_dots(args.out, name, _dots(_items(kind, lat, args), kind, name))
+        written = _write_dots(args.out, name, _dots(_items(kind, lat, args), name))
     for path in written:
         print(path)
     return 0

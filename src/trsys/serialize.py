@@ -82,11 +82,11 @@ def cover_to_dot(cover, title="saturated-cover"):
     return dot_digraph(title, "shape=circle, color=gray", cover.lattice.names, edges)
 
 
-def tr_hasse_to_dot(tr, title="tr-hasse"):
+def tr_hasse_to_dot(tr):
     """The Hasse diagram of the refinement order on the TrLattice `tr`, one
     box per system, labelled by its pairs."""
     labels = (pair_label(system, "discrete") for system in tr)
-    return dot_digraph(title, "shape=box", labels, ((i, j, "") for i, j in tr.covers), prefix="t")
+    return dot_digraph("tr-hasse", "shape=box", labels, ((i, j, "") for i, j in tr.covers), prefix="t")
 
 
 def dump(obj, path):
