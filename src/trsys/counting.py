@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .errors import NotPrime
 from .lattice import Lattice, chain, iterated_fusion, _is_prime
+from .search import MAX_LEAVES
 from .transfer import TrLattice, enumerate_transfer_systems
 
 
@@ -84,7 +85,7 @@ def interior_only_count(lat, tr):
     return sum(1 for b in tr.bits if b & column == alone and b & below_top == below_top)
 
 
-def count_tr_fusion(p, q, guard=26):
+def count_tr_fusion(p, q, guard=MAX_LEAVES):
     """The four-term count of |Tr(P * Q)|, read off one enumeration of
     Tr(P) and one of Tr(Q).
 
@@ -179,7 +180,7 @@ class BMTDecomposition:
     top_cube: dict
 
 
-def bmt_decompose(n, guard=26):
+def bmt_decompose(n, guard=MAX_LEAVES):
     """Sort Tr([2]^{*n}) into the bottom cube, the middle and the top cube
     in one pass over the bits.
 

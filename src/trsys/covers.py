@@ -17,12 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import search
-from .errors import (
-    InvalidCover,
-    NotModular,
-    NotSaturated,
-    SizeLimit,
-)
+from .errors import InvalidCover, NotModular, NotSaturated
 from .lattice import _bits
 from .transfer import TransferSystem, _Relation, closure_for
 
@@ -188,7 +183,7 @@ class _CoverRules:
         return inc
 
 
-def enumerate_saturated_covers(lat, guard=64, jobs=1):
+def enumerate_saturated_covers(lat, guard=search.MAX_LEAVES, jobs=1):
     """All saturated covers, by backtracking over cover edges.
 
     Rule (1) propagates along precomputed implication masks; rule (2)
@@ -204,12 +199,10 @@ def enumerate_saturated_covers(lat, guard=64, jobs=1):
     """
     if not lat.is_modular():
         raise NotModular("saturated covers are defined on modular lattices")
-    if guard is not None and len(lat.covers) > guard:
-        raise SizeLimit(f"{len(lat.covers)} cover edges exceed guard {guard}")
     rules = _CoverRules(lat)
     n, height = lat.n, lat.height
     order = sorted(_bits(_cover_mask(lat)), key=lambda p: (-height[p // n], p))
-    out = search.leaves(order, 0, rules.propagate, jobs=jobs)
+    out = search.leaves(order, 0, rules.propagate, jobs=jobs, guard=guard)
     return [SaturatedCover._wrap(lat, b) for b in out]
 
 

@@ -10,34 +10,45 @@ whose exclusion branch is dead.
 """
 from __future__ import annotations
 
+import sys
 from collections import deque
 from itertools import repeat
 
+from .errors import SizeLimit
 
-def leaves(order, root, propagate, jobs=1):
+MAX_LEAVES = 250_000  # the default guard of the Tr, saturated and cover searches
+
+
+def leaves(order, root, propagate, jobs=1, guard=None):
     """The `inc` of every leaf below the closed set `root`, sorted; none
-    repeats.  With jobs > 1 the tree is opened breadth-first until four
-    states per worker are open, and their subtrees run in worker processes.
+    repeats, and more than `guard` raise SizeLimit.  With jobs > 1 the tree
+    is opened breadth-first until four states per worker are open, and their
+    subtrees run in worker processes; their leaves count against one guard.
     """
+    limit = sys.maxsize if guard is None else guard  # no list holds more
     states = deque([(0, root, 0)])
-    out = _walk(order, states, propagate, width=4 * jobs if jobs > 1 else 0)
+    out = _walk(order, states, propagate, limit, width=4 * jobs if jobs > 1 else 0)
     if states:
         # imported here, so that a serial start skips the pool's ~20 ms of imports
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             subtrees = ([state] for state in states)
-            for chunk in pool.map(_walk, repeat(order), subtrees, repeat(propagate)):
+            # a worker's SizeLimit cancels the pending subtrees inside map
+            for chunk in pool.map(_walk, repeat(order), subtrees, repeat(propagate), repeat(limit)):
                 out.extend(chunk)
+                if len(out) > limit:
+                    pool.shutdown(cancel_futures=True)
+                    raise SizeLimit(f"the search passed its guard of {guard} leaves")
     out.sort()
     return out
 
 
-def _walk(order, states, propagate, width=0):
-    """The leaves below `states`.  A popped state runs down its exclusion
-    spine to a leaf, pushing each include child that survives propagation.
-    With `width`, the oldest state is popped first and the walk stops once
-    `width` states are open, leaving them in `states`."""
+def _walk(order, states, propagate, limit, width=0):
+    """The leaves below `states`, at most `limit`.  A popped state runs down
+    its exclusion spine to a leaf, pushing each include child that survives
+    propagation.  With `width`, the oldest state is popped first and the
+    walk stops once `width` states are open, leaving them in `states`."""
     out = []
     n = len(order)
     masks = [1 << k for k in order]
@@ -53,6 +64,8 @@ def _walk(order, states, propagate, width=0):
                 i += 1
             if i == n:
                 out.append(inc)
+                if len(out) > limit:
+                    raise SizeLimit(f"the search passed its guard of {limit} leaves")
                 break
             k = order[i]
             i += 1

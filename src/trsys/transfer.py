@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import search
-from .errors import AmbientMismatch, InvalidTransferSystem, SizeLimit
+from .errors import AmbientMismatch, InvalidTransferSystem
 from .lattice import _bits, from_order
 
 
@@ -104,8 +104,8 @@ class _DenseClosure:
         )
         self.steps = None  # built by the first search: closing alone never needs them
 
-    def transfer_systems(self, jobs=1, saturate=False):
-        """Every transfer system, or every saturated one, sorted."""
+    def transfer_systems(self, jobs=1, saturate=False, guard=None):
+        """Every transfer system, or every saturated one, sorted; at most `guard`."""
         if self.steps is None:
             # per position p of a pair: the mask of p and its restrictions,
             # which the closure must contain, and for each of them
@@ -118,7 +118,7 @@ class _DenseClosure:
                 updates = tuple((t // n, t % n * n, 1 << t) for t in targets)
                 self.steps[pos] = (forced, updates)
         propagate = self.propagate_saturated if saturate else self.propagate
-        return search.leaves(self.order, self.diag, propagate, jobs=jobs)
+        return search.leaves(self.order, self.diag, propagate, jobs=jobs, guard=guard)
 
     def propagate(self, inc, exc, k):
         forced, updates = self.steps[k]
@@ -503,7 +503,7 @@ class TrLattice:
         return self.systems[0]
 
 
-def enumerate_transfer_systems(lat, guard=26, jobs=1):
+def enumerate_transfer_systems(lat, guard=search.MAX_LEAVES, jobs=1):
     """All transfer systems on `lat`, as a TrLattice.
 
     Backtracks over undecided non-reflexive pairs in decreasing height-gap
@@ -513,22 +513,14 @@ def enumerate_transfer_systems(lat, guard=26, jobs=1):
     n x n bit matrix, one multiplication per added pair; with jobs > 1 the
     search is split across worker processes, with the same output.
     """
-    _check_guard(lat, guard)
-    return TrLattice._from_sorted_bits(lat, closure_for(lat).transfer_systems(jobs))
+    return TrLattice._from_sorted_bits(lat, closure_for(lat).transfer_systems(jobs, guard=guard))
 
 
-def enumerate_saturated_systems(lat, guard=80, jobs=1):
+def enumerate_saturated_systems(lat, guard=search.MAX_LEAVES, jobs=1):
     """All saturated transfer systems, enumerated directly.
 
     Uses the same search with the two-out-of-three rule added to the
     propagation, so the count is independent of full Tr enumeration.
     """
-    _check_guard(lat, guard)
-    bits = closure_for(lat).transfer_systems(jobs, saturate=True)
+    bits = closure_for(lat).transfer_systems(jobs, saturate=True, guard=guard)
     return [TransferSystem._wrap(lat, b) for b in bits]
-
-
-def _check_guard(lat, guard):
-    pairs = len(closure_for(lat).order)
-    if guard is not None and pairs > guard:
-        raise SizeLimit(f"{pairs} non-reflexive pairs exceed the enumeration guard {guard}")
