@@ -32,20 +32,31 @@ from .lattice import (
 from .transfer import enumerate_saturated_systems, enumerate_transfer_systems
 from .verify import ALL_CHECKS, run_checks
 
-# The largest lattice JSON read without --unsafe-guard.  Loading closes the
-# order with n numpy outer products and packs each element's up-set and
-# down-set into an int.  The order checks and the covers then OR one n-bit
-# row per comparable pair, and the meet and join tables look up the AND of
-# two rows in a dict for each of the n^2 pairs, most of the cost.  On 2 CPUs
-# with Python 3.11, 1,024 elements load in about 0.7 s (cube(10)) or are
-# refused as unbounded in about 0.2 s (an antichain).
-MAX_JSON_ELEMENTS = 1024
+# The largest lattice built or read without --unsafe-guard, checked before
+# any array is built.  A lattice packs each element's up-set and down-set
+# into an int.  The order checks and the covers then OR one n-bit row per
+# comparable pair, and the meet and join tables look up the AND of two rows
+# in a dict for each of the n^2 pairs, most of the cost; a lattice JSON is
+# first closed with n numpy outer products.  On 2 CPUs with Python 3.11,
+# 1,024 elements load in about 0.7 s (cube(10)) or are refused as unbounded
+# in about 0.2 s (an antichain).
+MAX_ELEMENTS = 1024
+
+# family: its size arguments, its element count from them and its builder.
+# The cube's count is clamped, so that a huge --n is not raised to a power.
+_FAMILIES = {
+    "chain": (("n",), lambda n: n + 1, chain),
+    "cube": (("n",), lambda n: 2 ** min(n, 64), boolean_cube),
+    "rect": (("m", "n"), lambda m, n: (m + 1) * (n + 1), lambda m, n: product(chain(m), chain(n))),
+    "fuse2": (("n",), lambda n: n + 2, lambda n: iterated_fusion(chain(2), n)),
+    "subcpcp": (("p",), lambda p: p + 3, sub_cp_cp),
+}
 
 
 def _add_lattice_args(parser):
     parser.add_argument(
         "--family",
-        choices=["chain", "cube", "rect", "fuse2", "subcpcp", "json"],
+        choices=[*_FAMILIES, "json"],
         required=True,
         help="builtin lattice family, or 'json' to load one",
     )
@@ -68,33 +79,25 @@ def _build_lattice(args, parser):
     _require_nonnegative(args, "n", "m")
     if args.jobs < 1:
         raise InvalidInput(f"--jobs must be at least 1, got {args.jobs}")
-    fam = args.family
-    if fam == "chain":
-        _require(parser, args.n is not None, "--family chain needs --n")
-        return chain(args.n)
-    if fam == "cube":
-        _require(parser, args.n is not None, "--family cube needs --n")
-        return boolean_cube(args.n)
-    if fam == "rect":
-        _require(parser, args.m is not None and args.n is not None, "--family rect needs --m and --n")
-        return product(chain(args.m), chain(args.n))
-    if fam == "fuse2":
-        _require(parser, args.n is not None, "--family fuse2 needs --n")
-        return iterated_fusion(chain(2), args.n)
-    if fam == "subcpcp":
-        _require(parser, args.p is not None, "--family subcpcp needs --p")
-        return sub_cp_cp(args.p)
-    _require(parser, args.json_path is not None, "--family json needs --json PATH")
-    return _read_lattice(args.json_path, args.unsafe_guard)
+    if args.family == "json":
+        _require(parser, args.json_path is not None, "--family json needs --json PATH")
+        return _read_lattice(args.json_path, args.unsafe_guard)
+    names, size, build = _FAMILIES[args.family]
+    values = [getattr(args, name) for name in names]
+    needs = " and ".join(f"--{name}" for name in names)
+    _require(parser, None not in values, f"--family {args.family} needs {needs}")
+    if size(*values) > MAX_ELEMENTS and not args.unsafe_guard:
+        raise SizeLimit(f"--family {args.family} would have more than {MAX_ELEMENTS} elements, the lattice guard")
+    return build(*values)
 
 
 def _read_lattice(path, unsafe_guard):
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-        if obj["n"] > MAX_JSON_ELEMENTS and not unsafe_guard:
+        if obj["n"] > MAX_ELEMENTS and not unsafe_guard:
             # refused before any array is built
-            raise SizeLimit(f"{obj['n']} elements exceed the lattice JSON guard {MAX_JSON_ELEMENTS}")
+            raise SizeLimit(f"{obj['n']} elements exceed the lattice JSON guard {MAX_ELEMENTS}")
         return lattice_from_json(obj)
     except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
         # no readable file, invalid JSON, or not an {"n", "leq_pairs"} object of ints

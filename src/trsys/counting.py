@@ -104,7 +104,8 @@ def count_tr_fusion(p, q, guard=MAX_LEAVES):
       top alone and bottom R y for every y != top, by both bijections.
 
     Totals agree with direct enumeration of the fusion whenever that is
-    feasible (checked in the test suite).
+    feasible (checked in the test suite).  More than `guard` systems on P
+    or on Q raise SizeLimit; None is no limit.
     """
     p_tr = enumerate_transfer_systems(p, guard=guard)
     q_tr = enumerate_transfer_systems(q, guard=guard)
@@ -190,7 +191,8 @@ def bmt_decompose(n, guard=MAX_LEAVES):
     are exact, so that each block is full and each system is the one its
     key names, and that the Hasse diagram joins the blocks by the three
     cross-cover rules is the classification theorem: `verify.check_bmt`
-    and the tests check it.
+    and the tests check it.  More than `guard` systems raise SizeLimit;
+    None is no limit.
     """
     lat = iterated_fusion(chain(2), n)
     tr = enumerate_transfer_systems(lat, guard=guard)

@@ -195,7 +195,8 @@ def enumerate_saturated_covers(lat, guard=search.MAX_LEAVES, jobs=1):
     than excluded.  The search runs on the engine in `trsys.search`, split
     across worker processes when jobs > 1, and its leaves are wrapped
     without re-validation: the tests and `verify` compare them with the
-    subset filter of `oracles.py` and with the saturated systems.
+    subset filter of `oracles.py` and with the saturated systems.  More
+    than `guard` covers raise SizeLimit; None is no limit.
     """
     if not lat.is_modular():
         raise NotModular("saturated covers are defined on modular lattices")

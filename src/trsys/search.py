@@ -10,6 +10,7 @@ whose exclusion branch is dead.
 """
 from __future__ import annotations
 
+import os
 import sys
 from collections import deque
 from itertools import repeat
@@ -21,10 +22,12 @@ MAX_LEAVES = 250_000  # the default guard of the Tr, saturated and cover searche
 
 def leaves(order, root, propagate, jobs=1, guard=None):
     """The `inc` of every leaf below the closed set `root`, sorted; none
-    repeats, and more than `guard` raise SizeLimit.  With jobs > 1 the tree
-    is opened breadth-first until four states per worker are open, and their
-    subtrees run in worker processes; their leaves count against one guard.
+    repeats, and more than `guard` raise SizeLimit.  With jobs > 1, at most
+    the CPU count, the tree is opened breadth-first until four states per
+    worker are open, and their subtrees run in worker processes; their
+    leaves count against one guard.
     """
+    jobs = min(jobs, os.cpu_count() or 1)
     limit = sys.maxsize if guard is None else guard  # no list holds more
     states = deque([(0, root, 0)])
     out = _walk(order, states, propagate, limit, width=4 * jobs if jobs > 1 else 0)

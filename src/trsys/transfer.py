@@ -511,7 +511,8 @@ def enumerate_transfer_systems(lat, guard=search.MAX_LEAVES, jobs=1):
     restriction+transitivity closure on inclusion and pruning branches
     whose closure hits an excluded pair.  The closure runs on a dense
     n x n bit matrix, one multiplication per added pair; with jobs > 1 the
-    search is split across worker processes, with the same output.
+    search is split across worker processes, with the same output.  More
+    than `guard` systems raise SizeLimit; None is no limit.
     """
     return TrLattice._from_sorted_bits(lat, closure_for(lat).transfer_systems(jobs, guard=guard))
 
@@ -520,7 +521,8 @@ def enumerate_saturated_systems(lat, guard=search.MAX_LEAVES, jobs=1):
     """All saturated transfer systems, enumerated directly.
 
     Uses the same search with the two-out-of-three rule added to the
-    propagation, so the count is independent of full Tr enumeration.
+    propagation, so the count is independent of full Tr enumeration.  More
+    than `guard` systems raise SizeLimit; None is no limit.
     """
     bits = closure_for(lat).transfer_systems(jobs, saturate=True, guard=guard)
     return [TransferSystem._wrap(lat, b) for b in bits]

@@ -11,6 +11,7 @@ import pytest
 from trsys import cli
 from trsys.cli import main
 from trsys.covers import enumerate_saturated_covers
+from trsys.errors import InvalidInput
 from trsys.lattice import boolean_cube, chain, iterated_fusion, lattice_to_dot, lattice_to_json
 from trsys.serialize import cover_to_dot, cover_to_json, dump, system_to_dot, system_to_json
 from trsys.transfer import enumerate_saturated_systems, enumerate_transfer_systems
@@ -124,6 +125,46 @@ def test_guard_breach_exits_three(capsys):
     assert "guard" in err
 
 
+def test_default_guard_admits_the_grid_of_two_by_two(capsys):
+    # 27 non-reflexive pairs, which the old guard of 26 pairs refused
+    code, out, err = run_cli(
+        ["enumerate", "--family", "rect", "--m", "2", "--n", "2", "--format", "json"], capsys
+    )
+    assert code == 0
+    assert len(out.splitlines()) == 1396
+    assert err == "1396 items\n"
+
+
+@pytest.mark.parametrize(
+    "family,at_cap,over_cap",
+    [
+        ("chain", ["--n", "1023"], ["--n", "1024"]),
+        ("cube", ["--n", "10"], ["--n", "11"]),
+        ("cube", ["--n", "10"], ["--n", str(10**100)]),
+        ("rect", ["--m", "31", "--n", "31"], ["--m", "31", "--n", "32"]),
+        ("fuse2", ["--n", "1022"], ["--n", "1023"]),
+        ("subcpcp", ["--p", "1021"], ["--p", "1031"]),
+    ],
+    ids=["chain", "cube", "huge-cube", "rect", "fuse2", "subcpcp"],
+)
+def test_family_over_the_element_cap_is_refused_before_it_is_built(capsys, monkeypatch, family, at_cap, over_cap):
+    # a lattice of 1,024 elements reaches its builder, and one past it is
+    # refused from the arguments alone, also a cube whose element count
+    # would have a googol of bits
+    def build(*values):
+        raise InvalidInput(f"built from {values}")
+
+    names, size, _ = cli._FAMILIES[family]
+    monkeypatch.setitem(cli._FAMILIES, family, (names, size, build))
+    code, out, err = run_cli(["enumerate", "--family", family, *at_cap], capsys)
+    assert code == 2 and err.startswith("error: built from")
+    code, out, err = run_cli(["enumerate", "--family", family, *over_cap], capsys)
+    assert code == 3
+    assert err == f"guard breached: --family {family} would have more than 1024 elements, the lattice guard\n"
+    code, out, err = run_cli(["enumerate", "--family", family, *over_cap, "--unsafe-guard"], capsys)
+    assert code == 2 and err.startswith("error: built from")
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["enumerate", "--family", "chain", "--kind", "transfer"])
@@ -181,7 +222,7 @@ def test_oversized_lattice_json_is_refused_before_it_is_built(tmp_path, capsys, 
             assert err.startswith("guard breached: 100000 elements")
     # one above the cap, --unsafe-guard builds the order, an antichain,
     # which is then refused as unbounded
-    path.write_text(json.dumps({"n": cli.MAX_JSON_ELEMENTS + 1, "leq_pairs": []}))
+    path.write_text(json.dumps({"n": cli.MAX_ELEMENTS + 1, "leq_pairs": []}))
     code, out, err = run_cli(
         ["enumerate", "--family", "json", "--json", str(path), "--unsafe-guard"], capsys
     )
@@ -378,7 +419,8 @@ def test_rank_two_command(capsys):
 
 
 def test_rank_two_census_inside_the_guard(capsys):
-    # p = 11: 25 non-reflexive pairs, the largest prime the default guard admits
+    # p = 11: 8,204 systems; the default guard of 250,000 leaves admits up to
+    # p = 13 (32,782) and refuses p = 17 (524,306)
     code, out, err = run_cli(["rank-two", "--p", "11"], capsys)
     assert code == 0
     assert out == (
