@@ -42,6 +42,10 @@ from .verify import ALL_CHECKS, run_checks
 # in about 0.2 s (an antichain).
 MAX_ELEMENTS = 1024
 
+# The largest --p of rank-two: 2^(p+2) + p + 1 prints in at most 3,011 digits,
+# inside Python's limit of 4,300, and trial division takes at most 100 steps.
+_MAX_RANK_TWO_P = 10_000
+
 # family: its size arguments, its element count from them and its builder.
 # The cube's count is clamped, so that a huge --n is not raised to a power.
 _FAMILIES = {
@@ -147,7 +151,10 @@ def _write_dots(out, stem, texts):
 
 def cmd_enumerate(args, parser):
     kind = args.kind
-    if args.report is None and kind == "interior" and args.format == "dot":
+    if args.report == "fibers":
+        _require(parser, kind == "transfer" and args.format != "dot",
+                 "--report fibers reads transfer systems: it takes no other --kind and no --format dot")
+    elif kind == "interior" and args.format == "dot":
         parser.error("--format dot is not defined for interior operators")
     lat = _build_lattice(args, parser)
     if args.report == "fibers":
@@ -233,8 +240,9 @@ def cmd_fusion_count(args, parser):
 
 def cmd_rank_two(args, parser):
     p = args.p
-    count = tr_rank_two(p)
-    print(f"transfer systems for C_{p} x C_{p}: {count}")
+    if p > _MAX_RANK_TWO_P:
+        raise SizeLimit(f"--p {p} is above the rank-two cap of {_MAX_RANK_TWO_P}")
+    print(f"transfer systems for C_{p} x C_{p}: {tr_rank_two(p)}")
     try:
         dec = bmt_decompose(p + 1, **_lifted(args, guard=None))
     except SizeLimit:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NotPrime
+from .errors import NotPrime, SizeLimit
 from .lattice import Lattice, chain, iterated_fusion, _is_prime
 from .search import MAX_LEAVES
 from .transfer import TrLattice, enumerate_transfer_systems
@@ -191,9 +191,12 @@ def bmt_decompose(n, guard=MAX_LEAVES):
     are exact, so that each block is full and each system is the one its
     key names, and that the Hasse diagram joins the blocks by the three
     cross-cover rules is the classification theorem: `verify.check_bmt`
-    and the tests check it.  More than `guard` systems raise SizeLimit;
-    None is no limit.
+    and the tests check it.  More than `guard` systems, by the closed count
+    2^(n+1) + n, raise SizeLimit before the lattice is built; None is no
+    limit.
     """
+    if guard is not None and (1 << n + 1) + n > guard:
+        raise SizeLimit(f"Tr([2]^*{n}) has 2^{n + 1} + {n} systems, more than the guard of {guard}")
     lat = iterated_fusion(chain(2), n)
     tr = enumerate_transfer_systems(lat, guard=guard)
     size, top, full = lat.n, lat.top, (1 << n) - 1

@@ -445,11 +445,16 @@ def dot_digraph(title, node_style, labels, edges, prefix="v"):
     """A DOT digraph drawn bottom-up, the one builder of every DOT text: node
     `{prefix}{i}` carries the i-th of `labels`, and each (x, y, style) of
     `edges` runs from node x to node y, with the attributes `style`, if any."""
-    lines = [f'digraph "{title}" {{', "  rankdir=BT;", f"  node [{node_style}];"]
-    lines += (f'  {prefix}{i} [label="{label}"];' for i, label in enumerate(labels))
+    lines = [f'digraph "{_dot_escape(title)}" {{', "  rankdir=BT;", f"  node [{node_style}];"]
+    lines += (f'  {prefix}{i} [label="{_dot_escape(label)}"];' for i, label in enumerate(labels))
     lines += (f"  {prefix}{x} -> {prefix}{y}{f' [{style}]' if style else ''};" for x, y, style in edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_escape(text):
+    """`text` inside a DOT quoted string: each backslash and quote escaped."""
+    return str(text).replace("\\", "\\\\").replace('"', '\\"')
 
 
 def lattice_to_dot(lat, title="lattice"):

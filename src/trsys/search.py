@@ -18,6 +18,9 @@ from itertools import repeat
 from .errors import SizeLimit
 
 MAX_LEAVES = 250_000  # the default guard of the Tr, saturated and cover searches
+# the bits that the leaves a guard admits may hold, one per position up to the
+# last in the order: the default guard admits every lattice of up to 92 elements
+_LEAF_BITS = 1 << 31
 
 
 def leaves(order, root, propagate, jobs=1, guard=None):
@@ -25,8 +28,12 @@ def leaves(order, root, propagate, jobs=1, guard=None):
     repeats, and more than `guard` raise SizeLimit.  With jobs > 1, at most
     the CPU count, the tree is opened breadth-first until four states per
     worker are open, and their subtrees run in worker processes; their
-    leaves count against one guard.
+    leaves count against one guard.  A guard whose leaves could hold more
+    than `_LEAF_BITS` bits raises SizeLimit before the search starts.
     """
+    width = max(order, default=-1) + 1  # the bits of one leaf
+    if guard is not None and guard * width > _LEAF_BITS:
+        raise SizeLimit(f"{guard} leaves of {width} bits pass the search's memory guard of 2^31 bits")
     jobs = min(jobs, os.cpu_count() or 1)
     limit = sys.maxsize if guard is None else guard  # no list holds more
     states = deque([(0, root, 0)])

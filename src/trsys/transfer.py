@@ -8,24 +8,16 @@ row-major n x n bit matrix.  Saturated covers in `trsys.covers` use the
 same layout, and share the immutable base `_Relation` with
 `TransferSystem`.
 
-Each lattice has one private object, `_DenseClosure`, holding its up-sets,
-diagonal, full order, one restriction mask per position and the branch
-order, built once in `closure_for(lat)`.  On it, restriction is one mask
-per pair, transitivity is Warshall's n rank-one updates, and
-two-out-of-three is one shift per related pair in each row that grew.
-`generate`, `TransferSystem.join` and `saturated_hull` close there, and the
-Tr and saturated searches on the engine in `trsys.search` propagate there,
-one multiplication per added pair; an include fails once one meets an exclusion.
+Each lattice has one private object, `_DenseClosure`, built once in
+`closure_for(lat)`, with one closure step: add a pair and all it forces.
+The Tr and saturated searches in `trsys.search` branch on that step, and
+`generate`, `saturated_hull`, `TransferSystem.join` and
+`covers.cover_to_system` fold it over the pairs still missing.
 `find_violation` and `is_saturated` check the axioms directly on the rows
 of the bits and read no closure table.
 
-`TrLattice` orders the systems by refinement on their bits alone.  Its
-Hasse edges come from one strict-refinement matrix, each row a vectorised
-subset test on the bits packed into uint64 words, and from the counts of
-systems between two systems, float32 BLAS products over 128 x 128 tiles.
-Each tile of counts is cast to uint8, which keeps the wrap at 256 of the
-earlier integer matmul (122 extra edges on Tr([2]x[2])); dropping that
-cast is the one-line mend, and it changes the `tr_hasse` output.
+`TrLattice` orders the systems by refinement on their bits alone; its
+Hasse edges come from float32 tiles of counts (see `TrLattice.covers`).
 """
 from __future__ import annotations
 
@@ -55,45 +47,27 @@ def closure_for(lat):
 class _DenseClosure:
     """The data of one lattice and the one closure of its relations.
 
-    `up[x]` has bit y set when x <= y.  `diag` and `full` are the diagonal
-    and the whole order, `rest[p]` is the mask of the pair at position p
-    and of every pair its restriction forces, and `order` is the order in
-    which the searches decide the non-reflexive pairs.
+    `up[x]` has bit y set when x <= y, `meet` is the meet table, `diag` and
+    `full` are the diagonal and the whole order, and `order` is the order
+    in which the searches decide the non-reflexive pairs.
 
-    Adding (x, z) to a reflexive, transitive R adds every (a, b) with a R x
-    and z R b, which is column x of R times row z: one multiplication.
-    Restriction is unary and one pass suffices (a restriction of a
-    restriction of p is a restriction of p), so it is an OR of one mask per
-    pair.  Transitive closure and two-out-of-three both keep a relation
-    restriction-closed, so closing under restriction first is enough; the
-    transitive closure is Warshall's n rank-one updates.
-
-    The searches step by `propagate`: the closure of a transfer system plus
-    one pair is the transitive closure of the system, the pair and the
-    pair's restrictions, one rank-one update at a time, stopping at the
-    first that meets an excluded pair.  The saturated search then adds the
-    pairs that two-out-of-three forces, scanning only the rows that grew:
-    a row that meets the rule keeps meeting it while other rows grow.
+    The one step, `propagate`, adds a pair (x, z) to a transfer system R
+    with its restrictions (x ^ y, y), y <= z, one pass of which suffices,
+    and closes transitively, which keeps restriction: adding (x, z) to a
+    reflexive, transitive R adds column x of R times row z, one
+    multiplication per pair, and stops at the first that meets an
+    exclusion.  `propagate_saturated` then adds what two-out-of-three
+    forces, scanning only the rows that grew: a row that meets the rule
+    keeps meeting it while other rows grow.
     """
 
     def __init__(self, lat):
-        n, up, meets, heights = lat.n, lat.up, lat.meet, lat.height
-        self.n = n
-        self.up = up
+        n, up, heights = lat.n, lat.up, lat.height
+        self.n, self.up, self.meet = n, up, lat.meet
         self.col = sum(1 << (a * n) for a in range(n))
         self.row = (1 << n) - 1
         self.diag = sum(1 << x * (n + 1) for x in range(n))
         self.full = sum(up[x] << x * n for x in range(n))
-        # restriction is unary per pair: (x, z) forces (x ^ y, y) for y <= z
-        self.rest = [0] * (n * n)
-        for x in range(n):
-            for z in _bits(up[x]):
-                mask = 1 << x * n + z
-                for y in range(n):
-                    w = meets[x][y]
-                    if up[y] >> z & 1 and w != y:
-                        mask |= 1 << w * n + y
-                self.rest[x * n + z] = mask
         # branch order: decreasing height gap, then decreasing height of
         # the upper element, then position.  Restriction forces pairs
         # downwards, so a pair tends to be decided before those it forces;
@@ -102,26 +76,31 @@ class _DenseClosure:
             _bits(self.full & ~self.diag),
             key=lambda p: (heights[p // n] - heights[p % n], -heights[p % n], p),
         )
-        self.steps = None  # built by the first search: closing alone never needs them
+        # filled by the first step; set here, not added later, so that its
+        # reads in `propagate` stay as fast as any attribute's
+        self.steps = [None] * (n * n)
+
+    def _steps(self):
+        """Fill `steps`: per position p of a pair, the mask of p and its
+        restrictions, and for each, p first, the one shared tuple
+        (x, z*n, bit of (x, z)) of shifts that read column x and row z."""
+        n, up, meet, steps = self.n, self.up, self.meet, self.steps
+        cells = {t: (t // n, t % n * n, 1 << t) for t in _bits(self.full)}
+        for pos in cells:
+            x, z = divmod(pos, n)
+            # (x, z) forces (x ^ y, y) for y <= z; y = z gives (x, z)
+            forced = {meet[x][y] * n + y for y in range(n) if up[y] >> z & 1 and meet[x][y] != y}
+            updates = tuple(cells[t] for t in [pos, *sorted(forced - {pos})])
+            steps[pos] = (sum(bit for _, _, bit in updates), updates)
+        return steps
 
     def transfer_systems(self, jobs=1, saturate=False, guard=None):
         """Every transfer system, or every saturated one, sorted; at most `guard`."""
-        if self.steps is None:
-            # per position p of a pair: the mask of p and its restrictions,
-            # which the closure must contain, and for each of them
-            # (x, z*n, bit of (x, z)), the shifts that read column x and row z
-            n = self.n
-            self.steps = [None] * (n * n)
-            for pos in _bits(self.full):
-                forced = self.rest[pos]
-                targets = [pos] + [t for t in _bits(forced) if t != pos]
-                updates = tuple((t // n, t % n * n, 1 << t) for t in targets)
-                self.steps[pos] = (forced, updates)
         propagate = self.propagate_saturated if saturate else self.propagate
         return search.leaves(self.order, self.diag, propagate, jobs=jobs, guard=guard)
 
     def propagate(self, inc, exc, k):
-        forced, updates = self.steps[k]
+        forced, updates = self.steps[k] or self._steps()[k]
         if forced & exc:
             return None
         col, row = self.col, self.row
@@ -144,41 +123,20 @@ class _DenseClosure:
                     return None
         return inc
 
-    def close(self, bits, saturate=False):
-        """The least relation containing `bits` and the diagonal that is
-        closed under restriction and transitivity, and under
-        two-out-of-three when `saturate`."""
-        dense = changed = self._transitive(self._restricted(bits | self.diag))
-        while saturate:
-            grown = self._saturate(dense, changed)
-            if grown == dense:
-                break
-            changed = self._transitive(grown) ^ dense
-            dense ^= changed
-        return dense
-
-    def join(self, union):
-        """The transitive closure of a union of transfer systems, which is
-        the least transfer system containing it: the union is
-        restriction-closed, and transitivity keeps it so."""
-        return self._transitive(union | self.diag)
-
-    def _restricted(self, bits):
-        """`bits` with every restriction of its non-reflexive pairs."""
-        rest = self.rest
-        pairs = bits & self.full & ~self.diag
-        while pairs:
-            low = pairs & -pairs
-            bits |= rest[low.bit_length() - 1]
-            pairs ^= low
-        return bits
-
-    def _transitive(self, dense):
-        """Warshall: through each pivot v in turn, column v times row v."""
-        n, col, row = self.n, self.col, self.row
-        for v in range(n):
-            dense |= (dense >> v & col) * (dense >> v * n & row)
-        return dense
+    def close(self, bits, saturate=False, base=0):
+        """The least transfer system containing `bits`, `base` and the
+        diagonal, saturated when `saturate`: one step per pair of `bits`
+        still missing, the highest position first.  Where the labels
+        extend the order, a pair's restrictions sit at lower positions, so
+        its step tends to add them.  `base` must be a transfer system,
+        saturated when `saturate`, or 0."""
+        step = self.propagate_saturated if saturate else self.propagate
+        inc = base | self.diag
+        missing = bits & ~inc
+        while missing:
+            inc = step(inc, 0, missing.bit_length() - 1)
+            missing &= ~inc
+        return inc
 
     def _saturate(self, dense, changed):
         """Two-out-of-three on each row x holding a bit of `changed`: x R y
@@ -305,10 +263,10 @@ class TransferSystem(_Relation):
         return TransferSystem._wrap(self.lattice, self.bits & other.bits)
 
     def join(self, other):
-        """Least transfer system containing both operands: the transitive
-        closure of their union, on the dense closure of `closure_for`."""
+        """Least transfer system containing both operands: the pairs of
+        `other` folded into `self` on the closure of `closure_for`."""
         self._check_ambient(other)
-        return TransferSystem._wrap(self.lattice, closure_for(self.lattice).join(self.bits | other.bits))
+        return TransferSystem._wrap(self.lattice, closure_for(self.lattice).close(other.bits, base=self.bits))
 
     __and__ = meet
     __or__ = join
@@ -449,26 +407,22 @@ class TrLattice:
         return self._position(self.bits[i] & self.bits[j])
 
     def join_index(self, i, j):
-        return self._position(closure_for(self.lattice).join(self.bits[i] | self.bits[j]))
+        return self._position(closure_for(self.lattice).close(self.bits[j], base=self.bits[i]))
 
     @property
     def covers(self):
         """Hasse edges of the refinement order, as sorted index pairs.
 
-        Each system's bits are packed into little-endian uint64 words, and
-        row i of the strict-refinement matrix `lt` is one vectorised test,
-        `~(w[i] & ~w).any(axis=1)` with the diagonal cleared.  The number
-        of systems strictly between i and j is entry (i, j) of `lt @ lt`,
-        computed as float32 BLAS products over fixed _TILE x _TILE tiles:
-        every count is at most m < 2^24, so each tile is exact.  (i, j) is
-        an edge when i strictly refines j and its count reads 0, read tile
-        by tile, so no m x m product is ever held.
-
-        Each tile is cast through int32 to uint8 before that test, which
-        keeps the wrap of the earlier uint8 matmul: a pair with 256, 512,
-        ... systems between its ends is reported as an edge (122 extra
-        pairs on Tr([2]x[2])).  Dropping the uint8 cast is the mend; it
-        changes the output, so it lands with a re-recorded benchmark digest.
+        Row i of the strict-refinement matrix `lt` is one vectorised subset
+        test on the bits packed into little-endian uint64 words.  The
+        systems strictly between i and j number (lt @ lt)[i, j], computed
+        tile by tile as exact float32 BLAS products (every count is below
+        2^24), and (i, j) is an edge when i < j in `lt` and the count is 0.
+        Each tile is cast through int32 to uint8 first, which keeps the
+        wrap of the earlier uint8 matmul: 256, 512, ... systems between
+        two ends read as an edge (122 extra pairs on Tr([2]x[2])).
+        Dropping that cast is the mend; it changes the output, so it lands
+        with a re-recorded benchmark digest.
         """
         if self._covers is None:
             m, words = len(self.bits), (self.lattice.n ** 2 + 63) // 64
@@ -506,13 +460,11 @@ class TrLattice:
 def enumerate_transfer_systems(lat, guard=search.MAX_LEAVES, jobs=1):
     """All transfer systems on `lat`, as a TrLattice.
 
-    Backtracks over undecided non-reflexive pairs in decreasing height-gap
-    order, ties by decreasing height of the upper element, propagating
-    restriction+transitivity closure on inclusion and pruning branches
-    whose closure hits an excluded pair.  The closure runs on a dense
-    n x n bit matrix, one multiplication per added pair; with jobs > 1 the
-    search is split across worker processes, with the same output.  More
-    than `guard` systems raise SizeLimit; None is no limit.
+    Backtracks over the non-reflexive pairs on the closure step of
+    `closure_for(lat)`, pruning a branch whose closure meets an excluded
+    pair; with jobs > 1 the search is split across worker processes, with
+    the same output.  More than `guard` systems raise SizeLimit; None is
+    no limit.
     """
     return TrLattice._from_sorted_bits(lat, closure_for(lat).transfer_systems(jobs, guard=guard))
 

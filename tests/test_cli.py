@@ -117,6 +117,22 @@ def test_fiber_report_json(capsys):
     assert sorted(r["size"] for r in rows) == [1, 1, 1, 2]
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--format", "dot"], ["--kind", "saturated"], ["--kind", "covers"], ["--kind", "interior"]],
+    ids=["dot", "saturated", "covers", "interior"],
+)
+def test_fiber_report_refuses_other_formats_and_kinds(capsys, monkeypatch, flags):
+    def built(*args):
+        raise AssertionError("the lattice was built")
+
+    monkeypatch.setitem(cli._FAMILIES, "chain", (("n",), lambda n: n + 1, built))
+    with pytest.raises(SystemExit) as info:
+        main(["enumerate", "--family", "chain", "--n", "2", "--report", "fibers", *flags])
+    assert info.value.code == 2
+    assert "--report fibers" in capsys.readouterr().err
+
+
 def test_guard_breach_exits_three(capsys):
     code, out, err = run_cli(
         ["enumerate", "--family", "cube", "--n", "4", "--kind", "transfer"], capsys
@@ -433,6 +449,53 @@ def test_rank_two_guard_skip(capsys):
     code, out, err = run_cli(["rank-two", "--p", "31"], capsys)
     assert code == 0
     assert "census skipped" in out
+
+
+def test_rank_two_census_is_skipped_from_the_closed_count(capsys):
+    # p = 1009 has 2^1011 + 1010 systems; the lattice of 1,012 elements is
+    # never built, where it once exhausted the memory
+    start = time.perf_counter()
+    code, out, err = run_cli(["rank-two", "--p", "1009"], capsys)
+    assert code == 0 and time.perf_counter() - start < 2
+    assert out.startswith(f"transfer systems for C_1009 x C_1009: {2 ** 1011 + 1010}\n")
+    assert out.endswith("census skipped: lattice exceeds the enumeration guard\n")
+
+
+@pytest.mark.parametrize("p", [10_007, 14_293, 10**18 + 3], ids=["above-cap", "digit-limit", "18-digit"])
+def test_rank_two_refuses_a_prime_above_its_cap_before_testing_it(capsys, monkeypatch, p):
+    # 14,293 once ended in a traceback: 2^14295 has more digits than
+    # Python prints; an 18-digit p would hang in trial division
+    def tested(p):
+        raise AssertionError("the primality test ran")
+
+    monkeypatch.setattr("trsys.counting._is_prime", tested)
+    code, out, err = run_cli(["rank-two", "--p", str(p)], capsys)
+    assert code == 3 and out == ""
+    assert err == f"guard breached: --p {p} is above the rank-two cap of 10000\n"
+
+
+def test_rank_two_admits_the_largest_prime_under_its_cap(capsys):
+    code, out, err = run_cli(["rank-two", "--p", "9973"], capsys)
+    assert code == 0
+    assert out.startswith(f"transfer systems for C_9973 x C_9973: {2 ** 9975 + 9974}\n")
+
+
+def test_search_memory_guard_exits_three(capsys):
+    # chain(300) is inside the element cap, but 250,000 leaves of 301^2
+    # bits each are not inside the search's memory guard
+    code, out, err = run_cli(["enumerate", "--family", "chain", "--n", "300"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("guard breached: 250000 leaves of ") and "memory guard" in err
+
+
+def test_dot_escapes_json_names(tmp_path, capsys):
+    path = tmp_path / "lat.json"
+    path.write_text(json.dumps({"n": 2, "leq_pairs": [[0, 1]], "names": ['a"b', "c\\d"]}))
+    code, out, err = run_cli(
+        ["enumerate", "--family", "json", "--json", str(path), "--format", "dot"], capsys
+    )
+    assert code == 0
+    assert '  v0 [label="a\\"b"];\n  v1 [label="c\\\\d"];\n' in out
 
 
 def test_json_family_round_trip(tmp_path, capsys):

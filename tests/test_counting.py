@@ -1,6 +1,6 @@
 import pytest
 
-from trsys import verify
+from trsys import counting, verify
 from trsys.characteristic import fiber_decomposition
 from trsys.counting import (
     BMTDecomposition,
@@ -12,7 +12,7 @@ from trsys.counting import (
     tr_minimal_fibrant_count,
     tr_rank_two,
 )
-from trsys.errors import NotPrime
+from trsys.errors import NotPrime, SizeLimit
 from trsys.lattice import boolean_cube, chain, fusion, is_isomorphic, iterated_fusion
 from trsys.transfer import enumerate_transfer_systems
 
@@ -118,6 +118,20 @@ def test_bmt_block_sizes():
         assert set(dec.bottom_cube) == set(dec.top_cube) == set(range(2 ** n))
         assert set(dec.middle) == set(range(n))
         assert len(dec.tr) == 2 ** (n + 1) + n
+
+
+def test_bmt_guard_reads_the_closed_count_before_building(monkeypatch):
+    # Tr([2]^*3) has 2^4 + 3 = 19 systems; a refused census builds nothing
+    assert len(bmt_decompose(3, guard=19).tr) == 19
+
+    def built(*args):
+        raise AssertionError("the lattice was built")
+
+    monkeypatch.setattr(counting, "iterated_fusion", built)
+    with pytest.raises(SizeLimit, match=r"2\^4 \+ 3 systems, more than the guard of 18"):
+        bmt_decompose(3, guard=18)
+    with pytest.raises(SizeLimit, match=r"2\^100001 \+ 100000 systems"):
+        bmt_decompose(100_000)
 
 
 def test_bmt_cube_isomorphisms():

@@ -300,6 +300,18 @@ def test_dot_export():
     assert "v0 -> v1" in text and "v1 -> v2" in text
 
 
+def test_dot_labels_escape_quotes_and_backslashes():
+    lat = from_order(2, [(0, 1)], names=['a"b', "c\\d"])
+    text = lattice_to_dot(lat, title='say "hi"')
+    assert 'digraph "say \\"hi\\"" {' in text
+    assert '  v0 [label="a\\"b"];' in text
+    assert '  v1 [label="c\\\\d"];' in text
+    assert lattice_to_dot(chain(1)) == (
+        'digraph "lattice" {\n  rankdir=BT;\n  node [shape=circle];\n'
+        '  v0 [label="0"];\n  v1 [label="1"];\n  v0 -> v1;\n}\n'
+    )
+
+
 def test_immutable_tables():
     lat = chain(2)
     with pytest.raises(ValueError):

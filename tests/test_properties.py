@@ -212,17 +212,18 @@ def test_dense_closure_equals_the_least_systems_above(lat, dual, data):
 @settings(max_examples=150, deadline=None)
 @given(relabelled(BASES), st.booleans(), st.data())
 def test_saturated_step_equals_the_saturated_closure(lat, dual, data):
-    # the search's include step from a saturated system: the closure of the
-    # system plus one pair, or None when that closure meets the exclusions
-    if dual:
-        lat = lat.dual()
+    # the search's include step from a saturated system: the least saturated
+    # system above the system and one pair, by the subset-filter oracles, or
+    # None when it meets the exclusions
+    lat, tr, _ = systems_and_pairs(lat, dual)
     closure = closure_for(lat)
-    inc = data.draw(st.sampled_from(bits(enumerate_saturated_systems(lat, guard=None))))
+    inc = data.draw(st.sampled_from([r.bits for r in tr if r.is_saturated()]))
     outside = [p for p in range(lat.n * lat.n) if closure.full >> p & 1 and not inc >> p & 1]
     assume(outside)
     k = data.draw(st.sampled_from(outside))
     exc = sum(1 << p for p in data.draw(st.sets(st.sampled_from(outside))))
-    least = closure.close(inc | 1 << k, saturate=True)
+    picks = [divmod(p, lat.n) for p in range(lat.n * lat.n) if (inc | 1 << k) >> p & 1]
+    least = least_saturated_above(least_system_containing(lat, picks, tr=tr), tr=tr).bits
     assert closure.propagate_saturated(inc, exc, k) == (None if least & exc else least)
 
 

@@ -1,4 +1,4 @@
-"""The leaf guard of the search engine and its cap on worker processes."""
+"""The leaf and memory guards of the search engine and its cap on worker processes."""
 import concurrent.futures
 
 import pytest
@@ -6,8 +6,8 @@ import pytest
 from trsys import search
 from trsys.covers import enumerate_saturated_covers
 from trsys.errors import SizeLimit
-from trsys.lattice import boolean_cube
-from trsys.transfer import enumerate_saturated_systems, enumerate_transfer_systems
+from trsys.lattice import boolean_cube, chain
+from trsys.transfer import closure_for, enumerate_saturated_systems, enumerate_transfer_systems
 
 SEARCHES = [enumerate_transfer_systems, enumerate_saturated_systems, enumerate_saturated_covers]
 
@@ -67,3 +67,25 @@ def test_merged_total_over_the_guard_cancels_the_pending_subtrees(in_process_poo
         enumerate_transfer_systems(lat, guard=449, jobs=3)
     [pool] = in_process_pool
     assert pool.shutdowns == [True]
+
+
+def test_memory_guard_admits_exactly_its_budget_of_bits(monkeypatch):
+    # one leaf of 10 bits, the width of an order whose last position is 9
+    monkeypatch.setattr(search, "_LEAF_BITS", 100)
+    exclude_only = lambda inc, exc, k: None  # noqa: E731
+    assert search.leaves([9], 0, exclude_only, guard=10) == [0]
+    with pytest.raises(SizeLimit, match="11 leaves of 10 bits pass the search's memory guard"):
+        search.leaves([9], 0, exclude_only, guard=11)
+    assert search.leaves([9], 0, exclude_only, guard=None) == [0]
+
+
+@pytest.mark.parametrize("enumerate_", SEARCHES, ids=["transfer", "saturated", "covers"])
+def test_memory_guard_refuses_a_chain_of_94_elements_before_the_search(enumerate_, monkeypatch):
+    # at the default guard, every lattice of 92 elements fits (its positions
+    # are below 92^2), and none of 94 does: the largest label's pair with
+    # top, or with the element below it, is at or past position 94 * 93 - 1
+    assert search.MAX_LEAVES * 92**2 <= search._LEAF_BITS < search.MAX_LEAVES * 94 * 93
+    assert max(closure_for(chain(93)).order) + 1 == 94 * 93
+    monkeypatch.setattr(search, "_walk", None)  # no search starts
+    with pytest.raises(SizeLimit, match="memory guard"):
+        enumerate_(chain(93))
