@@ -14,6 +14,7 @@ from functools import partial
 from . import search
 from .errors import InvariantViolation, SizeLimit
 from .functorial import LatticeMap
+from .lattice import per_lattice
 from .transfer import (
     TransferSystem,
     enumerate_transfer_systems,
@@ -62,10 +63,38 @@ def characteristic(system):
 # -- interior operator enumeration -------------------------------------------
 
 
+def _byte_tables(values):
+    """Per byte of a bitset, a table from its value to the OR of values[j]
+    over the set bits j it covers.  An entry that a zero value leaves
+    unchanged shares the int of the entry without that bit, so sparse
+    values cost few int objects."""
+    values = list(values)
+    values += [0] * (-len(values) % 8)
+    tables = []
+    for base in range(0, len(values), 8):
+        table = [0] * 256
+        for v in range(1, 256):
+            low = v & -v
+            value = values[base + low.bit_length() - 1]
+            table[v] = table[v ^ low] | value if value else table[v ^ low]
+        tables.append(table)
+    return tables
+
+
+def _gather(tables, bits):
+    """OR of `values[j]` over the set bits j of `bits` (see _byte_tables)."""
+    out = 0
+    for table in tables:
+        out |= table[bits & 255]
+        if not (bits := bits >> 8):
+            break
+    return out
+
+
 def _join_closure(tables, inc, exc, e):
     # M | (e v M) is the join closure of M + {e} when M is join-closed and
     # contains bottom: (e v a) v (e v b) = e v (a v b) = a v (e v b)
-    closed = inc | search.gather(tables[e], inc)
+    closed = inc | _gather(tables[e], inc)
     return None if closed & exc else closed
 
 
@@ -87,7 +116,7 @@ def interior_system_masks(lat, max_elements=16):
     """
     if lat.n > max_elements:
         raise SizeLimit(f"{lat.n} elements exceed interior enumeration guard {max_elements}")
-    tables = [search.byte_tables(1 << j for j in row) for row in lat.join]
+    tables = [_byte_tables(1 << j for j in row) for row in lat.join]
     order = [x for x, _ in _bottom_up(lat) if x != lat.bottom]
     return search.leaves(order, 1 << lat.bottom, partial(_join_closure, tables))
 
@@ -115,16 +144,13 @@ def operator_from_interior_system(lat, mask):
     return InteriorOperator._wrap(lat, tuple(image))
 
 
+@per_lattice
 def _bottom_up(lat):
-    """Each element with its lower covers, in height order; cached."""
-    steps = lat._cache.get("bottom_up")
-    if steps is None:
-        lower = [[] for _ in range(lat.n)]
-        for x, y in lat.covers:
-            lower[y].append(x)
-        order = sorted(range(lat.n), key=lat.height.__getitem__)
-        steps = lat._cache["bottom_up"] = [(x, lower[x]) for x in order]
-    return steps
+    """Each element with its lower covers, in height order."""
+    lower = [[] for _ in range(lat.n)]
+    for x, y in lat.covers:
+        lower[y].append(x)
+    return [(x, lower[x]) for x in sorted(range(lat.n), key=lat.height.__getitem__)]
 
 
 def interior_system_of(operator):

@@ -10,7 +10,8 @@ the other.
 A cover is stored like a transfer system (`trsys.transfer`): the edge
 (x, y) is bit x*n + y, so the cover of a saturated system is its bits
 under the mask of the covering relations, and a cover's system is the
-closure of its bits.  The rule tables below are keyed by these positions.
+closure of its bits.  Every function below reads the one object of the
+game per lattice, `_CoverRules`, whose tables are keyed by these positions.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 from . import search
 from .errors import InvalidCover, NotModular, NotSaturated
-from .lattice import _bits
+from .lattice import _bits, per_lattice
 from .transfer import TransferSystem, _Relation, closure_for
 
 
@@ -36,58 +37,10 @@ class CoverViolation:
         return f"rule ({self.rule}) violated at {self.witness}"
 
 
-def _cover_mask(lat):
-    """The bits of every covering relation of `lat`; cached."""
-    mask = lat._cache.get("cover_mask")
-    if mask is None:
-        mask = lat._cache["cover_mask"] = sum(1 << x * lat.n + y for x, y in lat.covers)
-    return mask
-
-
 def covering_diamonds(lat):
     """All tetrads (m, x, y, j) whose four bounding relations are covers,
     as 4-tuples of the positions x*n + y of their edges (mx, my, xj, yj)."""
-    cached = lat._cache.get("diamonds")
-    if cached is not None:
-        return cached
-    n, up, meet, join = lat.n, lat.up, lat.meet, lat.join
-    cover = _cover_mask(lat)
-    out = []
-    for x in range(n):
-        for y in range(x + 1, n):
-            if up[x] >> y & 1 or up[y] >> x & 1:
-                continue
-            m, j = meet[x][y], join[x][y]
-            quad = (m * n + x, m * n + y, x * n + j, y * n + j)
-            if all(cover >> p & 1 for p in quad):
-                out.append(quad)
-    lat._cache["diamonds"] = out
-    return out
-
-
-def rule_one_implications(lat):
-    """Implication graph over cover edges, keyed by position x*n + y in
-    increasing order: edge (x, x v y) forces (x ^ y, y).  Built once per
-    lattice; modularity guarantees the forced pair is itself a cover, and
-    a missing one certifies non-modularity."""
-    cached = lat._cache.get("rule_one")
-    if cached is not None:
-        return cached
-    n, meet, join = lat.n, lat.meet, lat.join
-    cover = _cover_mask(lat)
-    implies = {p: set() for p in _bits(cover)}
-    for x in range(n):
-        for y in range(n):
-            j, m = join[x][y], meet[x][y]
-            src, dst = x * n + j, m * n + y
-            if j == x or m == y or not cover >> src & 1:
-                continue
-            if not cover >> dst & 1:
-                raise NotModular(f"{j} covers {x} but {y} does not cover {m}")
-            if dst != src:
-                implies[src].add(dst)
-    cached = lat._cache["rule_one"] = {p: tuple(sorted(s)) for p, s in implies.items()}
-    return cached
+    return _rules(lat).diamonds
 
 
 def find_cover_violation(lat, bits):
@@ -99,23 +52,24 @@ def find_cover_violation(lat, bits):
     position as witness, or () when it lies outside the n x n matrix.
     Diamonds are scanned before the restriction rule so that a
     three-of-four configuration is reported as such even when it also
-    breaks rule (1).
+    breaks rule (1), which raises NotModular where modularity fails.
     """
-    n = lat.n
-    stray = bits & ~_cover_mask(lat)
+    n, rules = lat.n, _rules(lat)
+    stray = bits & ~rules.cover
     if stray:
         low = (stray & -stray).bit_length() - 1
         return CoverViolation(0, divmod(low, n) if low < n * n else ())
-    for quad in covering_diamonds(lat):
+    for quad in rules.diamonds:
         inside = sum(bits >> p & 1 for p in quad)
         if inside == 3:
             missing = next(p for p in quad if not bits >> p & 1)
             return CoverViolation(2, tuple(divmod(p, n) for p in quad + (missing,)))
-    for p, targets in rule_one_implications(lat).items():
-        if bits >> p & 1:
-            for t in targets:
-                if not bits >> t & 1:
-                    return CoverViolation(1, (divmod(p, n), divmod(t, n)))
+    if rules.refusal:
+        raise NotModular(rules.refusal)
+    for p in _bits(bits):
+        missing = rules.implies[p] & ~bits
+        if missing:
+            return CoverViolation(1, (divmod(p, n), divmod((missing & -missing).bit_length() - 1, n)))
     return None
 
 
@@ -146,20 +100,44 @@ class SaturatedCover(_Relation):
 
 
 class _CoverRules:
-    """The two rules as masks over cover-edge bits, in lists indexed by
-    position: rule (1) as the edges each edge implies, rule (2) as the
-    diamonds that watch each edge."""
+    """The game on one lattice, built once by `_rules`: the mask `cover`
+    of the covering relations, per position p the mask `implies[p]` of the
+    edges rule (1) forces from edge p and the masks `watching[p]` of the
+    covering diamonds that hold it, the `diamonds` as position tuples, and
+    the search's branch `order`.  On a lattice where a forced pair is no
+    cover, `refusal` names the first such pair, and rule (1) is not read:
+    `find_cover_violation` raises it as NotModular after rules 0 and 2."""
 
     def __init__(self, lat):
-        size = lat.n * lat.n
-        self.implies = [0] * size
-        for p, targets in rule_one_implications(lat).items():
-            self.implies[p] = sum(1 << t for t in targets)
+        n, up, height, meet, join = lat.n, lat.up, lat.height, lat.meet, lat.join
+        size = n * n
+        self.cover = cover = sum(1 << x * n + y for x, y in lat.covers)
+        # modularity makes each forced pair (x ^ y, y) a cover
+        self.implies, self.refusal = [0] * size, None
+        for x in range(n):
+            for y in range(n):
+                j, m = join[x][y], meet[x][y]
+                src, dst = x * n + j, m * n + y
+                if j == x or m == y or not cover >> src & 1:
+                    continue
+                if not cover >> dst & 1:
+                    self.refusal = self.refusal or f"{j} covers {x} but {y} does not cover {m}"
+                elif dst != src:
+                    self.implies[src] |= 1 << dst
+        self.diamonds = []
         self.watching = [[] for _ in range(size)]
-        for quad in covering_diamonds(lat):
-            mask = sum(1 << p for p in quad)
-            for p in quad:
-                self.watching[p].append(mask)
+        for x in range(n):
+            for y in range(x + 1, n):
+                if up[x] >> y & 1 or up[y] >> x & 1:
+                    continue
+                m, j = meet[x][y], join[x][y]
+                quad = (m * n + x, m * n + y, x * n + j, y * n + j)
+                if all(cover >> p & 1 for p in quad):
+                    self.diamonds.append(quad)
+                    mask = sum(1 << p for p in quad)
+                    for p in quad:
+                        self.watching[p].append(mask)
+        self.order = sorted(_bits(cover), key=lambda p: (-height[p // n], p))
 
     def propagate(self, inc, exc, e):
         inc |= 1 << e
@@ -183,6 +161,9 @@ class _CoverRules:
         return inc
 
 
+_rules = per_lattice(_CoverRules)
+
+
 def enumerate_saturated_covers(lat, guard=search.MAX_LEAVES, jobs=1):
     """All saturated covers, by backtracking over cover edges.
 
@@ -200,10 +181,8 @@ def enumerate_saturated_covers(lat, guard=search.MAX_LEAVES, jobs=1):
     """
     if not lat.is_modular():
         raise NotModular("saturated covers are defined on modular lattices")
-    rules = _CoverRules(lat)
-    n, height = lat.n, lat.height
-    order = sorted(_bits(_cover_mask(lat)), key=lambda p: (-height[p // n], p))
-    out = search.leaves(order, 0, rules.propagate, jobs=jobs, guard=guard)
+    rules = _rules(lat)
+    out = search.leaves(rules.order, 0, rules.propagate, jobs=jobs, guard=guard)
     return [SaturatedCover._wrap(lat, b) for b in out]
 
 
@@ -231,4 +210,4 @@ def system_to_cover(system):
         raise NotModular("the bijection requires a modular ambient lattice")
     if not system.is_saturated():
         raise NotSaturated("only saturated systems restrict to saturated covers")
-    return SaturatedCover._wrap(lat, system.bits & _cover_mask(lat))
+    return SaturatedCover._wrap(lat, system.bits & _rules(lat).cover)

@@ -5,7 +5,8 @@ rows per element off the order matrix, the up-set and the down-set, and
 derives every table from them: the partial-order check, bottom and top,
 meet and join, covers, heights and ranks.  Instances are immutable
 afterwards and safe for concurrent reads.  `_bits`, the one iterator over
-the set bits of such a row, serves every module.
+the set bits of such a row, serves every module, and `per_lattice` builds
+every table that other modules derive from a lattice once per lattice.
 """
 from __future__ import annotations
 
@@ -128,6 +129,20 @@ class Lattice:
         state = self.__dict__.copy()
         state["_cache"] = {}
         return state
+
+
+def per_lattice(build):
+    """Decorator: `build(lat)` is computed once per lattice and kept in its
+    `_cache`, which pickling drops."""
+
+    def table(lat):
+        try:
+            return lat._cache[build]
+        except KeyError:
+            value = lat._cache[build] = build(lat)
+            return value
+
+    return table
 
 
 # -- construction helpers ---------------------------------------------------

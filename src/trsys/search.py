@@ -3,10 +3,12 @@
 A state (i, inc, exc) holds the included and excluded bits as ints, and
 `order[i:]` the positions still to branch on.  States are immutable, so
 backtracking needs no undo trail (Knuth, TAOCP 4B, 7.2.2).  A kind of
-search supplies `propagate(inc, exc, k)`, the closure of `inc` plus
-position k or None when it meets `exc`.  Excluding a position never
-fails: a propagator that forces every position it must leaves no state
-whose exclusion branch is dead.
+search supplies its branch order and `propagate(inc, exc, k)`, the
+closure of `inc` plus position k or None when it meets `exc`; the Tr,
+saturated and cover searches read both off one object per lattice and
+kind, built once through `lattice.per_lattice`.  Excluding a position
+never fails: a propagator that forces every position it must leaves no
+state whose exclusion branch is dead.
 """
 from __future__ import annotations
 
@@ -83,32 +85,4 @@ def _walk(order, states, propagate, limit, width=0):
             if with_k is not None:
                 push((i, with_k, exc))
             exc |= masks[i - 1]
-    return out
-
-
-def byte_tables(values):
-    """Per byte of a bitset, a table from its value to the OR of values[j]
-    over the set bits j it covers.  An entry that a zero value leaves
-    unchanged shares the int of the entry without that bit, so sparse
-    values cost few int objects."""
-    values = list(values)
-    values += [0] * (-len(values) % 8)
-    tables = []
-    for base in range(0, len(values), 8):
-        table = [0] * 256
-        for v in range(1, 256):
-            low = v & -v
-            value = values[base + low.bit_length() - 1]
-            table[v] = table[v ^ low] | value if value else table[v ^ low]
-        tables.append(table)
-    return tables
-
-
-def gather(tables, bits):
-    """OR of `values[j]` over the set bits j of `bits` (see byte_tables)."""
-    out = 0
-    for table in tables:
-        out |= table[bits & 255]
-        if not (bits := bits >> 8):
-            break
     return out

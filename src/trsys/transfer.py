@@ -8,11 +8,12 @@ row-major n x n bit matrix.  Saturated covers in `trsys.covers` use the
 same layout, and share the immutable base `_Relation` with
 `TransferSystem`.
 
-Each lattice has one private object, `_DenseClosure`, built once in
-`closure_for(lat)`, with one closure step: add a pair and all it forces.
-The Tr and saturated searches in `trsys.search` branch on that step, and
-`generate`, `saturated_hull`, `TransferSystem.join` and
-`covers.cover_to_system` fold it over the pairs still missing.
+Each lattice has one private object, `_DenseClosure`, built once through
+`lattice.per_lattice` as `closure_for(lat)`, with one closure step: add a
+pair and all it forces.  The Tr and saturated searches hand its branch
+order and step to the engine in `trsys.search`, and `generate`,
+`saturated_hull`, `TransferSystem.join` and `covers.cover_to_system` fold
+it over the pairs still missing.
 `find_violation` and `is_saturated` check the axioms directly on the rows
 of the bits and read no closure table.
 
@@ -27,21 +28,13 @@ import numpy as np
 
 from . import search
 from .errors import AmbientMismatch, InvalidTransferSystem
-from .lattice import _bits, from_order
+from .lattice import _bits, from_order, per_lattice
 
 
 def _rows(bits, n):
     """Row x of the n x n matrix `bits`: the mask of the y with x R y."""
     mask = (1 << n) - 1
     return [bits >> x * n & mask for x in range(n)]
-
-
-def closure_for(lat):
-    """The closure object of `lat`, built once per lattice."""
-    closure = lat._cache.get("closure")
-    if closure is None:
-        closure = lat._cache["closure"] = _DenseClosure(lat)
-    return closure
 
 
 class _DenseClosure:
@@ -76,31 +69,31 @@ class _DenseClosure:
             _bits(self.full & ~self.diag),
             key=lambda p: (heights[p // n] - heights[p % n], -heights[p % n], p),
         )
-        # filled by the first step; set here, not added later, so that its
-        # reads in `propagate` stay as fast as any attribute's
+        # filled one position at a time by `_step`; set here, not added
+        # later, so that their reads in `propagate` stay as fast as any
+        # attribute's
         self.steps = [None] * (n * n)
+        self.cells = [None] * (n * n)
 
-    def _steps(self):
-        """Fill `steps`: per position p of a pair, the mask of p and its
-        restrictions, and for each, p first, the one shared tuple
-        (x, z*n, bit of (x, z)) of shifts that read column x and row z."""
-        n, up, meet, steps = self.n, self.up, self.meet, self.steps
-        cells = {t: (t // n, t % n * n, 1 << t) for t in _bits(self.full)}
-        for pos in cells:
-            x, z = divmod(pos, n)
-            # (x, z) forces (x ^ y, y) for y <= z; y = z gives (x, z)
-            forced = {meet[x][y] * n + y for y in range(n) if up[y] >> z & 1 and meet[x][y] != y}
-            updates = tuple(cells[t] for t in [pos, *sorted(forced - {pos})])
-            steps[pos] = (sum(bit for _, _, bit in updates), updates)
-        return steps
-
-    def transfer_systems(self, jobs=1, saturate=False, guard=None):
-        """Every transfer system, or every saturated one, sorted; at most `guard`."""
-        propagate = self.propagate_saturated if saturate else self.propagate
-        return search.leaves(self.order, self.diag, propagate, jobs=jobs, guard=guard)
+    def _step(self, pos):
+        """The step of the pair at `pos`, stored in `steps`: the mask of the
+        pair and its restrictions, and for each, the pair first, the
+        tuple (x, z*n, bit of (x, z)) of shifts that read column x and row
+        z, one tuple per position shared by every step."""
+        n, up, meet, cells = self.n, self.up, self.meet, self.cells
+        x, z = divmod(pos, n)
+        # (x, z) forces (x ^ y, y) for y <= z; y = z gives (x, z)
+        forced = {meet[x][y] * n + y for y in range(n) if up[y] >> z & 1 and meet[x][y] != y}
+        updates = []
+        for t in [pos, *sorted(forced - {pos})]:
+            if cells[t] is None:
+                cells[t] = (t // n, t % n * n, 1 << t)
+            updates.append(cells[t])
+        step = self.steps[pos] = (sum(bit for _, _, bit in updates), tuple(updates))
+        return step
 
     def propagate(self, inc, exc, k):
-        forced, updates = self.steps[k] or self._steps()[k]
+        forced, updates = self.steps[k] or self._step(k)
         if forced & exc:
             return None
         col, row = self.col, self.row
@@ -149,6 +142,9 @@ class _DenseClosure:
             for y in _bits(reach & ~(1 << x)):
                 dense |= (reach & up[y]) << y * n
         return dense
+
+
+closure_for = per_lattice(_DenseClosure)  # the closure object of a lattice, built once
 
 
 # -- transfer systems ---------------------------------------------------------
@@ -454,7 +450,7 @@ class TrLattice:
         return self.systems[-1] if self.systems else None
 
     def least(self):
-        return self.systems[0]
+        return self.systems[0] if self.systems else None
 
 
 def enumerate_transfer_systems(lat, guard=search.MAX_LEAVES, jobs=1):
@@ -466,7 +462,9 @@ def enumerate_transfer_systems(lat, guard=search.MAX_LEAVES, jobs=1):
     the same output.  More than `guard` systems raise SizeLimit; None is
     no limit.
     """
-    return TrLattice._from_sorted_bits(lat, closure_for(lat).transfer_systems(jobs, guard=guard))
+    closure = closure_for(lat)
+    bits = search.leaves(closure.order, closure.diag, closure.propagate, jobs=jobs, guard=guard)
+    return TrLattice._from_sorted_bits(lat, bits)
 
 
 def enumerate_saturated_systems(lat, guard=search.MAX_LEAVES, jobs=1):
@@ -476,5 +474,6 @@ def enumerate_saturated_systems(lat, guard=search.MAX_LEAVES, jobs=1):
     propagation, so the count is independent of full Tr enumeration.  More
     than `guard` systems raise SizeLimit; None is no limit.
     """
-    bits = closure_for(lat).transfer_systems(jobs, saturate=True, guard=guard)
+    closure = closure_for(lat)
+    bits = search.leaves(closure.order, closure.diag, closure.propagate_saturated, jobs=jobs, guard=guard)
     return [TransferSystem._wrap(lat, b) for b in bits]

@@ -4,10 +4,11 @@ import pytest
 
 from trsys.covers import (
     SaturatedCover,
+    _rules,
     cover_to_system,
     covering_diamonds,
     enumerate_saturated_covers,
-    rule_one_implications,
+    find_cover_violation,
     system_to_cover,
 )
 from trsys.characteristic import count_interior_operators
@@ -89,10 +90,22 @@ def test_not_modular_is_refused():
         SaturatedCover.from_edges(pentagon(), [])
     with pytest.raises(NotModular):
         enumerate_saturated_covers(pentagon())
-    with pytest.raises(NotModular):
-        rule_one_implications(pentagon())
+    # rule (1) of the pentagon forces a pair that is no cover
+    assert _rules(pentagon()).refusal == "4 covers 3 but 2 does not cover 0"
+    with pytest.raises(NotModular, match=_rules(pentagon()).refusal):
+        find_cover_violation(pentagon(), 0)
     with pytest.raises(NotModular):
         system_to_cover(discrete_system(pentagon()))
+
+
+def test_rules_zero_and_two_are_reported_before_the_modularity_refusal():
+    lat = product(pentagon(), chain(1))
+    assert len(covering_diamonds(lat)) == 5
+    three_in = sum(1 << p for p in covering_diamonds(lat)[0][:3])
+    assert find_cover_violation(lat, three_in).witness == ((0, 1), (0, 2), (1, 3), (2, 3), (2, 3))
+    assert find_cover_violation(pentagon(), 1 << 2).witness == (0, 2)
+    with pytest.raises(NotModular, match="8 covers 6 but 4 does not cover 0"):
+        find_cover_violation(lat, 0)
 
 
 def test_diamond_detection():
@@ -105,9 +118,11 @@ def test_diamond_detection():
 
 def test_rule_one_graph_is_nonempty_on_diamonds():
     lat = boolean_cube(2)
-    implies = rule_one_implications(lat)
-    assert list(implies) == [x * lat.n + y for x, y in lat.covers]
-    assert any(implies.values())
+    rules = _rules(lat)
+    assert rules.refusal is None
+    assert all(rules.cover >> p & 1 for p, mask in enumerate(rules.implies) if mask)
+    assert all(mask & ~rules.cover == 0 for mask in rules.implies)
+    assert any(rules.implies)
 
 
 # -- enumeration -----------------------------------------------------------------

@@ -1,8 +1,11 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
 
+from trsys.characteristic import _bottom_up, interior_system_masks
+from trsys.covers import _rules, enumerate_saturated_covers
 from trsys.errors import (
     CycleDetected,
     NotALattice,
@@ -27,6 +30,7 @@ from trsys.lattice import (
     product,
     sub_cp_cp,
 )
+from trsys.transfer import closure_for, enumerate_transfer_systems
 
 
 def pentagon():
@@ -316,3 +320,18 @@ def test_immutable_tables():
     lat = chain(2)
     with pytest.raises(ValueError):
         lat.leq[0, 0] = False
+
+
+def test_per_lattice_tables_are_built_once_and_not_pickled():
+    lat = boolean_cube(3)
+    assert closure_for(lat) is closure_for(lat)
+    assert _rules(lat) is _rules(lat)
+    assert _bottom_up(lat) is _bottom_up(lat)
+    # the searches read the cached tables; a pickled lattice, as `--jobs`
+    # workers receive it, carries none of them
+    assert len(enumerate_transfer_systems(lat)) == 450
+    assert len(enumerate_saturated_covers(lat)) == 61
+    assert len(interior_system_masks(lat)) == 61
+    assert len(lat._cache) == 3
+    back = pickle.loads(pickle.dumps(lat))
+    assert back._cache == {} and back.same_order(lat)

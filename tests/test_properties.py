@@ -35,7 +35,14 @@ from trsys.characteristic import (
 )
 from trsys.cli import main
 from trsys.counting import count_tr_fusion, interior_only_count, minimal_fibrant_census
-from trsys.covers import cover_to_system, enumerate_saturated_covers, system_to_cover
+from trsys.covers import (
+    CoverViolation,
+    _rules,
+    cover_to_system,
+    enumerate_saturated_covers,
+    find_cover_violation,
+    system_to_cover,
+)
 from trsys.errors import CycleDetected, NotMonotone
 from trsys.functorial import LatticeMap
 from trsys.lattice import Lattice, all_lattices, chain, fusion, iterated_fusion, lattice_to_json, sub_cp_cp
@@ -355,6 +362,47 @@ def test_tables_equal_their_definitions_on_the_order_matrix(lat, dual):
             if y not in height and below and all(x in height for x in below):
                 height[y] = 1 + max(height[x] for x in below)
     assert lat.height == [height[x] for x in range(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabelled(MODULAR), st.booleans(), st.data())
+def test_matchstick_tables_equal_their_definitions_on_the_order_matrix(lat, dual, data):
+    if dual:
+        lat = lat.dual()
+    n, leq = lat.n, lat.leq
+    strict = leq & ~np.eye(n, dtype=bool)
+    covers = [(x, y) for x in range(n) for y in range(n) if strict[x, y] and not (strict[x] & strict[:, y]).any()]
+    # per incomparable x, y with meet m and join j: the covering tetrads,
+    # and the pair (m, y) that the cover edge (x, j) forces
+    diamonds, forces = [], [0] * (n * n)
+    for x in range(n):
+        for y in range(n):
+            if leq[x, y] or leq[y, x]:
+                continue
+            [m] = map(int, least_in(leq.T, np.flatnonzero(leq[:, x] & leq[:, y])))
+            [j] = map(int, least_in(leq, np.flatnonzero(leq[x] & leq[y])))
+            if (x, j) in covers:
+                assert (m, y) in covers  # modularity
+                forces[x * n + j] |= 1 << m * n + y
+            if x < y and {(m, x), (m, y), (x, j), (y, j)} <= set(covers):
+                diamonds.append((m * n + x, m * n + y, x * n + j, y * n + j))
+    rules = _rules(lat)
+    assert rules.diamonds == diamonds
+    assert rules.implies == forces
+    # a subset of the covers: rule (2) is reported first, then rule (1) at
+    # the lowest edge missing a forced edge, with the lowest such edge
+    chosen = data.draw(st.integers(0, (1 << len(covers)) - 1))
+    bits = sum(1 << x * n + y for i, (x, y) in enumerate(covers) if chosen >> i & 1)
+    violation = find_cover_violation(lat, bits)
+    if any(sum(bits >> p & 1 for p in quad) == 3 for quad in diamonds):
+        assert violation.rule == 2
+    else:
+        missing = [(p, forces[p] & ~bits) for p in range(n * n) if bits >> p & 1 and forces[p] & ~bits]
+        expected = None
+        if missing:
+            p, lost = missing[0]
+            expected = CoverViolation(1, (divmod(p, n), divmod((lost & -lost).bit_length() - 1, n)))
+        assert violation == expected
 
 
 def drawn_pairs(lat, data, with_middle):

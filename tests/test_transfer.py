@@ -16,6 +16,7 @@ from trsys.serialize import system_from_json
 from trsys.transfer import (
     TrLattice,
     TransferSystem,
+    closure_for,
     complete_system,
     discrete_system,
     enumerate_saturated_systems,
@@ -224,6 +225,11 @@ def test_tr_lattice_is_a_lattice():
         assert tr.least() == discrete_system(lat)
 
 
+def test_empty_tr_lattice_has_no_least_or_greatest_system():
+    tr = TrLattice(chain(2), [])
+    assert tr.least() is None and tr.greatest() is None
+
+
 def test_tr_lattice_index_is_built_on_first_lookup():
     lat = boolean_cube(2)
     tr = enumerate_transfer_systems(lat)
@@ -429,3 +435,12 @@ def test_bottom_extension_round_trip():
     diagonal = frozenset((x, x) for x in keep)
     up_a, up_b = ((x, lat.top) for x in keep if x != lat.top)
     assert restricted == {diagonal, diagonal | {up_a}, diagonal | {up_b}, diagonal | {up_a, up_b}}
+
+
+def test_a_first_closure_builds_only_the_steps_it_reads():
+    lat = chain(100)
+    system = generate(lat, [(0, 100), (3, 50)])
+    assert system.contains(0, 100) and system.contains(3, 50)
+    closure = closure_for(lat)
+    filled = sum(step is not None for step in closure.steps)
+    assert 0 < filled < closure.full.bit_count()
