@@ -22,16 +22,17 @@ class LatticeMap:
     __slots__ = ("source", "target", "image")
 
     def __init__(self, source, target, image):
-        """Raises ValueError when the image misses an element or leaves
-        range(target.n), and NotMonotone at the first cover x < y of
-        `source` with image[x] not <= image[y].  Covers suffice: <= is their
-        reflexive-transitive closure, and a map preserving them preserves
-        it."""
-        image = tuple(map(int, image))
+        """Raises ValueError when the image misses an element, holds a
+        non-integral value or leaves range(target.n), and NotMonotone at the
+        first cover x < y of `source` with image[x] not <= image[y].  Covers
+        suffice: <= is their reflexive-transitive closure, and a map
+        preserving them preserves it."""
+        values = tuple(image)
+        image = tuple(map(int, values))
         if len(image) != source.n:
             raise ValueError("image must assign every source element")
-        if min(image) < 0 or max(image) >= target.n:
-            raise ValueError("image values out of range")
+        if image != values or min(image) < 0 or max(image) >= target.n:
+            raise ValueError("image values must be integers in range(target.n)")
         up = target.up
         for x, y in source.covers:
             if not up[image[x]] >> image[y] & 1:

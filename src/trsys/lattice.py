@@ -28,6 +28,7 @@ from .errors import (
 MAX_CUBE_DIMENSION = 20  # the size guards of boolean_cube, product and canonical_form
 MAX_PRODUCT_ELEMENTS = 4096
 MAX_CANONICAL_PERMUTATIONS = 5_000_000
+MAX_ALL_LATTICES = 10  # 5,994 lattices in a few seconds; 11 elements give 37,622
 
 
 def _bits(mask):
@@ -36,6 +37,21 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def per_lattice(build):
+    """Decorator: `build(lat)` is computed once per lattice and kept in its
+    `_cache`, which pickling drops."""
+
+    def table(lat):
+        try:
+            return lat._cache[build]
+        except KeyError:
+            value = lat._cache[build] = build(lat)
+            return value
+
+    table.__doc__ = build.__doc__
+    return table
 
 
 class Lattice:
@@ -76,7 +92,6 @@ class Lattice:
         self.height = _heights(self.covers, [d.bit_count() for d in self._down])
         graded = all(self.height[y] == self.height[x] + 1 for x, y in self.covers)
         self.rank = list(self.height) if graded else None
-        self._modular = None
         self._cache = {}
         self.leq.flags.writeable = False
 
@@ -91,13 +106,12 @@ class Lattice:
             raise NotGraded(f"{self!r} admits no rank function")
         return list(self.rank)
 
+    @per_lattice
     def is_modular(self):
         """Whether a <= b implies a v (x ^ b) = (a v x) ^ b, decided by
         Dedekind's criterion: the lattice has no pentagonal sublattice
-        (see `pentagon_witness`).  Cached."""
-        if self._modular is None:
-            self._modular = self.pentagon_witness() is None
-        return self._modular
+        (see `pentagon_witness`).  Built once, by `per_lattice`."""
+        return self.pentagon_witness() is None
 
     def pentagon_witness(self):
         """Return (x, y, z) spanning a pentagonal sublattice, or None.
@@ -129,20 +143,6 @@ class Lattice:
         state = self.__dict__.copy()
         state["_cache"] = {}
         return state
-
-
-def per_lattice(build):
-    """Decorator: `build(lat)` is computed once per lattice and kept in its
-    `_cache`, which pickling drops."""
-
-    def table(lat):
-        try:
-            return lat._cache[build]
-        except KeyError:
-            value = lat._cache[build] = build(lat)
-            return value
-
-    return table
 
 
 # -- construction helpers ---------------------------------------------------
@@ -261,6 +261,8 @@ def chain(m):
 
 def boolean_cube(k):
     """Subsets of a k-set ordered by inclusion, as bitmask elements."""
+    if k < 0:
+        raise ValueError("cube dimension must be nonnegative")
     if k > MAX_CUBE_DIMENSION:
         raise SizeLimit(f"boolean_cube({k}) exceeds guard {MAX_CUBE_DIMENSION}")
     n = 1 << k
@@ -412,32 +414,29 @@ def is_isomorphic(p, q):
 
 
 def all_lattices(n):
-    """All bounded lattices on exactly n elements, up to isomorphism.
-
-    Works by filtering every transitive upper-triangular order matrix, so
-    it is only meant for small n (n <= 6 stays under a second or two).
-    """
-    if n > 6:
-        raise SizeLimit("all_lattices is exhaustive search; n <= 6 only")
-    if n == 0:
-        return []
-    out = []
-    seen = set()
-    free = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for bits in range(1 << len(free)):
-        leq = np.eye(n, dtype=bool)
-        for k, (i, j) in enumerate(free):
-            if bits >> k & 1:
-                leq[i, j] = True
-        try:
-            lat = Lattice(leq)  # raises ValueError when leq is not transitive
-        except (ValueError, NotALattice, NotBounded):
-            continue
-        key = canonical_form(lat)
-        if key not in seen:
-            seen.add(key)
-            out.append(lat)
-    return out
+    """All bounded lattices on exactly n elements, up to isomorphism; each
+    order matrix is upper triangular, with bottom 0 and top n - 1.  Deleting
+    an atom leaves a lattice, so each one on n >= 3 elements is one on n - 1
+    plus an atom a, at index 1, below a set F of non-bottom elements in which
+    every F & up(x), x not bottom, has a least element a v x (so F is an
+    up-set); `canonical_form` drops the duplicates."""
+    if n < 0:
+        raise ValueError("lattice size must be nonnegative")
+    if n > MAX_ALL_LATTICES:
+        raise SizeLimit(f"all_lattices({n}) exceeds guard {MAX_ALL_LATTICES}")
+    level = [chain(min(n, 2) - 1)] if n else []
+    for m in range(2, n):
+        grown, top = {}, 1 << m - 1
+        for lat, middle in itertools.product(level, range(1 << m - 2)):
+            up, above = lat.up, top | middle << 1
+            if all(up[x] & above in up for x in _bits(2 * top - 2)):
+                leq = np.insert(np.insert(lat.leq, 1, False, axis=0), 1, False, axis=1)
+                leq[:2, 1] = True
+                leq[1, 2:] = [above >> x & 1 for x in range(1, m)]
+                child = Lattice(leq)
+                grown.setdefault(canonical_form(child), child)
+        level = list(grown.values())
+    return level
 
 
 # -- serialization -----------------------------------------------------------

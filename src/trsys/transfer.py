@@ -320,7 +320,7 @@ def _pair_bits(lat, pairs):
     n = lat.n
     bits = 0
     for x, y in pairs:
-        if not (x in range(n) and y in range(n) and lat.up[x] >> y & 1):
+        if not (x in range(n) and y in range(n) and lat.up[int(x)] >> int(y) & 1):
             raise InvalidTransferSystem(Violation("refinement", (x, y)))
         bits |= 1 << int(x) * n + int(y)
     return bits

@@ -19,11 +19,13 @@ from trsys.characteristic import (
 )
 from trsys.errors import InvariantViolation, NotMonotone
 from trsys.functorial import LatticeMap
-from trsys.lattice import boolean_cube, chain, from_order, iterated_fusion, product
+from trsys.covers import enumerate_saturated_covers
+from trsys.lattice import all_lattices, boolean_cube, chain, from_order, iterated_fusion, product
 from trsys.oracles import naive_interior_operators
 from trsys.transfer import (
     complete_system,
     discrete_system,
+    enumerate_saturated_systems,
     enumerate_transfer_systems,
     generate,
     saturated_hull,
@@ -212,6 +214,24 @@ def test_fiber_count_equals_operator_count_everywhere():
     for lat in FEASIBLE:
         fibers = fiber_decomposition(lat)
         assert len(fibers) == count_interior_operators(lat)
+
+
+def test_census_of_every_lattice_up_to_eight_elements():
+    # the paper's first theorem holds on every finite lattice, modular or
+    # not: each chi-fiber has a saturated top, one per interior operator
+    lattices = [lat for n in range(1, 9) for lat in all_lattices(n)]
+    assert (len(lattices), sum(lat.is_modular() for lat in lattices)) == (300, 67)
+    for lat in lattices:
+        interior = count_interior_operators(lat)
+        assert len(enumerate_saturated_systems(lat)) == interior
+        if lat.is_modular():
+            assert len(enumerate_saturated_covers(lat)) == interior
+        if lat.n <= 7:
+            fibers = fiber_decomposition(lat)
+            assert len(fibers) == interior
+            for fiber in fibers:
+                top = max(fiber.members, key=lambda s: s.bits.bit_count())
+                assert all(s <= top for s in fiber.members) and top.is_saturated()
 
 
 def test_fiber_minimum_construction():

@@ -33,7 +33,7 @@ from trsys.transfer import (
 def test_monotone_validation():
     with pytest.raises(NotMonotone):
         LatticeMap(chain(2), chain(2), [2, 1, 0])
-    for image in [[0, 1, -1], [0, 1, 2], [0, 1]]:
+    for image in [[0, 1, -1], [0, 1, 2], [0, 1], [0, 0.5, 1]]:
         with pytest.raises(ValueError):
             LatticeMap(chain(2), chain(1), image)
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import pickle
 
@@ -14,7 +15,9 @@ from trsys.errors import (
     NotPrime,
     SizeLimit,
 )
+import trsys.lattice as lattice_module
 from trsys.lattice import (
+    MAX_ALL_LATTICES,
     Lattice,
     all_lattices,
     boolean_cube,
@@ -276,9 +279,52 @@ def test_isomorphism_decides_relabelled_copies_with_ten_or_more_classes(lat):
     assert is_isomorphic(lat.dual(), copy.dual())
 
 
-def test_all_lattices_counts():
-    # unlabeled bounded lattices on 1..6 elements
-    assert [len(all_lattices(n)) for n in range(1, 7)] == [1, 1, 1, 2, 5, 15]
+# unlabeled lattices (OEIS A006966, from n = 0) and modular lattices
+# (A006981, from n = 1)
+LATTICE_COUNTS = [0, 1, 1, 1, 2, 5, 15, 53, 222, 1078, 5994]
+MODULAR_COUNTS = [None, 1, 1, 1, 2, 4, 8, 16, 34, 72, 157]
+
+
+@pytest.fixture(scope="module")
+def lattices_to_nine():
+    return [all_lattices(n) for n in range(10)]
+
+
+def test_all_lattices_counts(lattices_to_nine):
+    assert [len(level) for level in lattices_to_nine] == LATTICE_COUNTS[:10]
+    modular = [sum(lat.is_modular() for lat in level) for level in lattices_to_nine[1:]]
+    assert modular == MODULAR_COUNTS[1:10]
+
+
+@pytest.mark.slow
+def test_all_lattices_counts_at_ten():
+    level = all_lattices(10)
+    assert len(level) == LATTICE_COUNTS[10]
+    assert sum(lat.is_modular() for lat in level) == MODULAR_COUNTS[10]
+
+
+def test_all_lattices_are_pairwise_non_isomorphic_and_upper_triangular(lattices_to_nine):
+    for n, level in enumerate(lattices_to_nine):
+        assert len({canonical_form(lat) for lat in level}) == len(level)
+        for lat in level:
+            assert lat.n == n and lat.bottom == 0 and lat.top == n - 1
+            assert not np.tril(lat.leq, -1).any()
+    # up to six elements, without `canonical_form`: no relabelling of one
+    # lattice gives the order matrix of another
+    for level in lattices_to_nine[:7]:
+        for p, q in itertools.combinations(level, 2):
+            assert not any(np.array_equal(p.leq[np.ix_(perm, perm)], q.leq)
+                           for perm in itertools.permutations(range(p.n)))
+
+
+def test_size_guards_refuse_before_any_lattice_is_built(monkeypatch):
+    with pytest.raises(ValueError):
+        boolean_cube(-1)
+    monkeypatch.setattr(lattice_module, "Lattice", None)
+    with pytest.raises(ValueError):
+        all_lattices(-1)
+    with pytest.raises(SizeLimit):
+        all_lattices(MAX_ALL_LATTICES + 1)
 
 
 def test_dual():
@@ -327,11 +373,13 @@ def test_per_lattice_tables_are_built_once_and_not_pickled():
     assert closure_for(lat) is closure_for(lat)
     assert _rules(lat) is _rules(lat)
     assert _bottom_up(lat) is _bottom_up(lat)
-    # the searches read the cached tables; a pickled lattice, as `--jobs`
-    # workers receive it, carries none of them
+    # the searches read the cached tables, and the cover search the cached
+    # modularity; a pickled lattice, as `--jobs` workers receive it,
+    # carries none of them
     assert len(enumerate_transfer_systems(lat)) == 450
     assert len(enumerate_saturated_covers(lat)) == 61
     assert len(interior_system_masks(lat)) == 61
-    assert len(lat._cache) == 3
+    assert len(lat._cache) == 4 and True in lat._cache.values()
     back = pickle.loads(pickle.dumps(lat))
     assert back._cache == {} and back.same_order(lat)
+    assert back.is_modular() and list(back._cache.values()) == [True]

@@ -71,7 +71,7 @@ def test_refinement_guard():
 
 
 # -1 would wrap around to the top in a numpy or list lookup
-@pytest.mark.parametrize("pair", [(-1, 2), (0, 5), (3, 3), (0, -1)])
+@pytest.mark.parametrize("pair", [(-1, 2), (0, 5), (3, 3), (0, -1), (0.5, 2)])
 def test_out_of_range_pairs_fail_refinement(pair):
     lat = chain(2)
     for build in (
@@ -83,6 +83,14 @@ def test_out_of_range_pairs_fail_refinement(pair):
             build()
         assert info.value.violation.axiom == "refinement"
         assert info.value.violation.witness == pair
+
+
+def test_integral_float_pairs_load_as_ints():
+    # JSON readers may give 0.0 for 0; both loaders read it as the int
+    lat = boolean_cube(2)
+    expected = TransferSystem.from_pairs(lat, [(0, 2)])
+    assert TransferSystem.from_pairs(lat, [[0.0, 2]]) == expected
+    assert system_from_json({"lattice": lattice_to_json(lat), "pairs": [[0.0, 2]]}) == expected
 
 
 @pytest.mark.parametrize("lat", [chain(2), boolean_cube(2)], ids=["chain2", "cube2"])
