@@ -93,9 +93,9 @@ def _gather(tables, bits):
 
 def _join_closure(tables, inc, exc, e):
     # M | (e v M) is the join closure of M + {e} when M is join-closed and
-    # contains bottom: (e v a) v (e v b) = e v (a v b) = a v (e v b)
-    closed = inc | _gather(tables[e], inc)
-    return None if closed & exc else closed
+    # contains bottom: (e v a) v (e v b) = e v (a v b) = a v (e v b).  The
+    # search reads it as a witness when it meets `exc`
+    return inc | _gather(tables[e], inc)
 
 
 def interior_system_masks(lat, max_elements=16):

@@ -140,6 +140,7 @@ class _CoverRules:
         self.order = sorted(_bits(cover), key=lambda p: (-height[p // n], p))
 
     def propagate(self, inc, exc, e):
+        """Edge e and the edges it forces, up to an excluded one: the witness."""
         inc |= 1 << e
         work = [e]
         while work:
@@ -152,7 +153,7 @@ class _CoverRules:
                     forced |= missing
             if forced:
                 if forced & exc:
-                    return None
+                    return inc | forced
                 inc |= forced
                 while forced:
                     low = forced & -forced

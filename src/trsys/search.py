@@ -1,11 +1,11 @@
 """The include/exclude backtracking engine behind every exhaustive search.
 
-A state (i, inc, exc) holds the included and excluded bits as ints, and
-`order[i:]` the positions still to branch on.  States are immutable, so
-backtracking needs no undo trail (Knuth, TAOCP 4B, 7.2.2).  A kind of
-search supplies its branch order and `propagate(inc, exc, k)`, the
-closure of `inc` plus position k or None when it meets `exc`; the Tr,
-saturated and cover searches read both off one object per lattice and
+A state [i, inc, exc] holds the included and excluded bits as ints, and
+`order[i:]` the positions still to branch on, some maybe decided.  A kind
+of search supplies its branch order and `propagate(inc, exc, k)`, a
+relation R with inc | 1 << k <= R <= closure(inc + k): the closure when
+it avoids `exc`, else an R whose bits in `exc` witness the failure.  The
+Tr, saturated and cover searches read both off one object per lattice and
 kind, built once through `lattice.per_lattice`.  Excluding a position
 never fails: a propagator that forces every position it must leaves no
 state whose exclusion branch is dead.
@@ -38,7 +38,7 @@ def leaves(order, root, propagate, jobs=1, guard=None):
         raise SizeLimit(f"{guard} leaves of {width} bits pass the search's memory guard of 2^31 bits")
     jobs = min(jobs, os.cpu_count() or 1)
     limit = sys.maxsize if guard is None else guard  # no list holds more
-    states = deque([(0, root, 0)])
+    states = deque([[0, root, 0]])
     out = _walk(order, states, propagate, limit, width=4 * jobs if jobs > 1 else 0)
     if states:
         # imported here, so that a serial start skips the pool's ~20 ms of imports
@@ -58,31 +58,38 @@ def leaves(order, root, propagate, jobs=1, guard=None):
 
 def _walk(order, states, propagate, limit, width=0):
     """The leaves below `states`, at most `limit`.  A popped state runs down
-    its exclusion spine to a leaf, pushing each include child that survives
-    propagation.  With `width`, the oldest state is popped first and the
-    walk stops once `width` states are open, leaving them in `states`."""
+    its exclusion spine, pushing each include child that leaves a position
+    undecided and taking the others as leaves.  An include of k that fails
+    excludes k in each sibling this spine pushed whose `exc` meets the
+    witness, which its closures with k hold; those `exc` grow along the
+    spine, so the scan stops at the newest that misses it.  With `width`,
+    the oldest state is popped first and the walk stops once `width`
+    states are open, leaving them in `states`."""
     out = []
-    n = len(order)
-    masks = [1 << k for k in order]
+    cells = [(i + 1, k, 1 << k) for i, k in enumerate(order)]  # the next index, position and bit
+    every = sum(1 << k for k in order)  # a state decides every position before its index
     pop = states.popleft if width else states.pop
     push = states.append
     while states:
         if width and len(states) >= width:
             break
         i, inc, exc = pop()
-        while True:
-            decided = inc | exc
-            while i < n and decided & masks[i]:
-                i += 1
-            if i == n:
-                out.append(inc)
-                if len(out) > limit:
-                    raise SizeLimit(f"the search passed its guard of {limit} leaves")
-                break
-            k = order[i]
-            i += 1
+        base, skip = len(states), inc | exc  # the spine adds to `exc` only bits it has passed
+        for nxt, k, bit in cells[i:]:
+            if skip & bit:
+                continue
             with_k = propagate(inc, exc, k)
-            if with_k is not None:
-                push((i, with_k, exc))
-            exc |= masks[i - 1]
+            if witness := with_k & exc:
+                j = len(states)
+                while j > base and states[j - 1][2] & witness:
+                    j -= 1
+                    states[j][2] |= bit
+            elif every & ~(with_k | exc):
+                push([nxt, with_k, exc])
+            else:
+                out.append(with_k)
+            exc |= bit
+        out.append(inc)
+        if len(out) > limit:
+            raise SizeLimit(f"the search passed its guard of {limit} leaves")
     return out

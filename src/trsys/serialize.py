@@ -10,8 +10,8 @@ from __future__ import annotations
 import json
 
 from .covers import SaturatedCover
-from .lattice import dot_digraph, lattice_from_json, lattice_to_json
-from .transfer import TransferSystem
+from .lattice import _bits, dot_digraph, lattice_from_json, lattice_to_json
+from .transfer import TransferSystem, closure_for
 
 
 def system_to_json(system):
@@ -47,7 +47,9 @@ def json_lines(lat, items, kind):
     head, tail = '{"lattice": ' + lattice + ', "pairs": ', "}"
     if kind == "covers":  # "edges" sorts before "lattice"
         head, tail = '{"edges": ', ', "lattice": ' + lattice + "}"
-    return (head + "[" + ", ".join(f"[{x}, {y}]" for x, y in r.pairs()) + "]" + tail for r in items)
+    n, diag = lat.n, closure_for(lat).diag
+    text = {x * n + y: f"[{x}, {y}]" for x in range(n) for y in _bits(lat.up[x] & ~(1 << x))}
+    return (head + "[" + ", ".join([text[p] for p in _bits(r.bits & ~diag)]) + "]" + tail for r in items)
 
 
 def operator_to_json(operator):

@@ -48,10 +48,10 @@ class _DenseClosure:
     with its restrictions (x ^ y, y), y <= z, one pass of which suffices,
     and closes transitively, which keeps restriction: adding (x, z) to a
     reflexive, transitive R adds column x of R times row z, one
-    multiplication per pair, and stops at the first that meets an
-    exclusion.  `propagate_saturated` then adds what two-out-of-three
-    forces, scanning only the rows that grew: a row that meets the rule
-    keeps meeting it while other rows grow.
+    multiplication per pair; once R meets an exclusion, it is the step's
+    witness.  `propagate_saturated` then adds what two-out-of-three forces,
+    scanning only the rows that grew: a row that meets the rule keeps
+    meeting it while other rows grow.
     """
 
     def __init__(self, lat):
@@ -95,25 +95,25 @@ class _DenseClosure:
     def propagate(self, inc, exc, k):
         forced, updates = self.steps[k] or self._step(k)
         if forced & exc:
-            return None
+            return inc | forced
         col, row = self.col, self.row
         for x, zn, bit in updates:
             if not inc & bit:
                 inc |= (inc >> x & col) * (inc >> zn & row)
                 if inc & exc:
-                    return None
+                    break
         return inc
 
     def propagate_saturated(self, inc, exc, k):
         """`propagate`, then two-out-of-three on the rows that grew; `inc` must be saturated."""
         old, inc = inc, self.propagate(inc, exc, k)
-        while inc is not None and (new := self._saturate(inc, inc ^ old) & ~inc):
+        while not inc & exc and (new := self._saturate(inc, inc ^ old) & ~inc):
             if new & exc:
-                return None
+                return inc | new
             old = inc
             for p in _bits(new):
-                if not inc >> p & 1 and (inc := self.propagate(inc, exc, p)) is None:
-                    return None
+                if not inc >> p & 1 and (inc := self.propagate(inc, exc, p)) & exc:
+                    break
         return inc
 
     def close(self, bits, saturate=False, base=0):

@@ -1,13 +1,13 @@
-"""Property tests on relabelled small lattices: the searches and the dense
-closure against the naive oracles, the Hasse edges of Tr against their
-definition, the n-ary fusion against the pairwise fold, the fusion
-recursion against brute force and its deleted-extreme slices of Tr
-against the subset filter, the chi-fiber theorem, the chi
-image, the cover <-> saturated bijection, the dead-end-free interior
-search, exact JSON round-trips, the lattice tables against their
-definitions on the order matrix, malformed orders against their first
-witnesses, the loops built on the tables against their definitions, and the
-CLI formats against each other.
+"""Property tests on relabelled small lattices: the searches, the dense
+closure and each search's include step against the naive oracles, the
+Hasse edges of Tr against their definition, the n-ary fusion against
+the pairwise fold, the fusion recursion against brute force and its
+deleted-extreme slices of Tr against the subset filter, the chi-fiber
+theorem, the chi image, the cover <-> saturated bijection, the
+dead-end-free interior search, exact JSON round-trips, the lattice
+tables against their definitions on the order matrix, malformed orders
+against their first witnesses, the loops built on the tables against
+their definitions, and the CLI formats against each other.
 
 Every lattice on at most five elements, plus Sub(C3 x C3), whose few
 comparable pairs make the n x n bit layout sparse, is drawn under a random
@@ -20,6 +20,8 @@ import json
 import os
 import re
 import tempfile
+from functools import partial, reduce
+from operator import and_, or_
 from unittest import mock
 
 import numpy as np
@@ -28,6 +30,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trsys.characteristic import (
+    _byte_tables,
+    _join_closure,
     characteristic,
     fiber_decomposition,
     interior_system_masks,
@@ -45,7 +49,7 @@ from trsys.covers import (
 )
 from trsys.errors import CycleDetected, NotMonotone
 from trsys.functorial import LatticeMap
-from trsys.lattice import Lattice, all_lattices, chain, fusion, iterated_fusion, lattice_to_json, sub_cp_cp
+from trsys.lattice import Lattice, _bits, all_lattices, chain, fusion, iterated_fusion, lattice_to_json, sub_cp_cp
 from trsys.oracles import (
     least_saturated_above,
     least_system_containing,
@@ -216,22 +220,48 @@ def test_dense_closure_equals_the_least_systems_above(lat, dual, data):
     assert closure_for(lat).close(bits, saturate=True) == least_saturated_above(least, tr=tr).bits
 
 
-@settings(max_examples=150, deadline=None)
-@given(relabelled(BASES), st.booleans(), st.data())
-def test_saturated_step_equals_the_saturated_closure(lat, dual, data):
-    # the search's include step from a saturated system: the least saturated
-    # system above the system and one pair, by the subset-filter oracles, or
-    # None when it meets the exclusions
-    lat, tr, _ = systems_and_pairs(lat, dual)
+def include_step(lat, kind):
+    """The include step of the search of `kind` on `lat`, and the sets
+    closed under it by the subset filters."""
+    if kind == "interior":  # the join-closed sets that hold bottom
+        tables = [_byte_tables(1 << j for j in row) for row in lat.join]
+        closed = [
+            m for m in range(1 << lat.n)
+            if m >> lat.bottom & 1 and all(m >> lat.join[a][b] & 1 for a in _bits(m) for b in _bits(m))
+        ]
+        return partial(_join_closure, tables), closed
+    if kind == "covers":
+        return _rules(lat).propagate, bits(naive_saturated_covers(lat))
     closure = closure_for(lat)
-    inc = data.draw(st.sampled_from([r.bits for r in tr if r.is_saturated()]))
-    outside = [p for p in range(lat.n * lat.n) if closure.full >> p & 1 and not inc >> p & 1]
+    tr = naive_transfer_systems(lat)
+    if kind == "saturated":
+        return closure.propagate_saturated, [r.bits for r in tr if r.is_saturated()]
+    return closure.propagate, bits(tr)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans(), st.data())
+@pytest.mark.parametrize("kind", ["transfer", "saturated", "covers", "interior"])
+def test_include_step_returns_the_closure_or_a_witness_inside_it(kind, dual, data):
+    # from a closed set, the step returns the least closed set above it and
+    # one position when that avoids the exclusions; else a relation that
+    # meets them and lies between the set plus the position and that least set
+    lat = data.draw(relabelled(MODULAR if kind == "covers" else BASES))
+    lat = lat.dual() if dual else lat
+    step, closed = include_step(lat, kind)
+    inc = data.draw(st.sampled_from(closed))
+    outside = list(_bits(reduce(or_, closed) & ~inc))
     assume(outside)
     k = data.draw(st.sampled_from(outside))
     exc = sum(1 << p for p in data.draw(st.sets(st.sampled_from(outside))))
-    picks = [divmod(p, lat.n) for p in range(lat.n * lat.n) if (inc | 1 << k) >> p & 1]
-    least = least_saturated_above(least_system_containing(lat, picks, tr=tr), tr=tr).bits
-    assert closure.propagate_saturated(inc, exc, k) == (None if least & exc else least)
+    start = inc | 1 << k
+    least = reduce(and_, (c for c in closed if c & start == start))
+    assert least in closed
+    got = step(inc, exc, k)
+    if least & exc:
+        assert got & exc and got & start == start and got & ~least == 0
+    else:
+        assert got == least
 
 
 @settings(max_examples=100, deadline=None)

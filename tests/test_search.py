@@ -1,13 +1,17 @@
-"""The leaf and memory guards of the search engine and its cap on worker processes."""
+"""The leaf and memory guards of the search engine, its cap on worker
+processes, and the include calls that its learned exclusions save."""
 import concurrent.futures
+import random
+from unittest import mock
 
+import numpy as np
 import pytest
 
 from trsys import search
 from trsys.covers import enumerate_saturated_covers
 from trsys.errors import SizeLimit
-from trsys.lattice import boolean_cube, chain
-from trsys.transfer import closure_for, enumerate_saturated_systems, enumerate_transfer_systems
+from trsys.lattice import Lattice, boolean_cube, chain, product
+from trsys.transfer import _DenseClosure, closure_for, enumerate_saturated_systems, enumerate_transfer_systems
 
 SEARCHES = [enumerate_transfer_systems, enumerate_saturated_systems, enumerate_saturated_covers]
 
@@ -72,11 +76,11 @@ def test_merged_total_over_the_guard_cancels_the_pending_subtrees(in_process_poo
 def test_memory_guard_admits_exactly_its_budget_of_bits(monkeypatch):
     # one leaf of 10 bits, the width of an order whose last position is 9
     monkeypatch.setattr(search, "_LEAF_BITS", 100)
-    exclude_only = lambda inc, exc, k: None  # noqa: E731
-    assert search.leaves([9], 0, exclude_only, guard=10) == [0]
+    add_one = lambda inc, exc, k: inc | 1 << k  # noqa: E731  (the closure of inc + k)
+    assert search.leaves([9], 0, add_one, guard=10) == [0, 1 << 9]
     with pytest.raises(SizeLimit, match="11 leaves of 10 bits pass the search's memory guard"):
-        search.leaves([9], 0, exclude_only, guard=11)
-    assert search.leaves([9], 0, exclude_only, guard=None) == [0]
+        search.leaves([9], 0, add_one, guard=11)
+    assert search.leaves([9], 0, add_one, guard=None) == [0, 1 << 9]
 
 
 @pytest.mark.parametrize("enumerate_", SEARCHES, ids=["transfer", "saturated", "covers"])
@@ -89,3 +93,34 @@ def test_memory_guard_refuses_a_chain_of_94_elements_before_the_search(enumerate
     monkeypatch.setattr(search, "_walk", None)  # no search starts
     with pytest.raises(SizeLimit, match="memory guard"):
         enumerate_(chain(93))
+
+
+def include_calls(step, enumerate_, lat):
+    """The leaves of `enumerate_(lat)` and the calls it makes to the
+    `_DenseClosure` method `step`."""
+    calls, method = [], getattr(_DenseClosure, step)
+
+    def counted(*args):
+        calls.append(args[-1])
+        return method(*args)
+
+    with mock.patch.object(_DenseClosure, step, counted):
+        return len(enumerate_(lat)), len(calls)
+
+
+def test_tr_of_a_chain_makes_at_most_its_budget_of_include_calls():
+    # a failed include excludes its pair in the earlier siblings its witness
+    # reaches; without that, Tr(chain(9)) makes 43,565 calls.  A chain's
+    # branch order breaks no ties by label, so relabelling would not change it
+    leaves, calls = include_calls("propagate", enumerate_transfer_systems, chain(9))
+    assert leaves == 16_796 and calls <= 24_623
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_saturated_grid_makes_at_most_its_budget_of_include_calls_per_leaf(seed):
+    # at most 3.1 calls per leaf under relabelling; about 9.4 without learned exclusions
+    perm = list(range(16))
+    random.Random(seed).shuffle(perm)
+    lat = Lattice(product(chain(3), chain(3)).leq[np.ix_(perm, perm)])
+    leaves, calls = include_calls("propagate_saturated", enumerate_saturated_systems, lat)
+    assert leaves == 3451 and calls <= 3.1 * leaves
