@@ -14,7 +14,7 @@ from functools import partial
 from . import search
 from .errors import InvariantViolation, SizeLimit
 from .functorial import LatticeMap
-from .lattice import per_lattice
+from .lattice import _byte_tables, _gather, per_lattice
 from .transfer import (
     TransferSystem,
     enumerate_transfer_systems,
@@ -61,34 +61,6 @@ def characteristic(system):
 
 
 # -- interior operator enumeration -------------------------------------------
-
-
-def _byte_tables(values):
-    """Per byte of a bitset, a table from its value to the OR of values[j]
-    over the set bits j it covers.  An entry that a zero value leaves
-    unchanged shares the int of the entry without that bit, so sparse
-    values cost few int objects."""
-    values = list(values)
-    values += [0] * (-len(values) % 8)
-    tables = []
-    for base in range(0, len(values), 8):
-        table = [0] * 256
-        for v in range(1, 256):
-            low = v & -v
-            value = values[base + low.bit_length() - 1]
-            table[v] = table[v ^ low] | value if value else table[v ^ low]
-        tables.append(table)
-    return tables
-
-
-def _gather(tables, bits):
-    """OR of `values[j]` over the set bits j of `bits` (see _byte_tables)."""
-    out = 0
-    for table in tables:
-        out |= table[bits & 255]
-        if not (bits := bits >> 8):
-            break
-    return out
 
 
 def _join_closure(tables, inc, exc, e):
@@ -162,10 +134,21 @@ def interior_system_of(operator):
 
 
 def enumerate_interior_operators(lat, max_elements=16):
-    """All interior operators, sorted by lexicographic image."""
-    ops = [operator_from_interior_system(lat, m) for m in interior_system_masks(lat, max_elements)]
-    ops.sort(key=lambda f: f.image)
-    return ops
+    """All interior operators, sorted by lexicographic image.
+
+    A join-closed M holding bottom gives f(x) = max(M ∩ ↓x), the last
+    element of M ∩ ↓x in height order: M ∩ ↓x holds bottom and the join of
+    its elements, and its other elements lie below that join, at smaller heights.
+    With M and each ↓x mapped by `_gather` to height-order bit positions,
+    f(x) is the element at the top bit of their AND.  The tests compare it
+    with `operator_from_interior_system`, which takes any mask.
+    """
+    order = [x for x, _ in _bottom_up(lat)]
+    remap = _byte_tables(1 << order.index(x) for x in range(lat.n))
+    downs = [_gather(remap, down) for down in lat._down]
+    images = sorted(tuple([order[(m & down).bit_length() - 1] for down in downs])
+                    for m in map(partial(_gather, remap), interior_system_masks(lat, max_elements)))
+    return [InteriorOperator._wrap(lat, f) for f in images]
 
 
 def count_interior_operators(lat, max_elements=16):

@@ -4,9 +4,9 @@ Elements are dense integer indices 0..n-1.  Construction reads two int
 rows per element off the order matrix, the up-set and the down-set, and
 derives every table from them: the partial-order check, bottom and top,
 meet and join, covers, heights and ranks.  Instances are immutable
-afterwards and safe for concurrent reads.  `_bits`, the one iterator over
-the set bits of such a row, serves every module, and `per_lattice` builds
-every table that other modules derive from a lattice once per lattice.
+afterwards and safe for concurrent reads.  `_bits` and `_byte_tables`
+read the set bits of such a row, one by one or a byte at a time, for every
+module, and `per_lattice` builds every table derived from a lattice once.
 """
 from __future__ import annotations
 
@@ -37,6 +37,33 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _byte_tables(values, join=None, empty=0):
+    """Per byte of a bitset, a table from its value to the OR of values[j]
+    over its set bits j or, given `join` and `empty` (for text, ""), their
+    `join`, lowest bit first.  An empty value adds nothing to an entry."""
+    values = list(values)
+    values += [empty] * (-len(values) % 8)
+    tables = []
+    for base in range(0, len(values), 8):
+        table = [empty] * 256
+        for v in range(1, 256):
+            low = v & -v
+            value, rest = values[base + low.bit_length() - 1], table[v ^ low]
+            table[v] = rest | value if join is None else join(value, rest) if value and rest else value or rest
+        tables.append(table)
+    return tables
+
+
+def _gather(tables, bits):
+    """OR of `values[j]` over the set bits j of `bits` (see _byte_tables)."""
+    out = 0
+    for table in tables:
+        out |= table[bits & 255]
+        if not (bits := bits >> 8):
+            break
+    return out
 
 
 def per_lattice(build):

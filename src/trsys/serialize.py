@@ -3,15 +3,16 @@
 Transfer-system diagrams draw every non-reflexive relation with upward
 (unmarked) edges, not just the covering ones; saturated-cover diagrams
 draw the chosen cover edges in bold over the gray Hasse background.
-Every DOT text comes from `lattice.dot_digraph`.
+Every DOT text comes from `lattice.dot_digraph`.  The per-item writers
+join text made once per lattice, read off a relation a byte at a time.
 """
 from __future__ import annotations
 
 import json
 
 from .covers import SaturatedCover
-from .lattice import _bits, dot_digraph, lattice_from_json, lattice_to_json
-from .transfer import TransferSystem, closure_for
+from .lattice import _byte_tables, dot_digraph, lattice_from_json, lattice_to_json, per_lattice
+from .transfer import TransferSystem
 
 
 def system_to_json(system):
@@ -40,16 +41,34 @@ def cover_from_json(obj):
 
 def json_lines(lat, items, kind):
     """`json.dumps(..., sort_keys=True)` of `operator_to_json`, `cover_to_json`
-    (kind "covers") or `system_to_json` of each item on `lat`, encoding `lat` once."""
+    (kind "covers") or `system_to_json` of each item on `lat`, byte for byte,
+    joined from `lat` encoded once, number strings or `_json_tables`."""
     if kind == "interior":
-        return (json.dumps(operator_to_json(op), sort_keys=True) for op in items)
+        numbers = [str(x) for x in range(lat.n)]
+        return ('{"image": [' + ", ".join(map(numbers.__getitem__, op.image)) + "]}" for op in items)
     lattice = json.dumps(lattice_to_json(lat), sort_keys=True)
-    head, tail = '{"lattice": ' + lattice + ', "pairs": ', "}"
+    head, tail = '{"lattice": ' + lattice + ', "pairs": [', "]}"
     if kind == "covers":  # "edges" sorts before "lattice"
-        head, tail = '{"edges": ', ', "lattice": ' + lattice + "}"
-    n, diag = lat.n, closure_for(lat).diag
-    text = {x * n + y: f"[{x}, {y}]" for x in range(n) for y in _bits(lat.up[x] & ~(1 << x))}
-    return (head + "[" + ", ".join([text[p] for p in _bits(r.bits & ~diag)]) + "]" + tail for r in items)
+        head, tail = '{"edges": [', '], "lattice": ' + lattice + "}"
+    tables = _json_tables(lat)
+    return (head + _pairs_text(tables, r.bits, ", ") + tail for r in items)
+
+
+def _text_tables(lat, form, sep):
+    """`_byte_tables` of a relation's bits to the `form` of each non-reflexive
+    pair (x, y) it holds, joined by `sep`; the diagonal has no text."""
+    up = [row & ~(1 << x) for x, row in enumerate(lat.up)]
+    texts = [form.format(x, y) if up[x] >> y & 1 else "" for x in range(lat.n) for y in range(lat.n)]
+    return _byte_tables(texts, lambda low, rest: low + sep + rest, "")
+
+
+_json_tables = per_lattice(lambda lat: _text_tables(lat, "[{}, {}]", ", "))
+_label_tables = per_lattice(lambda lat: _text_tables(lat, "{}<{}", " "))
+
+
+def _pairs_text(tables, bits, sep):
+    """The non-empty entries that the bytes of `bits` select, joined by `sep`."""
+    return sep.join(filter(None, map(list.__getitem__, tables, bits.to_bytes(len(tables), "little"))))
 
 
 def operator_to_json(operator):
@@ -67,7 +86,7 @@ def fiber_to_json(fiber):
 
 def pair_label(system, empty="(none)"):
     """The non-reflexive pairs of `system` as "a<b a<c ...", or `empty`."""
-    return " ".join(f"{a}<{b}" for a, b in system.pairs()) or empty
+    return _pairs_text(_label_tables(system.lattice), system.bits, " ") or empty
 
 
 def system_to_dot(system, title="transfer-system"):

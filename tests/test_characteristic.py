@@ -1,5 +1,7 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 from trsys.characteristic import (
@@ -20,7 +22,7 @@ from trsys.characteristic import (
 from trsys.errors import InvariantViolation, NotMonotone
 from trsys.functorial import LatticeMap
 from trsys.covers import enumerate_saturated_covers
-from trsys.lattice import all_lattices, boolean_cube, chain, from_order, iterated_fusion, product
+from trsys.lattice import Lattice, all_lattices, boolean_cube, chain, from_order, iterated_fusion, product
 from trsys.oracles import naive_interior_operators
 from trsys.transfer import (
     complete_system,
@@ -30,6 +32,7 @@ from trsys.transfer import (
     generate,
     saturated_hull,
 )
+from trsys.verify import modular_family
 
 
 def pentagon():
@@ -162,6 +165,23 @@ def test_interior_systems_are_operator_images():
             assert interior_system_of(op) == mask
             # the operator is wrapped unchecked: validate it here
             assert InteriorOperator(lat, op.image) == op
+
+
+def test_interior_images_off_the_masks_equal_the_bottom_up_route():
+    # enumerate_interior_operators reads f(x) = max(M ∩ ↓x) off the top bit of
+    # M ∩ ↓x in height order; operator_from_interior_system joins f over the
+    # lower covers, for any mask.  Each lattice also runs relabelled, so the
+    # height order is not the label order
+    lats = [lat for n in range(1, 8) for lat in all_lattices(n)] + [lat for _, lat in modular_family()]
+    rng = random.Random(21)
+    for base in lats:
+        perm = rng.sample(range(base.n), base.n)
+        for lat in (base, Lattice(base.leq[np.ix_(perm, perm)])):
+            ops = enumerate_interior_operators(lat, max_elements=lat.n)
+            routes = [operator_from_interior_system(lat, m) for m in interior_system_masks(lat, lat.n)]
+            routes.sort(key=lambda f: f.image)
+            assert [f.image for f in ops] == [f.image for f in routes]
+            assert all(type(f) is InteriorOperator and f.lattice is lat for f in ops)
 
 
 def test_interior_operator_meets_lower_bounds():

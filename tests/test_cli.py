@@ -1,20 +1,40 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from trsys import cli
+from trsys.characteristic import enumerate_interior_operators
 from trsys.cli import main
 from trsys.covers import enumerate_saturated_covers
 from trsys.errors import InvalidInput
-from trsys.lattice import boolean_cube, chain, iterated_fusion, lattice_to_dot, lattice_to_json
-from trsys.serialize import cover_to_dot, cover_to_json, dump, system_to_dot, system_to_json
-from trsys.transfer import enumerate_saturated_systems, enumerate_transfer_systems
+from trsys.lattice import (
+    Lattice,
+    boolean_cube,
+    chain,
+    iterated_fusion,
+    lattice_to_dot,
+    lattice_to_json,
+    product,
+    sub_cp_cp,
+)
+from trsys.serialize import (
+    cover_to_dot,
+    cover_to_json,
+    dump,
+    operator_to_json,
+    pair_label,
+    system_to_dot,
+    system_to_json,
+)
+from trsys.transfer import discrete_system, enumerate_saturated_systems, enumerate_transfer_systems
 
 
 def run_cli(args, capsys):
@@ -63,18 +83,55 @@ def test_enumerate_saturated_json(capsys):
         assert set(obj["lattice"]) == {"n", "names", "leq_pairs"}
 
 
+def relabelled(lat, seed):
+    perm = random.Random(seed).sample(range(lat.n), lat.n)
+    return Lattice(lat.leq[np.ix_(perm, perm)], names=[lat.names[x] for x in perm])
+
+
+# Relations of n^2 = 64, 25, 36 and 144 bits: chain(4) and Sub(C3 x C3) end
+# inside a table byte, and the relabelled [2]x[3] spans 18 table bytes
+AWKWARD = [boolean_cube(3), chain(4), sub_cp_cp(3), relabelled(product(chain(2), chain(3)), 21)]
+
+LIBRARY = {
+    "transfer": (enumerate_transfer_systems, system_to_json),
+    "saturated": (enumerate_saturated_systems, system_to_json),
+    "covers": (enumerate_saturated_covers, cover_to_json),
+    "interior": (enumerate_interior_operators, operator_to_json),
+}
+
+
+def enumerate_on(lat, tmp_path, capsys, *args):
+    """The CLI's enumerate on `lat`, read back from its lattice JSON."""
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps(lattice_to_json(lat)))
+    return run_cli(["enumerate", "--family", "json", "--json", str(path), *args], capsys)
+
+
+@pytest.mark.parametrize("kind", ["transfer", "saturated", "covers", "interior"])
+def test_json_lines_are_the_dumps_of_the_library_dicts(capsys, tmp_path, kind):
+    search, to_json = LIBRARY[kind]
+    for lat in AWKWARD:
+        items = search(lat)
+        code, out, _ = enumerate_on(lat, tmp_path, capsys, "--kind", kind, "--format", "json")
+        assert code == 0
+        assert out == "".join(json.dumps(to_json(item), sort_keys=True) + "\n" for item in items)
+        first = out.splitlines()[0]  # the discrete system, or its empty cover
+        if kind in ("transfer", "saturated"):
+            assert first == json.dumps(system_to_json(discrete_system(lat)), sort_keys=True)
+            assert first.endswith(', "pairs": []}')
+        elif kind == "covers":
+            assert first.startswith('{"edges": [], ')
+
+
 @pytest.mark.parametrize("kind", ["transfer", "saturated", "covers"])
-def test_json_lines_are_the_dumps_of_the_library_dicts(capsys, kind):
-    lat = boolean_cube(3)
-    if kind == "transfer":
-        items, to_json = enumerate_transfer_systems(lat), system_to_json
-    elif kind == "saturated":
-        items, to_json = enumerate_saturated_systems(lat), system_to_json
-    else:
-        items, to_json = enumerate_saturated_covers(lat), cover_to_json
-    code, out, _ = run_cli(["enumerate", "--family", "cube", "--n", "3", "--kind", kind, "--format", "json"], capsys)
-    assert code == 0
-    assert out == "".join(json.dumps(to_json(item), sort_keys=True) + "\n" for item in items)
+def test_table_lines_are_the_labels_of_the_pairs(capsys, tmp_path, kind):
+    search, _ = LIBRARY[kind]
+    for lat in AWKWARD:
+        items = search(lat)
+        code, out, _ = enumerate_on(lat, tmp_path, capsys, "--kind", kind)
+        assert code == 0
+        assert out == "".join((" ".join(f"{a}<{b}" for a, b in item.pairs()) or "(none)") + "\n" for item in items)
+        assert pair_label(discrete_system(lat), "discrete") == "discrete"
 
 
 def test_enumerate_interior_json_format(capsys):

@@ -30,7 +30,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trsys.characteristic import (
-    _byte_tables,
     _join_closure,
     characteristic,
     fiber_decomposition,
@@ -49,7 +48,7 @@ from trsys.covers import (
 )
 from trsys.errors import CycleDetected, NotMonotone
 from trsys.functorial import LatticeMap
-from trsys.lattice import Lattice, _bits, all_lattices, chain, fusion, iterated_fusion, lattice_to_json, sub_cp_cp
+from trsys.lattice import Lattice, _bits, _byte_tables, all_lattices, chain, fusion, iterated_fusion, lattice_to_json, sub_cp_cp
 from trsys.oracles import (
     least_saturated_above,
     least_system_containing,
