@@ -70,6 +70,10 @@ def _join_closure(tables, inc, exc, e):
     return inc | _gather(tables[e], inc)
 
 
+# per element e, the byte tables from a mask M to the mask of e v M
+_join_tables = per_lattice(lambda lat: [_byte_tables(1 << j for j in row) for row in lat.join])
+
+
 def interior_system_masks(lat, max_elements=16):
     """All join-closed subsets containing bottom, as element bitmasks, sorted.
 
@@ -88,9 +92,8 @@ def interior_system_masks(lat, max_elements=16):
     """
     if lat.n > max_elements:
         raise SizeLimit(f"{lat.n} elements exceed interior enumeration guard {max_elements}")
-    tables = [_byte_tables(1 << j for j in row) for row in lat.join]
     order = [x for x, _ in _bottom_up(lat) if x != lat.bottom]
-    return search.leaves(order, 1 << lat.bottom, partial(_join_closure, tables))
+    return search.leaves(order, 1 << lat.bottom, partial(_join_closure, _join_tables(lat)))
 
 
 def operator_from_interior_system(lat, mask):

@@ -33,13 +33,13 @@ from .transfer import enumerate_saturated_systems, enumerate_transfer_systems
 from .verify import ALL_CHECKS, run_checks
 
 # The largest lattice built or read without --unsafe-guard, checked before
-# any array is built.  A lattice packs each element's up-set and down-set
-# into an int.  The order checks and the covers then OR one n-bit row per
-# comparable pair, and the meet and join tables look up the AND of two rows
-# in a dict for each of the n^2 pairs, most of the cost; a lattice JSON is
-# first closed with n numpy outer products.  On 2 CPUs with Python 3.11,
-# 1,024 elements load in about 0.7 s (cube(10)) or are refused as unbounded
-# in about 0.2 s (an antichain).
+# any row is built.  A lattice holds each element's up-set as an int, and
+# its down-sets by transposing them.  The order checks and the covers then
+# OR one n-bit row per comparable pair, and the meet and join tables look up
+# the AND of two rows in a dict for each of the n^2 pairs, most of the
+# cost; a lattice JSON is first closed transitively on its rows.  On 2 CPUs
+# with Python 3.11, 1,024 elements load in about 0.4 s (cube(10)) or are
+# refused as unbounded in a few ms (an antichain).
 MAX_ELEMENTS = 1024
 
 # The largest --p of rank-two: 2^(p+2) + p + 1 prints in at most 3,011 digits,
@@ -100,7 +100,7 @@ def _read_lattice(path, unsafe_guard):
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
         if obj["n"] > MAX_ELEMENTS and not unsafe_guard:
-            # refused before any array is built
+            # refused before any row is built
             raise SizeLimit(f"{obj['n']} elements exceed the lattice JSON guard {MAX_ELEMENTS}")
         return lattice_from_json(obj)
     except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:

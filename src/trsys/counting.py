@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import NotPrime, SizeLimit
 from .lattice import Lattice, chain, iterated_fusion, _is_prime
-from .search import MAX_LEAVES
+from .search import _LEAF_BITS, MAX_LEAVES
 from .transfer import TrLattice, enumerate_transfer_systems
 
 
@@ -192,11 +192,14 @@ def bmt_decompose(n, guard=MAX_LEAVES):
     key names, and that the Hasse diagram joins the blocks by the three
     cross-cover rules is the classification theorem: `verify.check_bmt`
     and the tests check it.  More than `guard` systems, by the closed count
-    2^(n+1) + n, raise SizeLimit before the lattice is built; None is no
-    limit.
+    2^(n+1) + n, raise SizeLimit before the lattice is built; None lifts
+    it, but not the search's memory guard on their (n+2)^2 bits: n <= 20.
     """
-    if guard is not None and (1 << n + 1) + n > guard:
+    count = (1 << n + 1) + n
+    if guard is not None and count > guard:
         raise SizeLimit(f"Tr([2]^*{n}) has 2^{n + 1} + {n} systems, more than the guard of {guard}")
+    if count * (n + 2) ** 2 > _LEAF_BITS:
+        raise SizeLimit(f"Tr([2]^*{n}) has 2^{n + 1} + {n} systems, past the search's memory guard")
     lat = iterated_fusion(chain(2), n)
     tr = enumerate_transfer_systems(lat, guard=guard)
     size, top, full = lat.n, lat.top, (1 << n) - 1

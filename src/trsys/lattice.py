@@ -1,19 +1,17 @@
 """Finite bounded lattices: construction, validation, and queries.
 
-Elements are dense integer indices 0..n-1.  Construction reads two int
-rows per element off the order matrix, the up-set and the down-set, and
-derives every table from them: the partial-order check, bottom and top,
-meet and join, covers, heights and ranks.  Instances are immutable
-afterwards and safe for concurrent reads.  `_bits` and `_byte_tables`
-read the set bits of such a row, one by one or a byte at a time, for every
-module, and `per_lattice` builds every table derived from a lattice once.
+Elements are dense integer indices 0..n-1.  A lattice is one int row per
+element, its up-set, built directly by the families below or read off an
+order matrix; the down-sets are the transposed rows, and every table comes
+from the two: the partial-order check, bottom and top, meet and join,
+covers, heights and ranks.  Instances are immutable and safe for concurrent
+reads.  `_bits` and `_byte_tables` read the set bits of a row, one by one
+or a byte at a time, and `per_lattice` builds each derived table once.
 """
 from __future__ import annotations
 
 import itertools
 import math
-
-import numpy as np
 
 from .errors import (
     CycleDetected,
@@ -87,8 +85,8 @@ class Lattice:
     Attributes:
         n: element count.
         names: display label per element.
-        leq: n x n boolean matrix, leq[x, y] iff x <= y (read-only).
         up: one int bitmask per element; bit y of up[x] is set iff x <= y.
+        leq: the n x n numpy bool matrix of `up` (read-only, built on first read).
         meet, join: n x n index tables (greatest lower / least upper
             bound) as lists of lists, read meet[x][y]; do not mutate them.
         bottom, top: indices of the extremes.
@@ -97,17 +95,15 @@ class Lattice:
         rank: rank function as a list, or None when the lattice is not graded.
     """
 
-    def __init__(self, leq, names=None):
-        leq = np.array(leq, dtype=bool)
-        if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
-            raise ValueError("order matrix must be square")
-        n = leq.shape[0]
+    def __init__(self, leq, names=None, *, _up=None):
+        # `leq` is nested lists or an array; the builders below pass `_up` rows
+        up = _matrix_rows(leq) if _up is None else _up
+        n = len(up)
         if n == 0:
             raise NotBounded("the empty order has no bottom or top")
-        self.up, self._down = _rows(leq), _rows(leq.T)
+        self.up, self._down = up, _transpose(up)
         _check_partial_order(self.up, self._down)
         self.n = n
-        self.leq = leq
         self.names = [str(i) for i in range(n)] if names is None else list(names)
         if len(self.names) != n:
             raise ValueError("need exactly one name per element")
@@ -120,7 +116,16 @@ class Lattice:
         graded = all(self.height[y] == self.height[x] + 1 for x, y in self.covers)
         self.rank = list(self.height) if graded else None
         self._cache = {}
-        self.leq.flags.writeable = False
+
+    @property
+    @per_lattice
+    def leq(self):
+        """leq[x, y] iff x <= y, read off `up`; numpy is imported here."""
+        import numpy as np
+
+        leq = np.array([[row >> y & 1 for y in range(self.n)] for row in self.up], dtype=bool)
+        leq.flags.writeable = False
+        return leq
 
     def grading(self):
         """Return the rank function, or raise NotGraded.
@@ -157,11 +162,11 @@ class Lattice:
 
     def dual(self):
         """The opposite lattice (order reversed, meet and join swapped)."""
-        return Lattice(self.leq.T, names=self.names)
+        return Lattice(None, self.names, _up=list(self._down))
 
     def same_order(self, other):
-        """Identical element count and order matrix (names ignored)."""
-        return self is other or (self.n == other.n and np.array_equal(self.leq, other.leq))
+        """Identical element count and order (names ignored)."""
+        return self is other or self.up == other.up
 
     def __repr__(self):
         return f"Lattice(n={self.n}, covers={len(self.covers)})"
@@ -175,11 +180,24 @@ class Lattice:
 # -- construction helpers ---------------------------------------------------
 
 
-def _rows(leq):
-    """Row x of the bool matrix `leq` as an int, bit y for column y."""
-    packed = np.packbits(leq, axis=1, bitorder="little")
-    data, width = packed.tobytes(), packed.shape[1]
-    return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+def _matrix_rows(leq):
+    """Row x of the square bool matrix `leq` as an int, bit y for column y."""
+    try:
+        square = all(len(row) == len(leq) for row in leq)
+    except TypeError:  # a scalar, or a row that is one
+        square = False
+    if not square:
+        raise ValueError("order matrix must be square")
+    return [sum(bool(v) << y for y, v in enumerate(row)) for row in leq]
+
+
+def _transpose(rows):
+    """The columns of a square bit matrix given by its int rows."""
+    cols = [0] * len(rows)
+    for x, row in enumerate(rows):
+        for y in _bits(row):
+            cols[y] |= 1 << x
+    return cols
 
 
 def _check_partial_order(up, down):
@@ -267,23 +285,22 @@ def from_order(n, pairs, names=None):
     Raises CycleDetected, NotBounded, or NotALattice when the closure is
     not a bounded lattice.
     """
-    leq = np.eye(n, dtype=bool)
+    up = [1 << x for x in range(n)]
     for x, y in pairs:
         if not (0 <= x < n and 0 <= y < n):
             raise ValueError(f"pair ({x}, {y}) out of range for n={n}")
-        leq[x, y] = True
-    for k in range(n):
-        leq |= np.outer(leq[:, k], leq[k, :])
-    return Lattice(leq, names=names)
+        up[x] |= 1 << y
+    for k in range(n):  # Warshall: every row that holds k gains row k
+        row, bit = up[k], 1 << k
+        up = [r | row if r & bit else r for r in up]
+    return Lattice(None, names, _up=up)
 
 
 def chain(m):
     """The (m+1)-element total order 0 < 1 < ... < m."""
     if m < 0:
         raise ValueError("chain length must be nonnegative")
-    n = m + 1
-    leq = np.triu(np.ones((n, n), dtype=bool))
-    return Lattice(leq)
+    return Lattice(None, _up=[(1 << m + 1) - (1 << x) for x in range(m + 1)])
 
 
 def boolean_cube(k):
@@ -292,20 +309,22 @@ def boolean_cube(k):
         raise ValueError("cube dimension must be nonnegative")
     if k > MAX_CUBE_DIMENSION:
         raise SizeLimit(f"boolean_cube({k}) exceeds guard {MAX_CUBE_DIMENSION}")
-    n = 1 << k
-    idx = np.arange(n)
-    leq = (idx[:, None] & ~idx[None, :]) == 0
-    names = [format(i, f"0{k}b") if k else "0" for i in range(n)]
-    return Lattice(leq, names=names)
+    up = [1]  # the supersets of x in cube(i + 1): with and without i, or with i
+    for i in range(k):
+        half = 1 << i
+        up = [row | row << half for row in up] + [row << half for row in up]
+    names = [format(i, f"0{k}b") if k else "0" for i in range(1 << k)]
+    return Lattice(None, names, _up=up)
 
 
 def product(p, q):
     """Componentwise-ordered product; element (i, j) has index i*q.n + j."""
     if p.n * q.n > MAX_PRODUCT_ELEMENTS:
         raise SizeLimit(f"product would have {p.n * q.n} elements (guard {MAX_PRODUCT_ELEMENTS})")
-    leq = np.kron(p.leq, q.leq)
+    # row j of q copied to block a for each a >= i, by a product without carries
+    blocks = [sum(1 << a * q.n for a in _bits(row)) for row in p.up]
     names = [f"({a},{b})" for a in p.names for b in q.names]
-    return Lattice(leq, names=names)
+    return Lattice(None, names, _up=[block * row for block in blocks for row in q.up])
 
 
 def fusion(*operands):
@@ -318,15 +337,13 @@ def fusion(*operands):
     """
     interiors = [[x for x in range(p.n) if x not in (p.bottom, p.top)] for p in operands]
     n = 2 + sum(map(len, interiors))
-    leq = np.eye(n, dtype=bool)
-    leq[0, :] = True
-    leq[:, n - 1] = True
-    start = 1
+    top = 1 << n - 1
+    up = [2 * top - 1]
     for p, interior in zip(operands, interiors):
-        stop = start + len(interior)
-        leq[start:stop, start:stop] = p.leq[np.ix_(interior, interior)]
-        start = stop
-    return Lattice(leq)
+        index = {x: len(up) + i for i, x in enumerate(interior)}
+        up += [top | sum(1 << index[y] for y in _bits(p.up[x]) if y in index) for x in interior]
+    up.append(top)
+    return Lattice(None, _up=up)
 
 
 def iterated_fusion(p, k):
@@ -334,8 +351,6 @@ def iterated_fusion(p, k):
     and k=1 is p."""
     if k < 0:
         raise ValueError("fusion exponent must be nonnegative")
-    if k == 0:
-        return chain(1)
     if k == 1:
         return p
     return fusion(*[p] * k)
@@ -349,7 +364,7 @@ def sub_cp_cp(p):
         raise SizeLimit(f"sub_cp_cp guard is p <= 101, got {p}")
     lat = iterated_fusion(chain(2), p + 1)
     names = ["e"] + [f"H{i}" for i in range(1, p + 2)] + ["G"]
-    return Lattice(lat.leq, names=names)
+    return Lattice(None, names, _up=lat.up)
 
 
 def _is_prime(p):
@@ -382,11 +397,11 @@ def canonical_form(lat):
         total *= math.factorial(len(g))
         if total > MAX_CANONICAL_PERMUTATIONS:
             raise SizeLimit(f"canonical form needs {total}+ permutations (guard {MAX_CANONICAL_PERMUTATIONS})")
-    leq = lat.leq
+    up = lat.up
     best = None
     for perm_parts in itertools.product(*(itertools.permutations(g) for g in ordered)):
         perm = [x for part in perm_parts for x in part]
-        key = leq[perm][:, perm].tobytes()
+        key = bytes([up[x] >> y & 1 for x in perm for y in perm])
         if best is None or key < best:
             best = key
     return (lat.n, tuple(sorted(groups)), best)
@@ -457,10 +472,8 @@ def all_lattices(n):
         for lat, middle in itertools.product(level, range(1 << m - 2)):
             up, above = lat.up, top | middle << 1
             if all(up[x] & above in up for x in _bits(2 * top - 2)):
-                leq = np.insert(np.insert(lat.leq, 1, False, axis=0), 1, False, axis=1)
-                leq[:2, 1] = True
-                leq[1, 2:] = [above >> x & 1 for x in range(1, m)]
-                child = Lattice(leq)
+                # the atom enters at index 1 and shifts the others past bottom
+                child = Lattice(None, _up=[4 * top - 1, 2 | above << 1] + [row << 1 for row in up[1:]])
                 grown.setdefault(canonical_form(child), child)
         level = list(grown.values())
     return level

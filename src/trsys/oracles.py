@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import itertools
 
-import numpy as np
-
 from .errors import SizeLimit
 from .covers import SaturatedCover, find_cover_violation
+from .lattice import _cover_pairs
 from .transfer import (
     TransferSystem,
     enumerate_transfer_systems,
@@ -36,7 +35,7 @@ def _subsets(free, base=0):
 def naive_transfer_systems(lat):
     """Every subset of non-reflexive pairs that is a transfer system."""
     n = lat.n
-    free = [x * n + y for x in range(n) for y in range(n) if x != y and lat.leq[x, y]]
+    free = [x * n + y for x in range(n) for y in range(n) if x != y and lat.up[x] >> y & 1]
     if len(free) > MAX_SUBSET_PAIRS:
         raise SizeLimit(f"{len(free)} free pairs is too many for the subset filter")
     diag = sum(1 << x * (n + 1) for x in range(n))
@@ -50,9 +49,9 @@ def naive_deleted_extreme_count(lat, drop_bottom=False, drop_top=False):
     is transitive and closed under restriction.  Restriction applies only
     where the meet survives the deletion, since a meet that is the deleted
     bottom leaves two elements without a common lower bound."""
-    n, meet = lat.n, lat.meet
+    n, meet, up = lat.n, lat.meet, lat.up
     keep = [x for x in range(n) if not (drop_bottom and x == lat.bottom or drop_top and x == lat.top)]
-    free = [x * n + y for x in keep for y in keep if x != y and lat.leq[x, y]]
+    free = [x * n + y for x in keep for y in keep if x != y and up[x] >> y & 1]
     if len(free) > MAX_SUBSET_PAIRS:
         raise SizeLimit(f"{len(free)} free pairs is too many for the subset filter")
 
@@ -60,7 +59,7 @@ def naive_deleted_extreme_count(lat, drop_bottom=False, drop_top=False):
         for x, z in (divmod(p, n) for p in free if bits >> p & 1):
             for y in keep:
                 w = meet[x][y]
-                if lat.leq[y, z] and w in keep and not bits >> w * n + y & 1:
+                if up[y] >> z & 1 and w in keep and not bits >> w * n + y & 1:
                     return False
             for c in keep:
                 if bits >> z * n + c & 1 and not bits >> x * n + c & 1:
@@ -90,12 +89,12 @@ def naive_interior_operators(lat, max_elements=5):
     """Filter all self-maps for monotone + idempotent + contractive."""
     if lat.n > max_elements:
         raise SizeLimit(f"{lat.n}^{lat.n} maps is too many for the raw filter")
-    out = []
+    out, up = [], lat.up
     for image in itertools.product(range(lat.n), repeat=lat.n):
-        if any(image[image[x]] != image[x] or not lat.leq[image[x], x] for x in range(lat.n)):
+        if any(image[image[x]] != image[x] or not up[image[x]] >> x & 1 for x in range(lat.n)):
             continue
         if any(
-            lat.leq[x, y] and not lat.leq[image[x], image[y]]
+            up[x] >> y & 1 and not up[image[x]] >> image[y] & 1
             for x in range(lat.n)
             for y in range(lat.n)
         ):
@@ -133,11 +132,7 @@ def least_saturated_above(system, tr=None):
 
 def naive_hasse_edges(tr):
     """Hasse edges of refinement on a TrLattice by the definition: i
-    strictly refines j and no system lies strictly between them, counted by
-    a float64 matmul of unpacked bits, whose counts stay exact."""
-    cells = tr.lattice.n ** 2
-    bits = np.array([[b >> k & 1 for k in range(cells)] for b in tr.bits], dtype=float).reshape(len(tr), cells)
-    # i refines j when no pair of i is missing from j
-    lt = (bits @ (1 - bits).T == 0) & ~np.eye(len(tr), dtype=bool)
-    between = lt.astype(float) @ lt.astype(float)
-    return [(int(i), int(j)) for i, j in np.argwhere(lt & (between == 0))]
+    strictly refines j and no system lies strictly between them, read by
+    `lattice._cover_pairs` off the int row of the systems above each one."""
+    bits = tr.bits
+    return _cover_pairs([sum(1 << j for j, b in enumerate(bits) if a & b == a) for a in bits])

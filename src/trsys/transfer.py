@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import search
 from .errors import AmbientMismatch, InvalidTransferSystem
 from .lattice import _bits, from_order, per_lattice
@@ -421,6 +419,8 @@ class TrLattice:
         with a re-recorded benchmark digest.
         """
         if self._covers is None:
+            import numpy as np
+
             m, words = len(self.bits), (self.lattice.n ** 2 + 63) // 64
             packed = b"".join(b.to_bytes(8 * words, "little") for b in self.bits)
             w = np.frombuffer(packed, dtype="<u8").reshape(m, words)

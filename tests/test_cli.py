@@ -518,6 +518,21 @@ def test_rank_two_census_is_skipped_from_the_closed_count(capsys):
     assert out.endswith("census skipped: lattice exceeds the enumeration guard\n")
 
 
+def test_rank_two_unsafe_guard_skips_a_census_past_the_memory_guard(capsys, monkeypatch):
+    # p = 31 has 2^33 + 32 systems: with the leaf guard lifted, the census
+    # once asked the search for all of them and ran out of memory
+    def enumerated(*args, **kwargs):
+        raise AssertionError("the census was enumerated")
+
+    monkeypatch.setattr("trsys.counting.enumerate_transfer_systems", enumerated)
+    code, out, err = run_cli(["rank-two", "--p", "31", "--unsafe-guard"], capsys)
+    assert code == 0
+    assert out == (
+        f"transfer systems for C_31 x C_31: {2 ** 33 + 32}\n"
+        "census skipped: lattice exceeds the enumeration guard\n"
+    )
+
+
 @pytest.mark.parametrize("p", [10_007, 14_293, 10**18 + 3], ids=["above-cap", "digit-limit", "18-digit"])
 def test_rank_two_refuses_a_prime_above_its_cap_before_testing_it(capsys, monkeypatch, p):
     # 14,293 once ended in a traceback: 2^14295 has more digits than
@@ -586,6 +601,24 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "PASS ranktwo" in proc.stdout
+
+
+def test_enumerate_runs_without_numpy():
+    # every lattice is stored on its int rows: numpy is imported only to
+    # read the matrix `Lattice.leq` and by the Hasse edges of Tr
+    code = (
+        "import contextlib, io, sys\n"
+        "from trsys import cli\n"
+        "for kind in ('transfer', 'saturated', 'covers', 'interior'):\n"
+        "    for fmt in ('table', 'json'):\n"
+        "        argv = ['enumerate', '--kind', kind, '--family', 'cube', '--n', '3', '--format', fmt]\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            assert cli.main(argv) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_import_leaves_the_process_pool_unloaded():

@@ -134,6 +134,20 @@ def test_bmt_guard_reads_the_closed_count_before_building(monkeypatch):
         bmt_decompose(100_000)
 
 
+def test_bmt_memory_guard_holds_without_a_leaf_guard(monkeypatch):
+    # (2^(n+1) + n) leaves of (n+2)^2 bits pass the search's 2^31 bits from
+    # n = 21 on, so even with the leaf guard lifted the census is refused
+    def built(*args):
+        raise AssertionError("the lattice was built")
+
+    monkeypatch.setattr(counting, "iterated_fusion", built)
+    with pytest.raises(AssertionError, match="the lattice was built"):
+        bmt_decompose(20, guard=None)
+    for n in (21, 32):
+        with pytest.raises(SizeLimit, match="memory guard"):
+            bmt_decompose(n, guard=None)
+
+
 def test_bmt_cube_isomorphisms():
     dec = bmt_decompose(3)
     for cube in (dec.bottom_cube, dec.top_cube):

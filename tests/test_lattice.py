@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from trsys.characteristic import _bottom_up, interior_system_masks
+from trsys.characteristic import _bottom_up, _join_tables, interior_system_masks
 from trsys.covers import _rules, enumerate_saturated_covers
 from trsys.errors import (
     CycleDetected,
@@ -373,13 +373,16 @@ def test_per_lattice_tables_are_built_once_and_not_pickled():
     assert closure_for(lat) is closure_for(lat)
     assert _rules(lat) is _rules(lat)
     assert _bottom_up(lat) is _bottom_up(lat)
+    assert _join_tables(lat) is _join_tables(lat)
     # the searches read the cached tables, and the cover search the cached
     # modularity; a pickled lattice, as `--jobs` workers receive it,
     # carries none of them
     assert len(enumerate_transfer_systems(lat)) == 450
     assert len(enumerate_saturated_covers(lat)) == 61
     assert len(interior_system_masks(lat)) == 61
-    assert len(lat._cache) == 4 and True in lat._cache.values()
+    assert len(lat._cache) == 5 and True in lat._cache.values()
     back = pickle.loads(pickle.dumps(lat))
     assert back._cache == {} and back.same_order(lat)
     assert back.is_modular() and list(back._cache.values()) == [True]
+    # no search reads the order matrix: it is built on its first read, once
+    assert lat.leq is lat.leq and len(lat._cache) == 6

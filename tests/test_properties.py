@@ -4,8 +4,9 @@ Hasse edges of Tr against their definition, the n-ary fusion against
 the pairwise fold, the fusion recursion against brute force and its
 deleted-extreme slices of Tr against the subset filter, the chi-fiber
 theorem, the chi image, the cover <-> saturated bijection, the
-dead-end-free interior search, exact JSON round-trips, the lattice
-tables against their definitions on the order matrix, malformed orders
+dead-end-free interior search, exact JSON round-trips, the row-built
+lattice constructors against their order matrices, the lattice tables
+against their definitions on the order matrix, malformed orders
 against their first witnesses, the loops built on the tables against
 their definitions, and the CLI formats against each other.
 
@@ -18,6 +19,7 @@ import importlib
 import io
 import json
 import os
+import random
 import re
 import tempfile
 from functools import partial, reduce
@@ -48,7 +50,21 @@ from trsys.covers import (
 )
 from trsys.errors import CycleDetected, NotMonotone
 from trsys.functorial import LatticeMap
-from trsys.lattice import Lattice, _bits, _byte_tables, all_lattices, chain, fusion, iterated_fusion, lattice_to_json, sub_cp_cp
+from trsys.lattice import (
+    Lattice,
+    _bits,
+    _byte_tables,
+    all_lattices,
+    boolean_cube,
+    canonical_form,
+    chain,
+    from_order,
+    fusion,
+    iterated_fusion,
+    lattice_to_json,
+    product,
+    sub_cp_cp,
+)
 from trsys.oracles import (
     least_saturated_above,
     least_system_containing,
@@ -357,6 +373,100 @@ def test_cover_json_round_trip_is_exact(lat):
         back = cover_from_json(json.loads(text))
         assert back == cover
         assert json.dumps(cover_to_json(back)) == text
+
+
+def assert_rows_of(lat, leq):
+    """`lat` has the order matrix `leq`, and its up-sets are the rows of it."""
+    assert np.array_equal(lat.leq, leq)
+    assert lat.up == [sum(1 << int(y) for y in np.flatnonzero(row)) for row in leq]
+
+
+def closure_matrix(n, pairs):
+    """The reflexive-transitive closure of `pairs`, by n outer products."""
+    leq = np.eye(n, dtype=bool)
+    for x, y in pairs:
+        leq[x, y] = True
+    for k in range(n):
+        leq |= np.outer(leq[:, k], leq[k, :])
+    return leq
+
+
+def fusion_matrix(*operands):
+    """A fresh bottom below and top above the operands' interiors, laid out
+    as incomparable blocks."""
+    interiors = [[x for x in range(p.n) if x not in (p.bottom, p.top)] for p in operands]
+    n = 2 + sum(map(len, interiors))
+    leq = np.eye(n, dtype=bool)
+    leq[0, :] = leq[:, n - 1] = True
+    start = 1
+    for p, interior in zip(operands, interiors):
+        stop = start + len(interior)
+        leq[start:stop, start:stop] = p.leq[np.ix_(interior, interior)]
+        start = stop
+    return leq
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabelled(BASES), relabelled(BASES), st.integers(0, 6), st.data())
+def test_row_constructors_equal_their_matrix_definitions(p, q, k, data):
+    assert_rows_of(chain(k), np.triu(np.ones((k + 1, k + 1), dtype=bool)))
+    index = np.arange(1 << k)
+    assert_rows_of(boolean_cube(k), (index[:, None] & ~index[None, :]) == 0)
+    assert_rows_of(product(p, q), np.kron(p.leq, q.leq))
+    assert_rows_of(fusion(p, q, p), fusion_matrix(p, q, p))
+    assert_rows_of(p.dual(), p.leq.T)
+    # the covers and some other comparable pairs, in a drawn order
+    comparable = [(x, y) for x in range(p.n) for y in _bits(p.up[x] & ~(1 << x))]
+    extra = data.draw(st.lists(st.sampled_from(comparable), unique=True)) if comparable else []
+    pairs = data.draw(st.permutations(sorted(set(p.covers) | set(extra))))
+    built = from_order(p.n, pairs)
+    assert_rows_of(built, closure_matrix(p.n, pairs))
+    assert built.same_order(p)
+
+
+def test_sub_cp_cp_is_the_fusion_of_its_middle_chains():
+    for prime in (2, 3, 5):
+        assert_rows_of(sub_cp_cp(prime), fusion_matrix(*[chain(2)] * (prime + 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabelled(BASES), st.booleans())
+def test_nested_lists_and_arrays_give_the_same_lattice(lat, dual):
+    lat = lat.dual() if dual else lat
+    matrix = np.array(lat.leq)
+
+    def tables(built):
+        return {key: value for key, value in vars(built).items() if key != "_cache"}
+
+    assert tables(Lattice(matrix.tolist())) == tables(Lattice(matrix.astype(int).tolist())) == tables(Lattice(matrix))
+    assert tables(Lattice(matrix)) == tables(lat)
+
+
+@pytest.mark.parametrize("matrix", [
+    [True, False],
+    np.ones(3, dtype=bool),
+    [[True], [True, True]],
+    [[True, True], [True]],
+    np.ones((2, 3), dtype=bool),
+    True,
+], ids=["list", "array", "ragged-short", "ragged-long", "wide", "scalar"])
+def test_orders_that_are_not_square_matrices_are_refused(matrix):
+    with pytest.raises(ValueError, match="order matrix must be square"):
+        Lattice(matrix)
+
+
+def test_canonical_form_reads_the_same_key_off_rows_and_matrices():
+    # each lattice relabelled through `from_order`, which builds on rows,
+    # against the lattice read back from its matrix
+    rng = random.Random(22)
+    for n in range(1, 8):
+        for base in all_lattices(n):
+            inv = rng.sample(range(n), n)
+            lat = from_order(n, [(inv[x], inv[y]) for x, y in base.covers])
+            key = canonical_form(lat)
+            assert key == canonical_form(Lattice(lat.leq)) == canonical_form(base)
+            # the key holds a relabelled order matrix, one byte per entry
+            assert canonical_form(Lattice(np.frombuffer(key[2], dtype=bool).reshape(n, n))) == key
 
 
 def least_in(le, candidates):
