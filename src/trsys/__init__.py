@@ -26,7 +26,6 @@ from .counting import (
     catalan,
     count_tr_chain_fusion,
     count_tr_fusion,
-    tr_minimal_fibrant_count,
     tr_rank_two,
 )
 from .covers import (

@@ -15,12 +15,7 @@ from . import search
 from .errors import InvariantViolation, SizeLimit
 from .functorial import LatticeMap
 from .lattice import _byte_tables, _gather, per_lattice
-from .transfer import (
-    TransferSystem,
-    enumerate_transfer_systems,
-    generate,
-    saturated_hull,
-)
+from .transfer import TransferSystem, generate, saturated_hull
 
 
 class InteriorOperator(LatticeMap):
@@ -158,13 +153,11 @@ def count_interior_operators(lat, max_elements=16):
     return len(interior_system_masks(lat, max_elements))
 
 
-def chi_image_check(lat, tr=None, max_elements=16):
-    """Whether the characteristic map surjects onto the interior operators."""
-    if tr is None:
-        tr = enumerate_transfer_systems(lat)
+def chi_image_check(tr):
+    """Whether the characteristic map surjects from Tr(P) onto the interior
+    operators of P."""
     chi_images = {characteristic(r).image for r in tr}
-    op_images = {f.image for f in enumerate_interior_operators(lat, max_elements)}
-    return chi_images == op_images
+    return chi_images == {f.image for f in enumerate_interior_operators(tr.lattice)}
 
 
 # -- fibers -------------------------------------------------------------------
@@ -180,15 +173,15 @@ class ChiFiber:
     members: tuple
 
 
-def fiber_minimum(lat, operator):
+def fiber_minimum(operator):
     """The least transfer system with the given characteristic operator,
     generated by the graph pairs (f(y), y)."""
-    pairs = [(operator.image[y], y) for y in range(lat.n) if operator.image[y] != y]
-    return generate(lat, pairs)
+    pairs = [(f, y) for y, f in enumerate(operator.image) if f != y]
+    return generate(operator.lattice, pairs)
 
 
-def fiber_decomposition(lat, tr=None):
-    """Group Tr(P) by characteristic operator, one fiber per operator.
+def fiber_decomposition(tr):
+    """Group a TrLattice by characteristic operator, one fiber per operator.
 
     Each fiber keeps the operator that `characteristic` returned for its
     members.  Its least element is `fiber_minimum` of that operator and its
@@ -198,18 +191,15 @@ def fiber_decomposition(lat, tr=None):
     top that is the hull of every member, is the fiber theorem;
     `verify.check_fibers` and the tests check it.
     """
-    if tr is None:
-        tr = enumerate_transfer_systems(lat)
     groups = {}
     for r in tr:
         f = characteristic(r)
         groups.setdefault(f.image, (f, []))[1].append(r)
     fibers = []
     for image in sorted(groups):
-        operator, members = groups[image]
-        least = fiber_minimum(lat, operator)
-        members = tuple(sorted(members, key=lambda s: s.bits))
-        fibers.append(ChiFiber(operator, least, saturated_hull(least), members))
+        operator, members = groups[image]  # in the order of Tr, by bits
+        least = fiber_minimum(operator)
+        fibers.append(ChiFiber(operator, least, saturated_hull(least), tuple(members)))
     return fibers
 
 

@@ -42,6 +42,13 @@ from .verify import ALL_CHECKS, run_checks
 # refused as unbounded in a few ms (an antichain).
 MAX_ELEMENTS = 1024
 
+# The most systems that `export --what tr-hasse` searches for without
+# --unsafe-guard.  `TrLattice.covers` holds m^2 bools and multiplies them in
+# tiles, about m^3 operations on m systems: Tr(chain(8)), with 4,862, takes
+# about 4 s at 62 MB on 2 CPUs, and Tr(chain(10)), with 58,786, would ask
+# for a 3.2 GiB matrix.
+MAX_TR_HASSE = 5_000
+
 # The largest --p of rank-two: 2^(p+2) + p + 1 prints in at most 3,011 digits,
 # inside Python's limit of 4,300, and trial division takes at most 100 steps.
 _MAX_RANK_TWO_P = 10_000
@@ -151,6 +158,7 @@ def _write_dots(out, stem, texts):
 
 def cmd_enumerate(args, parser):
     kind = args.kind
+    _require(parser, args.out is None or args.format == "dot", "--out writes DOT files: it needs --format dot")
     if args.report == "fibers":
         _require(parser, kind == "transfer" and args.format != "dot",
                  "--report fibers reads transfer systems: it takes no other --kind and no --format dot")
@@ -158,7 +166,7 @@ def cmd_enumerate(args, parser):
         parser.error("--format dot is not defined for interior operators")
     lat = _build_lattice(args, parser)
     if args.report == "fibers":
-        return _print_fiber_report(lat, args)
+        return _print_fiber_report(_items("transfer", lat, args), args)
     items = _items(kind, lat, args)
     if args.format == "table":
         for item in items:
@@ -176,8 +184,8 @@ def cmd_enumerate(args, parser):
     return 0
 
 
-def _print_fiber_report(lat, args):
-    fibers = fiber_decomposition(lat, tr=_items("transfer", lat, args))
+def _print_fiber_report(tr, args):
+    fibers = fiber_decomposition(tr)
     if args.format == "json":
         for fiber in fibers:
             print(json.dumps(serialize.fiber_to_json(fiber), sort_keys=True))
@@ -214,7 +222,8 @@ def cmd_export(args, parser):
     if args.what == "hasse":
         written = [_write(os.path.join(args.out, "hasse.dot"), lattice_to_dot(lat))]
     elif args.what == "tr-hasse":
-        tr_hasse = serialize.tr_hasse_to_dot(_items("transfer", lat, args))
+        tr = enumerate_transfer_systems(lat, jobs=args.jobs, guard=None if args.unsafe_guard else MAX_TR_HASSE)
+        tr_hasse = serialize.tr_hasse_to_dot(tr)
         written = [_write(os.path.join(args.out, "tr_hasse.dot"), tr_hasse)]
     else:  # one file per system or per cover
         kind, name = ("transfer", "system") if args.what == "systems" else ("covers", "cover")

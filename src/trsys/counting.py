@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NotPrime, SizeLimit
-from .lattice import Lattice, chain, iterated_fusion, _is_prime
+from .lattice import chain, iterated_fusion, _is_prime
 from .search import _LEAF_BITS, MAX_LEAVES
 from .transfer import TrLattice, enumerate_transfer_systems
 
@@ -53,22 +53,16 @@ class FusionCountBreakdown:
         )
 
 
-def minimal_fibrant_census(lat, tr=None):
-    """Map: element a -> number of transfer systems with minimal fibrant a."""
-    if tr is None:
-        tr = enumerate_transfer_systems(lat)
-    census = {a: 0 for a in range(lat.n)}
+def minimal_fibrant_census(tr):
+    """Map: element a of P -> |Tr_a(P)|, the number of systems of Tr(P)
+    whose minimal fibrant is a."""
+    census = dict.fromkeys(range(tr.lattice.n), 0)
     for system in tr:
         census[system.minimal_fibrant()] += 1
     return census
 
 
-def tr_minimal_fibrant_count(lat, a, tr=None):
-    """|Tr_a(P)|: transfer systems whose minimal fibrant is the element a."""
-    return minimal_fibrant_census(lat, tr=tr)[a]
-
-
-def interior_only_count(lat, tr):
+def interior_only_count(tr):
     """|Tr(P - {bottom, top})|, read off Tr(P): the systems in which no
     element but top is related to top and bottom R y for every y != top.
 
@@ -78,6 +72,7 @@ def interior_only_count(lat, tr):
     counted here.  In bits, column top is the single bit top*n + top, and
     row bottom holds every non-top bit.
     """
+    lat = tr.lattice
     n, bottom, top = lat.n, lat.bottom, lat.top
     column = sum(1 << x * n + top for x in range(n))
     alone = 1 << top * n + top
@@ -109,8 +104,8 @@ def count_tr_fusion(p, q, guard=MAX_LEAVES):
     """
     p_tr = enumerate_transfer_systems(p, guard=guard)
     q_tr = enumerate_transfer_systems(q, guard=guard)
-    p_census, q_census = minimal_fibrant_census(p, tr=p_tr), minimal_fibrant_census(q, tr=q_tr)
-    p_interior_only, q_interior_only = interior_only_count(p, p_tr), interior_only_count(q, q_tr)
+    p_census, q_census = minimal_fibrant_census(p_tr), minimal_fibrant_census(q_tr)
+    p_interior_only, q_interior_only = interior_only_count(p_tr), interior_only_count(q_tr)
     left = tuple(
         (a, p_census[a] * q_interior_only)
         for a in range(p.n)
@@ -168,13 +163,13 @@ class BMTDecomposition:
     """The block census of Tr([2]^{*n}): a bottom n-cube, a discrete middle
     n-set and a top n-cube.
 
-    On [2]^{*n} the bottom is 0, the i-th middle is i + 1 and the top is
-    n + 1.  `bottom_cube` maps the mask of middles that bottom relates to,
-    `middle` the index i of the one middle related to top, and `top_cube`
-    the mask of middles related to top, each to its system.
+    `tr` is Tr([2]^{*n}), and on `tr.lattice` the bottom is 0, the i-th
+    middle is i + 1 and the top is n + 1.  `bottom_cube` maps the mask of
+    middles that bottom relates to, `middle` the index i of the one middle
+    related to top, and `top_cube` the mask of middles related to top,
+    each to its system.
     """
 
-    lattice: Lattice
     tr: TrLattice
     bottom_cube: dict
     middle: dict
@@ -214,4 +209,4 @@ def bmt_decompose(n, guard=MAX_LEAVES):
             middle[related[0]] = system
         else:  # row bottom, read at the middles
             bottom_cube[bits >> 1 & full] = system
-    return BMTDecomposition(lat, tr, bottom_cube, middle, top_cube)
+    return BMTDecomposition(tr, bottom_cube, middle, top_cube)

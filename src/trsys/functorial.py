@@ -160,7 +160,7 @@ def product_projections(pq, p, q):
     return left, right
 
 
-def product_split(r, t, pq=None):
+def product_split(r, t):
     """The componentwise transfer system on P x Q induced by R and T.
 
     (p, q) relates to (p', q') exactly when p R p' and q T q'.  That the
@@ -169,11 +169,7 @@ def product_split(r, t, pq=None):
     without re-validation, and the tests check both.
     """
     p, q = r.lattice, t.lattice
-    if pq is None:
-        pq = product(p, q)
-    elif not pq.same_order(product(p, q)):
-        raise AmbientMismatch("product lattice does not match the factors")
-    bits = 0
+    pq, bits = product(p, q), 0
     for a in range(pq.n):
         for b in range(pq.n):
             pa, qa = a // q.n, a % q.n

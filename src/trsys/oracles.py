@@ -11,11 +11,7 @@ import itertools
 from .errors import SizeLimit
 from .covers import SaturatedCover, find_cover_violation
 from .lattice import _cover_pairs
-from .transfer import (
-    TransferSystem,
-    enumerate_transfer_systems,
-    find_violation,
-)
+from .transfer import TransferSystem, TrLattice, find_violation
 
 
 MAX_SUBSET_PAIRS = 12  # the subset filters' guards on the free pairs and cover edges
@@ -33,14 +29,15 @@ def _subsets(free, base=0):
 
 
 def naive_transfer_systems(lat):
-    """Every subset of non-reflexive pairs that is a transfer system."""
+    """Every subset of non-reflexive pairs that is a transfer system, as a
+    TrLattice."""
     n = lat.n
     free = [x * n + y for x in range(n) for y in range(n) if x != y and lat.up[x] >> y & 1]
     if len(free) > MAX_SUBSET_PAIRS:
         raise SizeLimit(f"{len(free)} free pairs is too many for the subset filter")
     diag = sum(1 << x * (n + 1) for x in range(n))
     out = sorted(b for b in _subsets(free, diag) if find_violation(lat, b) is None)
-    return [TransferSystem._wrap(lat, b) for b in out]
+    return TrLattice._from_sorted_bits(lat, out)
 
 
 def naive_deleted_extreme_count(lat, drop_bottom=False, drop_top=False):
@@ -104,12 +101,10 @@ def naive_interior_operators(lat, max_elements=5):
     return out
 
 
-def least_system_containing(lat, pairs, tr=None):
-    """Generation oracle: the meet of all enumerated systems containing
-    the given pairs."""
-    if tr is None:
-        tr = enumerate_transfer_systems(lat)
-    want = 0
+def least_system_containing(tr, pairs):
+    """Generation oracle: the meet of all systems of Tr(P) containing the
+    given pairs."""
+    lat, want = tr.lattice, 0
     for x, y in pairs:
         want |= 1 << x * lat.n + y
     candidates = [s for s in tr if s.bits & want == want]
@@ -120,10 +115,8 @@ def least_system_containing(lat, pairs, tr=None):
     return TransferSystem._wrap(lat, bits)
 
 
-def least_saturated_above(system, tr=None):
-    """Hull oracle: the least saturated enumerated system above the input."""
-    if tr is None:
-        tr = enumerate_transfer_systems(system.lattice)
+def least_saturated_above(system, tr):
+    """Hull oracle: the least saturated system of Tr(P) above the input."""
     above = [s for s in tr if system.refines(s) and s.is_saturated()]
     minima = [s for s in above if all(s.refines(t) for t in above)]
     assert len(minima) == 1, "the saturated systems above the input have no least member"

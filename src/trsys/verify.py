@@ -150,11 +150,11 @@ def check_fibers():
     res = CheckResult("fibers", True)
     for name, lat in tr_feasible_family():
         tr = enumerate_transfer_systems(lat)
-        fibers = fiber_decomposition(lat, tr=tr)
+        fibers = fiber_decomposition(tr)
         ops = count_interior_operators(lat)
         shaped = all(_is_interval_fiber(fiber, tr.bits) for fiber in fibers)
         res.note(
-            shaped and len(fibers) == ops and chi_image_check(lat, tr),
+            shaped and len(fibers) == ops and chi_image_check(tr),
             f"{name}: {len(fibers)} fibers over the {ops} interior operators",
         )
     return res
@@ -270,8 +270,8 @@ def _has_bmt_chi_structure(dec, n):
     """The bottom-cube and middle systems are saturated singleton fibers,
     the top cube is one fiber of size 2^n over the constant-bottom
     operator, and fibers = saturated systems = 2^n + n + 1."""
-    lat = dec.lattice
-    fibers = {f.operator.image: f for f in fiber_decomposition(lat, tr=dec.tr)}
+    lat = dec.tr.lattice
+    fibers = {f.operator.image: f for f in fiber_decomposition(dec.tr)}
     singletons = {f.members[0].bits for f in fibers.values() if len(f.members) == 1}
     saturated = {s.bits for s in dec.tr if s.is_saturated()}
     lower = {s.bits for s in (*dec.bottom_cube.values(), *dec.middle.values())}

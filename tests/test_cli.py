@@ -34,7 +34,7 @@ from trsys.serialize import (
     system_to_dot,
     system_to_json,
 )
-from trsys.transfer import discrete_system, enumerate_saturated_systems, enumerate_transfer_systems
+from trsys.transfer import TrLattice, discrete_system, enumerate_saturated_systems, enumerate_transfer_systems
 
 
 def run_cli(args, capsys):
@@ -190,6 +190,24 @@ def test_fiber_report_refuses_other_formats_and_kinds(capsys, monkeypatch, flags
     assert "--report fibers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--format", "table"], ["--format", "json"], ["--report", "fibers"]],
+    ids=["table", "json", "fibers"],
+)
+def test_out_without_format_dot_exits_two(capsys, monkeypatch, tmp_path, flags):
+    def built(*args):
+        raise AssertionError("the lattice was built")
+
+    monkeypatch.setitem(cli._FAMILIES, "chain", (("n",), lambda n: n + 1, built))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main(["enumerate", "--family", "chain", "--n", "2", "--out", str(out), *flags])
+    assert info.value.code == 2
+    assert "error: --out writes DOT files: it needs --format dot" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_guard_breach_exits_three(capsys):
     code, out, err = run_cli(
         ["enumerate", "--family", "cube", "--n", "4", "--kind", "transfer"], capsys
@@ -304,12 +322,13 @@ def test_oversized_lattice_json_is_refused_before_it_is_built(tmp_path, capsys, 
 
 
 def test_output_is_deterministic_across_jobs(capsys):
-    base = ["enumerate", "--family", "fuse2", "--n", "4", "--kind", "transfer",
-            "--format", "json"]
-    _, out1, _ = run_cli(base, capsys)
-    _, out2, _ = run_cli(base + ["--jobs", "2"], capsys)
-    _, out3, _ = run_cli(base, capsys)
-    assert out1 == out2 == out3
+    # the systems in JSON, and the fiber report as a table and in JSON
+    for flags in (["--format", "json"], ["--report", "fibers"], ["--report", "fibers", "--format", "json"]):
+        base = ["enumerate", "--family", "fuse2", "--n", "4", "--kind", "transfer", *flags]
+        _, out1, _ = run_cli(base, capsys)
+        _, out2, _ = run_cli(base + ["--jobs", "2"], capsys)
+        _, out3, _ = run_cli(base, capsys)
+        assert out1 == out2 == out3
 
 
 def test_verify_single_check(capsys):
@@ -371,6 +390,21 @@ def test_export_tr_hasse(tmp_path, capsys):
     assert (code, out, err) == (0, f"{tmp_path / 'tr_hasse.dot'}\n", "")
     # the pentagon: 5 systems and 5 edges, the empty label drawn as "discrete"
     assert (tmp_path / "tr_hasse.dot").read_text() == TR_HASSE_CHAIN2
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_export_tr_hasse_stops_at_its_guard(tmp_path, capsys, monkeypatch, n):
+    # Tr(chain(9)) and Tr(chain(10)) hold 16,796 and 58,786 systems, past
+    # the 5,000 that the Hasse export searches for
+    def covers(self):
+        raise AssertionError("the Hasse edges were computed")
+
+    monkeypatch.setattr(TrLattice, "covers", property(covers))
+    code, out, err = run_cli(
+        ["export", "--family", "chain", "--n", str(n), "--what", "tr-hasse", "--out", str(tmp_path)], capsys
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("guard breached:") and "5000" in err
 
 
 def test_export_systems_draw_all_relations(tmp_path, capsys):

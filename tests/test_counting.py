@@ -9,7 +9,6 @@ from trsys.counting import (
     count_tr_chain_fusion,
     count_tr_fusion,
     minimal_fibrant_census,
-    tr_minimal_fibrant_count,
     tr_rank_two,
 )
 from trsys.errors import NotPrime, SizeLimit
@@ -69,12 +68,11 @@ def test_chain_corollary_spot_values():
 
 
 def test_minimal_fibrant_counts():
-    assert tr_minimal_fibrant_count(chain(2), 1) == 1
-    f3 = iterated_fusion(chain(2), 3)
-    for a in (1, 2, 3):
-        assert tr_minimal_fibrant_count(f3, a) == 1
+    assert minimal_fibrant_census(enumerate_transfer_systems(chain(2)))[1] == 1
+    census = minimal_fibrant_census(enumerate_transfer_systems(iterated_fusion(chain(2), 3)))
+    assert [census[a] for a in (1, 2, 3)] == [1, 1, 1]
     # count at top equals the deleted-top count
-    census = minimal_fibrant_census(chain(3))
+    census = minimal_fibrant_census(enumerate_transfer_systems(chain(3)))
     assert census[chain(3).top] == len(enumerate_transfer_systems(chain(2)))
     assert sum(census.values()) == len(enumerate_transfer_systems(chain(3)))
 
@@ -167,7 +165,7 @@ def test_bmt_hasse_matches_reference_shape():
 def test_chi_structure_reports():
     for n, want in ((1, 4), (2, 7), (3, 12)):
         dec = bmt_decompose(n)
-        fibers = fiber_decomposition(dec.lattice, tr=dec.tr)
+        fibers = fiber_decomposition(dec.tr)
         assert len(fibers) == want
         top_fiber = next(f for f in fibers if dec.top_cube[0] in f.members)
         assert len(top_fiber.members) == 2 ** n
@@ -182,7 +180,7 @@ def test_check_bmt_fails_on_a_wrong_census(monkeypatch):
         dec = bmt_decompose(n)
         bottom = dict(dec.bottom_cube)
         bottom[0], bottom[1] = bottom[1], bottom[0]
-        return BMTDecomposition(dec.lattice, dec.tr, bottom, dec.middle, dec.top_cube)
+        return BMTDecomposition(dec.tr, bottom, dec.middle, dec.top_cube)
 
     monkeypatch.setattr(verify, "bmt_decompose", swapped)
     result = verify.check_bmt(2)

@@ -158,10 +158,10 @@ def test_deleted_extreme_slices_equal_the_subset_filter(lat, dual):
     if dual:
         lat = lat.dual()
     tr = enumerate_transfer_systems(lat, guard=None)
-    census = minimal_fibrant_census(lat, tr=tr)
+    census = minimal_fibrant_census(tr)
     assert census[lat.top] == naive_deleted_extreme_count(lat, drop_top=True)
     assert census[lat.bottom] == naive_deleted_extreme_count(lat, drop_bottom=True)
-    assert interior_only_count(lat, tr) == naive_deleted_extreme_count(lat, drop_bottom=True, drop_top=True)
+    assert interior_only_count(tr) == naive_deleted_extreme_count(lat, drop_bottom=True, drop_top=True)
 
 
 @settings(max_examples=100, deadline=None)
@@ -230,9 +230,9 @@ def test_dense_closure_equals_the_least_systems_above(lat, dual, data):
     comparable = [(x, y) for x in range(lat.n) for y in range(lat.n) if lat.leq[x, y]]
     picks = data.draw(st.sets(st.sampled_from(comparable)))
     bits = sum(1 << x * lat.n + y for x, y in picks)
-    least = least_system_containing(lat, picks, tr=tr)
+    least = least_system_containing(tr, picks)
     assert closure_for(lat).close(bits) == least.bits
-    assert closure_for(lat).close(bits, saturate=True) == least_saturated_above(least, tr=tr).bits
+    assert closure_for(lat).close(bits, saturate=True) == least_saturated_above(least, tr).bits
 
 
 def include_step(lat, kind):
@@ -297,7 +297,7 @@ def test_is_saturated_equals_the_triple_definition(lat, dual):
 def test_generate_equals_the_meet_of_the_systems_above(lat, dual, data):
     lat, tr, pairs = systems_and_pairs(lat, dual)
     picks = data.draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
-    assert generate(lat, picks).bits == least_system_containing(lat, picks, tr=tr).bits
+    assert generate(lat, picks).bits == least_system_containing(tr, picks).bits
 
 
 @settings(max_examples=100, deadline=None)
@@ -305,7 +305,7 @@ def test_generate_equals_the_meet_of_the_systems_above(lat, dual, data):
 def test_saturated_hull_equals_the_least_saturated_system_above(lat, dual, data):
     lat, tr, _ = systems_and_pairs(lat, dual)
     system = data.draw(st.sampled_from(list(tr)))
-    assert saturated_hull(system).bits == least_saturated_above(system, tr=tr).bits
+    assert saturated_hull(system).bits == least_saturated_above(system, tr).bits
 
 
 @settings(max_examples=100, deadline=None)
@@ -313,7 +313,7 @@ def test_saturated_hull_equals_the_least_saturated_system_above(lat, dual, data)
 def test_join_equals_the_least_system_containing_both(lat, dual, data):
     lat, tr, _ = systems_and_pairs(lat, dual)
     a, b = data.draw(st.sampled_from(list(tr))), data.draw(st.sampled_from(list(tr)))
-    assert (a | b).bits == least_system_containing(lat, a.pairs() + b.pairs(), tr=tr).bits
+    assert (a | b).bits == least_system_containing(tr, a.pairs() + b.pairs()).bits
 
 
 @settings(max_examples=60, deadline=None)
@@ -321,7 +321,7 @@ def test_join_equals_the_least_system_containing_both(lat, dual, data):
 @example(sub_cp_cp(3), False)
 def test_chi_fibers_are_intervals_topped_by_their_saturated_hull(lat, dual):
     lat, tr, _ = systems_and_pairs(lat, dual)
-    fibers = fiber_decomposition(lat, tr=tr)
+    fibers = fiber_decomposition(tr)
     assert sorted(r.bits for fiber in fibers for r in fiber.members) == bits(tr)
     for fiber in fibers:
         low, high = fiber.least.bits, fiber.greatest.bits
