@@ -43,10 +43,10 @@ from .verify import ALL_CHECKS, run_checks
 MAX_ELEMENTS = 1024
 
 # The most systems that `export --what tr-hasse` searches for without
-# --unsafe-guard.  `TrLattice.covers` holds m^2 bools and multiplies them in
-# tiles, about m^3 operations on m systems: Tr(chain(8)), with 4,862, takes
-# about 4 s at 62 MB on 2 CPUs, and Tr(chain(10)), with 58,786, would ask
-# for a 3.2 GiB matrix.
+# --unsafe-guard.  `TrLattice.covers` holds three m-bit masks per system on
+# m systems and ANDs two of them for each comparable pair: Tr(chain(8)), with
+# 4,862, takes about 1 s at 26 MB on 2 CPUs, and Tr(chain(10)), with 58,786,
+# would ask for about 0.9 GB of masks.
 MAX_TR_HASSE = 5_000
 
 # The largest --p of rank-two: 2^(p+2) + p + 1 prints in at most 3,011 digits,
@@ -86,17 +86,17 @@ def _require_nonnegative(args, *flags):
             raise InvalidInput(f"--{flag} must be nonnegative, got {value}")
 
 
-def _build_lattice(args, parser):
+def _build_lattice(args):
     _require_nonnegative(args, "n", "m")
     if args.jobs < 1:
         raise InvalidInput(f"--jobs must be at least 1, got {args.jobs}")
     if args.family == "json":
-        _require(parser, args.json_path is not None, "--family json needs --json PATH")
+        _require(args.json_path is not None, "--family json needs --json PATH")
         return _read_lattice(args.json_path, args.unsafe_guard)
     names, size, build = _FAMILIES[args.family]
     values = [getattr(args, name) for name in names]
     needs = " and ".join(f"--{name}" for name in names)
-    _require(parser, None not in values, f"--family {args.family} needs {needs}")
+    _require(None not in values, f"--family {args.family} needs {needs}")
     if size(*values) > MAX_ELEMENTS and not args.unsafe_guard:
         raise SizeLimit(f"--family {args.family} would have more than {MAX_ELEMENTS} elements, the lattice guard")
     return build(*values)
@@ -115,9 +115,9 @@ def _read_lattice(path, unsafe_guard):
         raise InvalidInput(f"cannot load a lattice from {path}: {exc!r}") from exc
 
 
-def _require(parser, condition, message):
+def _require(condition, message):
     if not condition:
-        parser.error(message)
+        raise InvalidInput(message)
 
 
 def _lifted(args, **limits):
@@ -151,20 +151,15 @@ def _write(path, text):
     return path
 
 
-def _write_dots(out, stem, texts):
-    """Write the i-th of `texts` to `out/{stem}_{i:04d}.dot`; the paths."""
-    return [_write(os.path.join(out, f"{stem}_{i:04d}.dot"), text) for i, text in enumerate(texts)]
-
-
-def cmd_enumerate(args, parser):
+def cmd_enumerate(args):
     kind = args.kind
-    _require(parser, args.out is None or args.format == "dot", "--out writes DOT files: it needs --format dot")
+    _require(args.out is None or args.format == "dot", "--out writes DOT files: it needs --format dot")
     if args.report == "fibers":
-        _require(parser, kind == "transfer" and args.format != "dot",
+        _require(kind == "transfer" and args.format != "dot",
                  "--report fibers reads transfer systems: it takes no other --kind and no --format dot")
-    elif kind == "interior" and args.format == "dot":
-        parser.error("--format dot is not defined for interior operators")
-    lat = _build_lattice(args, parser)
+    else:
+        _require(kind != "interior" or args.format != "dot", "--format dot is not defined for interior operators")
+    lat = _build_lattice(args)
     if args.report == "fibers":
         return _print_fiber_report(_items("transfer", lat, args), args)
     items = _items(kind, lat, args)
@@ -172,12 +167,13 @@ def cmd_enumerate(args, parser):
         for item in items:
             print(" ".join(map(str, item.image)) if kind == "interior" else serialize.pair_label(item))
     elif args.format == "json":
-        sys.stdout.writelines(line + "\n" for line in serialize.json_lines(lat, items, kind))
+        sys.stdout.writelines(line + "\n" for line in serialize.json_lines(items, kind))
     else:  # dot
         dots = _dots(items, "cover" if kind == "covers" else kind)
         if args.out:
             os.makedirs(args.out, exist_ok=True)
-            _write_dots(args.out, kind, dots)
+            for i, text in enumerate(dots):
+                _write(os.path.join(args.out, f"{kind}_{i:04d}.dot"), text)
         else:
             sys.stdout.writelines(text + "\n" for text in dots)
     print(f"{len(items)} items", file=sys.stderr)
@@ -199,12 +195,10 @@ def _print_fiber_report(tr, args):
     return 0
 
 
-def cmd_verify(args, parser):
+def cmd_verify(args):
     _require_nonnegative(args, "max")
-    names = [args.check] if args.check else None
-    if names and names[0] not in ALL_CHECKS:
-        parser.error(f"unknown check {names[0]!r}; choose from {sorted(ALL_CHECKS)}")
-    results = run_checks(names, max_n=args.max)
+    _require(not args.check or args.check in ALL_CHECKS, f"unknown check {args.check!r}; choose from {sorted(ALL_CHECKS)}")
+    results = run_checks([args.check] if args.check else None, max_n=args.max)
     failed = 0
     for result in results:
         print(("PASS" if result.ok else "FAIL") + f" {result.name}")
@@ -216,24 +210,24 @@ def cmd_verify(args, parser):
     return 0 if failed == 0 else 1
 
 
-def cmd_export(args, parser):
-    lat = _build_lattice(args, parser)
-    os.makedirs(args.out, exist_ok=True)
+def cmd_export(args):
+    lat = _build_lattice(args)
     if args.what == "hasse":
-        written = [_write(os.path.join(args.out, "hasse.dot"), lattice_to_dot(lat))]
+        files = [("hasse.dot", lattice_to_dot(lat))]
     elif args.what == "tr-hasse":
         tr = enumerate_transfer_systems(lat, jobs=args.jobs, guard=None if args.unsafe_guard else MAX_TR_HASSE)
-        tr_hasse = serialize.tr_hasse_to_dot(tr)
-        written = [_write(os.path.join(args.out, "tr_hasse.dot"), tr_hasse)]
-    else:  # one file per system or per cover
+        files = [("tr_hasse.dot", serialize.tr_hasse_to_dot(tr))]
+    else:  # one file per system or per cover, its DOT text made as it is written
         kind, name = ("transfer", "system") if args.what == "systems" else ("covers", "cover")
-        written = _write_dots(args.out, name, _dots(_items(kind, lat, args), name))
-    for path in written:
-        print(path)
+        files = ((f"{name}_{i:04d}.dot", text) for i, text in enumerate(_dots(_items(kind, lat, args), name)))
+    # made once the output is built, so that a guard breach leaves no directory
+    os.makedirs(args.out, exist_ok=True)
+    for file, text in files:
+        print(_write(os.path.join(args.out, file), text))
     return 0
 
 
-def cmd_fusion_count(args, parser):
+def cmd_fusion_count(args):
     left = _read_lattice(args.left, args.unsafe_guard)
     right = _read_lattice(args.right, args.unsafe_guard)
     breakdown = count_tr_fusion(left, right, **_lifted(args, guard=None))
@@ -247,7 +241,7 @@ def cmd_fusion_count(args, parser):
     return 0
 
 
-def cmd_rank_two(args, parser):
+def cmd_rank_two(args):
     p = args.p
     if p > _MAX_RANK_TWO_P:
         raise SizeLimit(f"--p {p} is above the rank-two cap of {_MAX_RANK_TWO_P}")
@@ -309,7 +303,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args)
     except SizeLimit as exc:
         print(f"guard breached: {exc}", file=sys.stderr)
         return 3

@@ -39,10 +39,14 @@ def cover_from_json(obj):
     return SaturatedCover.from_edges(lat, [tuple(e) for e in obj["edges"]])
 
 
-def json_lines(lat, items, kind):
+def json_lines(items, kind):
     """`json.dumps(..., sort_keys=True)` of `operator_to_json`, `cover_to_json`
-    (kind "covers") or `system_to_json` of each item on `lat`, byte for byte,
-    joined from `lat` encoded once, number strings or `_json_tables`."""
+    (kind "covers") or `system_to_json` of each of `items`, byte for byte,
+    joined from the lattice of the first, encoded once, number strings or
+    `_json_tables`.  The items must share that lattice."""
+    if not items:
+        return []
+    lat = items[0].lattice
     if kind == "interior":
         numbers = [str(x) for x in range(lat.n)]
         return ('{"image": [' + ", ".join(map(numbers.__getitem__, op.image)) + "]}" for op in items)

@@ -18,7 +18,7 @@ it over the pairs still missing.
 of the bits and read no closure table.
 
 `TrLattice` orders the systems by refinement on their bits alone; its
-Hasse edges come from float32 tiles of counts (see `TrLattice.covers`).
+Hasse edges come from int masks over the systems (see `TrLattice.covers`).
 """
 from __future__ import annotations
 
@@ -347,9 +347,6 @@ def saturated_hull(system):
 
 # -- enumeration ---------------------------------------------------------------
 
-_TILE = 128  # the side of the count tiles in `TrLattice.covers`; larger tiles raised peak RSS
-
-
 class TrLattice:
     """The lattice of all transfer systems on a base lattice, by refinement.
 
@@ -407,39 +404,40 @@ class TrLattice:
     def covers(self):
         """Hasse edges of the refinement order, as sorted index pairs.
 
-        Row i of the strict-refinement matrix `lt` is one vectorised subset
-        test on the bits packed into little-endian uint64 words.  The
-        systems strictly between i and j number (lt @ lt)[i, j], computed
-        tile by tile as exact float32 BLAS products (every count is below
-        2^24), and (i, j) is an edge when i < j in `lt` and the count is 0.
-        Each tile is cast through int32 to uint8 first, which keeps the
-        wrap of the earlier uint8 matmul: 256, 512, ... systems between
-        two ends read as an edge (122 extra pairs on Tr([2]x[2])).
-        Dropping that cast is the mend; it changes the output, so it lands
-        with a re-recorded benchmark digest.
+        `holding[p]` is the mask of the systems that hold position p.  The
+        systems above i are the AND of `holding` over the bits of i, and
+        those below j the AND of the complements over the bits j lacks;
+        positions follow the sorted bits, so i < j when i refines j.  A
+        comparable pair (i, j) is an edge when the systems strictly between
+        them, `(above[i] & below[j]).bit_count() - 2`, number 0 modulo 256.
+        The modulus keeps the wrap of an earlier uint8 count: 256, 512, ...
+        systems between two ends read as an edge (122 extra pairs on
+        Tr([2]x[2])).  Dropping it is the mend; it changes the output, so it
+        lands with a re-recorded benchmark digest.
         """
         if self._covers is None:
-            import numpy as np
-
-            m, words = len(self.bits), (self.lattice.n ** 2 + 63) // 64
-            packed = b"".join(b.to_bytes(8 * words, "little") for b in self.bits)
-            w = np.frombuffer(packed, dtype="<u8").reshape(m, words)
-            missing = ~w
-            lt = np.empty((m, m), dtype=bool)
-            for i in range(m):
-                lt[i] = ~(w[i] & missing).any(axis=1)
-            np.fill_diagonal(lt, False)
-            covers = []
-            for r in range(0, m, _TILE):
-                rows = lt[r:r + _TILE]
-                rows32 = rows.astype(np.float32)
-                edges = np.empty_like(rows)
-                for c in range(0, m, _TILE):
-                    thru = rows32 @ lt[:, c:c + _TILE].astype(np.float32)
-                    wrapped = thru.astype(np.int32).astype(np.uint8)
-                    edges[:, c:c + _TILE] = rows[:, c:c + _TILE] & (wrapped == 0)
-                covers += [(r + a, b) for a, b in np.argwhere(edges).tolist()]
-            self._covers = covers
+            positions = list(_bits(closure_for(self.lattice).full))
+            holding = dict.fromkeys(positions, 0)
+            for i, b in enumerate(self.bits):
+                for p in _bits(b):
+                    holding[p] |= 1 << i
+            everyone = (1 << len(self.bits)) - 1
+            above, below = [], []
+            for b in self.bits:
+                up = down = everyone
+                for p in positions:
+                    if b >> p & 1:
+                        up &= holding[p]
+                    else:
+                        down &= ~holding[p]
+                above.append(up)
+                below.append(down)
+            self._covers = [
+                (i, j)
+                for i, up in enumerate(above)
+                for j in _bits(up ^ 1 << i)
+                if ((up & below[j]).bit_count() - 2) % 256 == 0
+            ]
         return self._covers
 
     def hasse_lattice(self):

@@ -29,6 +29,7 @@ from trsys.serialize import (
     cover_to_dot,
     cover_to_json,
     dump,
+    json_lines,
     operator_to_json,
     pair_label,
     system_to_dot,
@@ -123,6 +124,17 @@ def test_json_lines_are_the_dumps_of_the_library_dicts(capsys, tmp_path, kind):
             assert first.startswith('{"edges": [], ')
 
 
+def test_json_lines_carry_the_lattice_of_their_items():
+    # no lattice is passed beside the items, so none can disagree with theirs
+    cube2 = boolean_cube(2)
+    items = enumerate_transfer_systems(cube2)
+    lines = list(json_lines(items, "transfer"))
+    assert lines == [json.dumps(system_to_json(s), sort_keys=True) for s in items]
+    assert all(json.loads(line)["lattice"] == lattice_to_json(cube2) for line in lines)
+    for kind in LIBRARY:
+        assert list(json_lines([], kind)) == []
+
+
 @pytest.mark.parametrize("kind", ["transfer", "saturated", "covers"])
 def test_table_lines_are_the_labels_of_the_pairs(capsys, tmp_path, kind):
     search, _ = LIBRARY[kind]
@@ -184,10 +196,9 @@ def test_fiber_report_refuses_other_formats_and_kinds(capsys, monkeypatch, flags
         raise AssertionError("the lattice was built")
 
     monkeypatch.setitem(cli._FAMILIES, "chain", (("n",), lambda n: n + 1, built))
-    with pytest.raises(SystemExit) as info:
-        main(["enumerate", "--family", "chain", "--n", "2", "--report", "fibers", *flags])
-    assert info.value.code == 2
-    assert "--report fibers" in capsys.readouterr().err
+    code, out, err = run_cli(["enumerate", "--family", "chain", "--n", "2", "--report", "fibers", *flags], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --report fibers") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -201,10 +212,9 @@ def test_out_without_format_dot_exits_two(capsys, monkeypatch, tmp_path, flags):
 
     monkeypatch.setitem(cli._FAMILIES, "chain", (("n",), lambda n: n + 1, built))
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as info:
-        main(["enumerate", "--family", "chain", "--n", "2", "--out", str(out), *flags])
-    assert info.value.code == 2
-    assert "error: --out writes DOT files: it needs --format dot" in capsys.readouterr().err
+    code, _, err = run_cli(["enumerate", "--family", "chain", "--n", "2", "--out", str(out), *flags], capsys)
+    assert code == 2
+    assert err == "error: --out writes DOT files: it needs --format dot\n"
     assert not out.exists()
 
 
@@ -257,9 +267,8 @@ def test_family_over_the_element_cap_is_refused_before_it_is_built(capsys, monke
 
 
 def test_usage_error_exits_two(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["enumerate", "--family", "chain", "--kind", "transfer"])
-    assert info.value.code == 2
+    code, out, err = run_cli(["enumerate", "--family", "chain", "--kind", "transfer"], capsys)
+    assert (code, out, err) == (2, "", "error: --family chain needs --n\n")
 
 
 def test_interior_dot_exits_two_before_enumerating(monkeypatch, capsys):
@@ -267,10 +276,8 @@ def test_interior_dot_exits_two_before_enumerating(monkeypatch, capsys):
         raise AssertionError("enumerated before checking the format")
 
     monkeypatch.setattr("trsys.cli.enumerate_interior_operators", enumerate_called)
-    with pytest.raises(SystemExit) as info:
-        main(["enumerate", "--family", "cube", "--n", "3", "--kind", "interior", "--format", "dot"])
-    assert info.value.code == 2
-    assert "--format dot is not defined for interior operators" in capsys.readouterr().err
+    code, out, err = run_cli(["enumerate", "--family", "cube", "--n", "3", "--kind", "interior", "--format", "dot"], capsys)
+    assert (code, out, err) == (2, "", "error: --format dot is not defined for interior operators\n")
 
 
 @pytest.mark.parametrize(
@@ -358,9 +365,9 @@ def test_jobs_below_one_exits_two(tmp_path, capsys, command, jobs):
 
 
 def test_verify_unknown_check(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["verify", "--check", "nonsense"])
-    assert info.value.code == 2
+    code, out, err = run_cli(["verify", "--check", "nonsense"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown check 'nonsense'; choose from [") and err.count("\n") == 1
 
 
 TR_HASSE_CHAIN2 = """\
@@ -400,11 +407,24 @@ def test_export_tr_hasse_stops_at_its_guard(tmp_path, capsys, monkeypatch, n):
         raise AssertionError("the Hasse edges were computed")
 
     monkeypatch.setattr(TrLattice, "covers", property(covers))
+    out_dir = tmp_path / "out"
     code, out, err = run_cli(
-        ["export", "--family", "chain", "--n", str(n), "--what", "tr-hasse", "--out", str(tmp_path)], capsys
+        ["export", "--family", "chain", "--n", str(n), "--what", "tr-hasse", "--out", str(out_dir)], capsys
     )
     assert (code, out) == (3, "")
     assert err.startswith("guard breached:") and "5000" in err
+    assert not out_dir.exists()
+
+
+def test_export_systems_past_the_search_guard_leaves_no_directory(tmp_path, capsys):
+    # Tr(cube(4)) passes the search's guard of 250,000 systems within about a second
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        ["export", "--family", "cube", "--n", "4", "--what", "systems", "--out", str(out_dir)], capsys
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("guard breached:")
+    assert not out_dir.exists()
 
 
 def test_export_systems_draw_all_relations(tmp_path, capsys):
@@ -637,20 +657,23 @@ def test_console_entry_point():
     assert "PASS ranktwo" in proc.stdout
 
 
-def test_enumerate_runs_without_numpy():
-    # every lattice is stored on its int rows: numpy is imported only to
-    # read the matrix `Lattice.leq` and by the Hasse edges of Tr
+def test_enumerate_runs_without_numpy(tmp_path):
+    # every lattice is stored on its int rows, and the Hasse edges of Tr on
+    # int masks: numpy is imported only to read the matrix `Lattice.leq`
     code = (
         "import contextlib, io, sys\n"
         "from trsys import cli\n"
+        "argvs = [['verify', '--check', 'bmt'],\n"
+        "         ['export', '--family', 'rect', '--m', '2', '--n', '2', '--what', 'tr-hasse', '--out', sys.argv[1]]]\n"
         "for kind in ('transfer', 'saturated', 'covers', 'interior'):\n"
         "    for fmt in ('table', 'json'):\n"
-        "        argv = ['enumerate', '--kind', kind, '--family', 'cube', '--n', '3', '--format', fmt]\n"
-        "        with contextlib.redirect_stdout(io.StringIO()):\n"
-        "            assert cli.main(argv) == 0\n"
+        "        argvs.append(['enumerate', '--kind', kind, '--family', 'cube', '--n', '3', '--format', fmt])\n"
+        "for argv in argvs:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
         "print('numpy' in sys.modules)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
 

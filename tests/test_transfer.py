@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -274,8 +275,8 @@ def test_tr_covers_of_fewer_than_two_systems_are_empty():
             product(chain(2), chain(2)),
             marks=pytest.mark.xfail(
                 strict=True,
-                reason="TrLattice.covers casts each float32 tile of path counts to uint8, "
-                "which keeps the wrap at 256 of the earlier integer matmul: it reports "
+                reason="TrLattice.covers counts the systems between two ends modulo 256, "
+                "which keeps the wrap of an earlier uint8 count: it reports "
                 "122 pairs of Tr([2]x[2]) with 256, 512 or 768 systems strictly between "
                 "them, such as (0, 426), as Hasse edges",
             ),
@@ -284,10 +285,28 @@ def test_tr_covers_of_fewer_than_two_systems_are_empty():
     ids=["cube3", "chain5", "chain6", "subcpcp5", "rect2x2"],
 )
 def test_tr_covers_are_the_hasse_edges_of_refinement(lat):
-    # chain(5), chain(6) and cube(3) have 132, 429 and 450 systems, so their
-    # last 128 x 128 tiles of path counts are partial
+    # on all but [2]x[2], no comparable pair has a nonzero multiple of 256
+    # systems between its ends, where the count of `covers` wraps
     tr = enumerate_transfer_systems(lat, guard=None)
     assert tr.covers == naive_hasse_edges(tr)
+
+
+@pytest.mark.parametrize("seed", [None, 3], ids=["labels", "relabelled"])
+def test_tr_covers_of_rect2x2_add_the_pairs_with_a_multiple_of_256_between(seed):
+    # pins the output of the wrap that the strict xfail above records: the
+    # 4,739 Hasse edges and 122 pairs with 256, 512 or 768 systems between
+    lat = product(chain(2), chain(2))
+    if seed is not None:
+        perm = random.Random(seed).sample(range(lat.n), lat.n)
+        lat = Lattice(lat.leq[np.ix_(perm, perm)])
+    tr = enumerate_transfer_systems(lat)
+    covers, hasse = set(tr.covers), set(naive_hasse_edges(tr))
+    assert len(tr.covers) == 4861 and hasse <= covers
+    assert len(covers - hasse) == 122
+    bits = tr.bits
+    for i, j in covers - hasse:
+        between = sum(bits[i] & b == bits[i] and b & bits[j] == b for b in bits) - 2
+        assert between > 0 and between % 256 == 0, (i, j, between)
 
 
 # -- meet / join ----------------------------------------------------------------
