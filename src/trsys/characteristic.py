@@ -9,12 +9,13 @@ is saturated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial, reduce
+from operator import or_
 
 from . import search
 from .errors import InvariantViolation, SizeLimit
 from .functorial import LatticeMap
-from .lattice import _byte_tables, _gather, per_lattice
+from .lattice import _bits, _byte_tables, _gather, per_lattice
 from .transfer import TransferSystem, generate, saturated_hull
 
 
@@ -149,8 +150,47 @@ def enumerate_interior_operators(lat, max_elements=16):
     return [InteriorOperator._wrap(lat, f) for f in images]
 
 
+@per_lattice
+def _height_joins(lat):
+    """Per element x in height order, the byte tables from a mask Q of
+    height-order positions to x v Q, and from a mask S to {q : x v q in S}."""
+    order = [x for x, _ in _bottom_up(lat)]
+    pos = {x: p for p, x in enumerate(order)}
+    rows = [[pos[lat.join[x][y]] for y in order] for x in order]
+    return ([_byte_tables(1 << s for s in row) for row in rows],
+            [_byte_tables(sum(1 << q for q, s in enumerate(row) if s == t) for t in range(lat.n)) for row in rows])
+
+
 def count_interior_operators(lat, max_elements=16):
-    return len(interior_system_masks(lat, max_elements))
+    """The number of interior operators, counted without listing them.
+
+    C(U, F) counts the T ⊆ U with a v b in T ∪ F for all a, b in T, and the
+    interior systems are the T + ⊥ for the T counted by C(P - ⊥, {⊥}).  No
+    element of U lies above its highest element m, so a T holding m has
+    x v m in F + m for its other x: C(∅, F) = 1 and
+    C(U, F) = C(U - m, F) + C({x in U - m : x v m in F + m}, F + m).
+    On masks of height-order positions m is the top bit of U.  The step
+    reads F only at joins within U and passes on subsets of U, so C(U, F)
+    depends on F only through F ∩ J(U), J(U) the joins within U: that is
+    the memo key.  A stack in place of recursion spares Python's limit.
+    """
+    if lat.n > max_elements:
+        raise SizeLimit(f"{lat.n} elements exceed interior enumeration guard {max_elements}")
+    joins, into = _height_joins(lat)
+    within = cache(lambda u: reduce(or_, (_gather(joins[p], u) for p in _bits(u)), 0))  # J(U)
+    root = ((1 << lat.n) - 2, 0)  # F = {bottom} misses J(U): bottom is no join of others
+    counts, stack = {(0, 0): 1}, [root] if root[0] else []
+    while stack:
+        u, f = stack[-1]
+        m = u.bit_length() - 1
+        rest, g = u ^ 1 << m, f | 1 << m
+        v = rest & _gather(into[m], g)
+        kids = (rest, f & within(rest)), (v, g & within(v))
+        if todo := [k for k in kids if k not in counts]:
+            stack += todo
+            continue
+        counts[stack.pop()] = counts[kids[0]] + counts[kids[1]]
+    return counts[root]
 
 
 def chi_image_check(tr):

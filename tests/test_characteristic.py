@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -141,9 +142,58 @@ def test_interior_counts_on_cubes():
 
 
 def test_interior_counts_on_chains():
-    # every subset of a chain is join-closed, so exactly 2^n systems
-    for n in range(6):
-        assert count_interior_operators(chain(n)) == 2 ** n
+    # every subset of a chain holding bottom is join-closed, so exactly 2^n
+    # systems, far past what the search could list
+    for n in range(61):
+        assert count_interior_operators(chain(n), max_elements=n + 1) == 2 ** n
+
+
+def test_interior_counts_on_iterated_fusions():
+    # iterated_fusion(chain(2), n) is Sub(C_p x C_p) for n = p + 1: bottom and
+    # top with n atoms between.  An interior system holds top and any set of
+    # atoms, or lacks top and holds at most one atom: 2^n + n + 1
+    for n in range(1, 41):
+        lat = iterated_fusion(chain(2), n)
+        assert count_interior_operators(lat, max_elements=lat.n) == 2 ** n + n + 1
+    assert count_interior_operators(iterated_fusion(chain(2), 20), max_elements=22) == 1048597
+
+
+def test_interior_count_on_the_five_by_five_grid():
+    # no closed form: this is agreement with the layer and matchstick routes
+    # that first gave it, not a theorem
+    assert count_interior_operators(product(chain(5), chain(5)), max_elements=36) == 11467387
+
+
+def test_interior_count_needs_no_recursion():
+    # the count keeps its own stack, so a 61-element chain counts with the
+    # interpreter's recursion limit a few dozen frames above the caller
+    lat = chain(60)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        assert count_interior_operators(lat, max_elements=61) == 2 ** 60
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_interior_count_equals_the_search_on_every_lattice_up_to_eight_elements():
+    # the count shares no code with the search; each lattice also runs
+    # relabelled, so height order is not label order, and dualized
+    rng = random.Random(25)
+    for base in [lat for n in range(1, 9) for lat in all_lattices(n)]:
+        perm = rng.sample(range(base.n), base.n)
+        for lat in (base, Lattice(base.leq[np.ix_(perm, perm)]), base.dual()):
+            assert count_interior_operators(lat, lat.n) == len(interior_system_masks(lat, lat.n))
+
+
+def test_interior_count_equals_the_search_on_products_with_chains():
+    for base in all_lattices(6) + all_lattices(7):
+        for c in (1, 2):
+            lat = product(base, chain(c))
+            assert count_interior_operators(lat, lat.n) == len(interior_system_masks(lat, lat.n))
 
 
 def test_single_element_lattice_has_identity_only():

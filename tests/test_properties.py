@@ -34,6 +34,7 @@ from hypothesis import strategies as st
 from trsys.characteristic import (
     _join_closure,
     characteristic,
+    count_interior_operators,
     fiber_decomposition,
     interior_system_masks,
     operator_from_interior_system,
@@ -178,6 +179,14 @@ def test_interior_masks_equal_the_raw_map_filter(lat):
     images = naive_interior_operators(lat, max_elements=lat.n)
     want = sorted({sum(1 << v for v in set(image)) for image in images})
     assert interior_system_masks(lat) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabelled(BASES))
+@example(sub_cp_cp(3))
+def test_interior_count_equals_the_raw_map_filter(lat):
+    # the memoized count shares no code with the search or the filter
+    assert count_interior_operators(lat, lat.n) == len(naive_interior_operators(lat, max_elements=lat.n))
 
 
 @settings(max_examples=100, deadline=None)
