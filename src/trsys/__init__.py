@@ -18,6 +18,7 @@ from .characteristic import (
     fiber_decomposition,
     galois_F,
     galois_G,
+    interior_images,
 )
 from .counting import (
     BMTDecomposition,

@@ -132,22 +132,35 @@ def interior_system_of(operator):
     return mask
 
 
-def enumerate_interior_operators(lat, max_elements=16):
-    """All interior operators, sorted by lexicographic image.
+def interior_images(lat, max_elements=16):
+    """The image of every interior operator as one `bytes` row, byte x the
+    label f(x), sorted: `bytes` order is the lexicographic image order.
 
     A join-closed M holding bottom gives f(x) = max(M ∩ ↓x), the last
     element of M ∩ ↓x in height order: M ∩ ↓x holds bottom and the join of
     its elements, and its other elements lie below that join, at smaller heights.
     With M and each ↓x mapped by `_gather` to height-order bit positions,
     f(x) is the element at the top bit of their AND.  The tests compare it
-    with `operator_from_interior_system`, which takes any mask.
+    with `operator_from_interior_system`, which takes any mask.  One byte
+    holds the labels of at most 256 elements, and a larger lattice raises
+    SizeLimit before any search, whatever `max_elements` admits.
     """
+    if lat.n > max_elements:
+        raise SizeLimit(f"{lat.n} elements exceed interior enumeration guard {max_elements}")
+    if lat.n > 256:
+        raise SizeLimit(f"{lat.n} elements exceed the 256 labels of a one-byte image row")
     order = [x for x, _ in _bottom_up(lat)]
     remap = _byte_tables(1 << order.index(x) for x in range(lat.n))
     downs = [_gather(remap, down) for down in lat._down]
-    images = sorted(tuple([order[(m & down).bit_length() - 1] for down in downs])
-                    for m in map(partial(_gather, remap), interior_system_masks(lat, max_elements)))
-    return [InteriorOperator._wrap(lat, f) for f in images]
+    top = [0, *order]  # by the bit length of a nonempty mask of height positions
+    masks = map(partial(_gather, remap), interior_system_masks(lat, max_elements))
+    return sorted(bytes([top[(m & down).bit_length()] for down in downs]) for m in masks)
+
+
+def enumerate_interior_operators(lat, max_elements=16):
+    """All interior operators, sorted by lexicographic image: the rows of
+    `interior_images`, each wrapped as an `InteriorOperator`."""
+    return [InteriorOperator._wrap(lat, tuple(row)) for row in interior_images(lat, max_elements)]
 
 
 @per_lattice
@@ -196,8 +209,8 @@ def count_interior_operators(lat, max_elements=16):
 def chi_image_check(tr):
     """Whether the characteristic map surjects from Tr(P) onto the interior
     operators of P."""
-    chi_images = {characteristic(r).image for r in tr}
-    return chi_images == {f.image for f in enumerate_interior_operators(tr.lattice)}
+    chi_images = {bytes(characteristic(r).image) for r in tr}
+    return chi_images == set(interior_images(tr.lattice))
 
 
 # -- fibers -------------------------------------------------------------------

@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import serialize
-from .characteristic import enumerate_interior_operators, fiber_decomposition
+from .characteristic import fiber_decomposition, interior_images
 from .counting import bmt_decompose, count_tr_fusion, tr_rank_two
 from .covers import enumerate_saturated_covers
 from .errors import InvalidInput, SizeLimit, TrsysError
@@ -128,9 +128,10 @@ def _lifted(args, **limits):
 
 def _items(kind, lat, args):
     """The items of `kind` on `lat` from its one library call, whose size limit
-    --unsafe-guard lifts.  The interior-operator search ignores --jobs."""
+    --unsafe-guard lifts.  Interior operators come as image rows, and their
+    search ignores --jobs."""
     if kind == "interior":
-        return enumerate_interior_operators(lat, **_lifted(args, max_elements=lat.n))
+        return interior_images(lat, **_lifted(args, max_elements=lat.n))
     search = {
         "transfer": enumerate_transfer_systems,
         "saturated": enumerate_saturated_systems,
@@ -164,8 +165,8 @@ def cmd_enumerate(args):
         return _print_fiber_report(_items("transfer", lat, args), args)
     items = _items(kind, lat, args)
     if args.format == "table":
-        for item in items:
-            print(" ".join(map(str, item.image)) if kind == "interior" else serialize.pair_label(item))
+        lines = map(serialize.image_text if kind == "interior" else serialize.pair_label, items)
+        sys.stdout.writelines(line + "\n" for line in lines)
     elif args.format == "json":
         sys.stdout.writelines(line + "\n" for line in serialize.json_lines(items, kind))
     else:  # dot

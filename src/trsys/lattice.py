@@ -15,6 +15,7 @@ import math
 
 from .errors import (
     CycleDetected,
+    InvalidInput,
     NotALattice,
     NotBounded,
     NotGraded,
@@ -492,7 +493,17 @@ def lattice_to_json(lat):
 
 
 def lattice_from_json(obj):
-    return from_order(obj["n"], [tuple(p) for p in obj["leq_pairs"]], names=obj.get("names"))
+    """The lattice of `lattice_to_json`.  Raises InvalidInput unless "n" is an
+    int, each of "leq_pairs" two ints and "names", if given, n distinct strings."""
+    n, pairs, names = obj["n"], [tuple(p) for p in obj["leq_pairs"]], obj.get("names")
+    if type(n) is not int:  # not a bool either
+        raise InvalidInput(f"lattice JSON: n must be an int, got {n!r}")
+    if not all(len(p) == 2 and type(p[0]) is type(p[1]) is int for p in pairs):
+        raise InvalidInput("lattice JSON: each of leq_pairs must be two ints")
+    if names is not None and not (type(names) is list and len(names) == n
+                                  and all(type(name) is str for name in names) and len(set(names)) == n):
+        raise InvalidInput(f"lattice JSON: names must be a list of {n} distinct strings")
+    return from_order(n, pairs, names=names)
 
 
 def dot_digraph(title, node_style, labels, edges, prefix="v"):

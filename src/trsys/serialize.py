@@ -41,21 +41,31 @@ def cover_from_json(obj):
 
 def json_lines(items, kind):
     """`json.dumps(..., sort_keys=True)` of `operator_to_json`, `cover_to_json`
-    (kind "covers") or `system_to_json` of each of `items`, byte for byte,
-    joined from the lattice of the first, encoded once, number strings or
-    `_json_tables`.  The items must share that lattice."""
+    (kind "covers") or `system_to_json` of each of `items`, byte for byte.
+    Interior items are image rows, as `characteristic.interior_images` gives
+    them, each line that of the operator with that image, joined from number
+    strings.  The others are joined from the lattice of the first, encoded
+    once, and `_json_tables`, and must share that lattice."""
+    if kind == "interior":
+        number = _NUMBERS.__getitem__
+        return ('{"image": [' + ", ".join(map(number, row)) + "]}" for row in items)
     if not items:
         return []
     lat = items[0].lattice
-    if kind == "interior":
-        numbers = [str(x) for x in range(lat.n)]
-        return ('{"image": [' + ", ".join(map(numbers.__getitem__, op.image)) + "]}" for op in items)
     lattice = json.dumps(lattice_to_json(lat), sort_keys=True)
     head, tail = '{"lattice": ' + lattice + ', "pairs": [', "]}"
     if kind == "covers":  # "edges" sorts before "lattice"
         head, tail = '{"edges": [', '], "lattice": ' + lattice + "}"
     tables = _json_tables(lat)
     return (head + _pairs_text(tables, r.bits, ", ") + tail for r in items)
+
+
+_NUMBERS = [str(x) for x in range(256)]
+
+
+def image_text(row):
+    """The labels of an image row, each at most 255, as numbers joined by spaces."""
+    return " ".join(map(_NUMBERS.__getitem__, row))
 
 
 def _text_tables(lat, form, sep):

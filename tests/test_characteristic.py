@@ -15,12 +15,13 @@ from trsys.characteristic import (
     fiber_minimum,
     galois_F,
     galois_G,
+    interior_images,
     interior_system_masks,
     interior_system_of,
     is_moore_family,
     operator_from_interior_system,
 )
-from trsys.errors import InvariantViolation, NotMonotone
+from trsys.errors import InvariantViolation, NotMonotone, SizeLimit
 from trsys.functorial import LatticeMap
 from trsys.covers import enumerate_saturated_covers
 from trsys.lattice import Lattice, all_lattices, boolean_cube, chain, from_order, iterated_fusion, product
@@ -232,6 +233,39 @@ def test_interior_images_off_the_masks_equal_the_bottom_up_route():
             routes.sort(key=lambda f: f.image)
             assert [f.image for f in ops] == [f.image for f in routes]
             assert all(type(f) is InteriorOperator and f.lattice is lat for f in ops)
+
+
+def test_interior_images_are_the_sorted_rows_of_the_interior_systems():
+    # one byte per element, indexed by label, in lexicographic image order;
+    # each lattice also runs relabelled, so the height order is not the label order
+    rng = random.Random(26)
+    lats = [lat for n in range(1, 8) for lat in all_lattices(n)]
+    assert len(lats) == 78
+    for base in lats:
+        perm = rng.sample(range(base.n), base.n)
+        for lat in (base, Lattice(base.leq[np.ix_(perm, perm)])):
+            rows = interior_images(lat, lat.n)
+            masks = interior_system_masks(lat, lat.n)
+            assert rows == sorted(bytes(operator_from_interior_system(lat, m).image) for m in masks)
+            assert len(rows) == count_interior_operators(lat, lat.n)
+            assert [f.image for f in enumerate_interior_operators(lat, lat.n)] == [tuple(row) for row in rows]
+
+
+def test_interior_images_refuse_more_than_256_elements_before_searching(monkeypatch):
+    # a byte holds the labels 0..255: chain(256) has 257 elements and 2^256
+    # interior operators, and is refused at once whatever max_elements admits
+    module = sys.modules["trsys.characteristic"]  # the package exports a function of that name
+    monkeypatch.setattr(module, "interior_system_masks", lambda *args: pytest.fail("searched"))
+    with pytest.raises(SizeLimit, match="257 elements exceed the 256 labels"):
+        interior_images(chain(256), max_elements=1000)
+    with pytest.raises(SizeLimit, match="257 elements exceed interior enumeration guard 16"):
+        interior_images(chain(256))
+    with pytest.raises(SizeLimit, match="257 elements exceed the 256 labels"):
+        enumerate_interior_operators(chain(256), max_elements=257)
+    # 256 elements pass: the system of every element gives the identity row
+    lat = chain(255)
+    monkeypatch.setattr(module, "interior_system_masks", lambda *args: [(1 << lat.n) - 1])
+    assert interior_images(lat, lat.n) == [bytes(range(256))]
 
 
 def test_interior_operator_meets_lower_bounds():

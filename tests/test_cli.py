@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from trsys import cli
-from trsys.characteristic import enumerate_interior_operators
+from trsys.characteristic import InteriorOperator, enumerate_interior_operators
 from trsys.cli import main
 from trsys.covers import enumerate_saturated_covers
 from trsys.errors import InvalidInput
@@ -133,6 +133,31 @@ def test_json_lines_carry_the_lattice_of_their_items():
     assert all(json.loads(line)["lattice"] == lattice_to_json(cube2) for line in lines)
     for kind in LIBRARY:
         assert list(json_lines([], kind)) == []
+
+
+def test_interior_lines_are_the_library_operators_and_build_none(capsys, tmp_path, monkeypatch):
+    # the CLI writes the image rows of interior_images, in a table and in JSON,
+    # and wraps no InteriorOperator on the way
+    wanted = {lat: enumerate_interior_operators(lat) for lat in AWKWARD}
+    monkeypatch.setattr(InteriorOperator, "_wrap", lambda *args: pytest.fail("wrapped an operator"))
+    monkeypatch.setattr(InteriorOperator, "__init__", lambda *args: pytest.fail("built an operator"))
+    for lat, ops in wanted.items():
+        code, out, _ = enumerate_on(lat, tmp_path, capsys, "--kind", "interior", "--format", "table")
+        assert code == 0
+        assert out == "".join(" ".join(map(str, op.image)) + "\n" for op in ops)
+        code, out, _ = enumerate_on(lat, tmp_path, capsys, "--kind", "interior", "--format", "json")
+        assert code == 0
+        assert out == "".join(json.dumps(operator_to_json(op), sort_keys=True) + "\n" for op in ops)
+        assert list(json_lines([op.image for op in ops], "interior")) == out.splitlines()
+
+
+def test_interior_enumeration_past_256_elements_exits_three(capsys, monkeypatch):
+    # chain(256) passes the lattice guard, and --unsafe-guard lifts the 16 of the
+    # interior search; its 257 labels do not fit a byte, so it stops before searching
+    monkeypatch.setattr("trsys.search.leaves", lambda *args: pytest.fail("searched"))
+    code, out, err = run_cli(["enumerate", "--family", "chain", "--n", "256", "--kind", "interior", "--unsafe-guard"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "guard breached: 257 elements exceed the 256 labels of a one-byte image row\n"
 
 
 @pytest.mark.parametrize("kind", ["transfer", "saturated", "covers"])
@@ -275,7 +300,7 @@ def test_interior_dot_exits_two_before_enumerating(monkeypatch, capsys):
     def enumerate_called(*args, **kwargs):
         raise AssertionError("enumerated before checking the format")
 
-    monkeypatch.setattr("trsys.cli.enumerate_interior_operators", enumerate_called)
+    monkeypatch.setattr("trsys.cli.interior_images", enumerate_called)
     code, out, err = run_cli(["enumerate", "--family", "cube", "--n", "3", "--kind", "interior", "--format", "dot"], capsys)
     assert (code, out, err) == (2, "", "error: --format dot is not defined for interior operators\n")
 
@@ -287,9 +312,18 @@ def test_interior_dot_exits_two_before_enumerating(monkeypatch, capsys):
         (["--family", "json", "--json", "{path}"], "{not json"),
         (["--family", "json", "--json", "{path}"], '{"n": 3}'),
         (["--family", "json", "--json", "{path}"], '{"n": 3, "leq_pairs": [["a", 1]]}'),
+        (["--family", "json", "--json", "{path}"], '{"n": true, "leq_pairs": []}'),
+        (["--family", "json", "--json", "{path}"], '{"n": 1.0, "leq_pairs": []}'),
+        (["--family", "json", "--json", "{path}"], '{"n": 2, "leq_pairs": [[0, true]]}'),
+        (["--family", "json", "--json", "{path}"], '{"n": 2, "leq_pairs": [[0, 1, 1]]}'),
+        (["--family", "json", "--json", "{path}"], '{"n": 3, "leq_pairs": [[0, 1], [1, 2]], "names": "abc"}'),
+        (["--family", "json", "--json", "{path}"], '{"n": 3, "leq_pairs": [[0, 1], [1, 2]], "names": ["a", "a", "b"]}'),
+        (["--family", "json", "--json", "{path}"], '{"n": 3, "leq_pairs": [[0, 1], [1, 2]], "names": ["a", "b"]}'),
+        (["--family", "json", "--json", "{path}"], '{"n": 3, "leq_pairs": [[0, 1], [1, 2]], "names": [0, 1, 2]}'),
         (["--family", "chain", "--n", "-3"], None),
     ],
-    ids=["missing-file", "invalid-json", "missing-leq-pairs", "non-int-pair", "negative-n"],
+    ids=["missing-file", "invalid-json", "missing-leq-pairs", "non-int-pair", "bool-n", "float-n", "bool-pair",
+         "three-int-pair", "string-names", "duplicate-names", "short-names", "int-names", "negative-n"],
 )
 def test_malformed_lattice_input_exits_two(tmp_path, capsys, args, content):
     path = tmp_path / "lat.json"
