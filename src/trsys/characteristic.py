@@ -59,37 +59,45 @@ def characteristic(system):
 # -- interior operator enumeration -------------------------------------------
 
 
-def _join_closure(tables, inc, exc, e):
-    # M | (e v M) is the join closure of M + {e} when M is join-closed and
-    # contains bottom: (e v a) v (e v b) = e v (a v b) = a v (e v b).  The
+@per_lattice
+def _height_order(lat):
+    """What every interior routine reads: the elements in height order
+    (bottom at position 0), per position p the byte tables from a mask Q
+    of positions to p v Q, and per element x the mask of positions below x."""
+    order = [x for x, _ in _bottom_up(lat)]
+    pos = {x: p for p, x in enumerate(order)}
+    joins = [_byte_tables(1 << pos[lat.join[x][y]] for y in order) for x in order]
+    return order, joins, [sum(1 << pos[y] for y in _bits(down)) for down in lat._down]
+
+
+def _join_closure(joins, inc, exc, p):
+    # M | (p v M) is the join closure of M + {p} when M is join-closed and
+    # contains bottom: (p v a) v (p v b) = p v (a v b) = a v (p v b).  The
     # search reads it as a witness when it meets `exc`
-    return inc | _gather(tables[e], inc)
+    return inc | _gather(joins[p], inc)
 
 
-# per element e, the byte tables from a mask M to the mask of e v M
-_join_tables = per_lattice(lambda lat: [_byte_tables(1 << j for j in row) for row in lat.join])
+def _interior_masks(lat):
+    """Every interior system as a sorted mask of height-order positions,
+    unguarded: its callers check first.  Deciding positions in increasing
+    order makes the search dead-end free: each p v a that including p adds
+    is p or lies strictly above it, at a greater height, so it is still
+    undecided.  No include meets `exc`: one include call per leaf but the first."""
+    return search.leaves(range(1, lat.n), 1, partial(_join_closure, _height_order(lat)[1]))
 
 
 def interior_system_masks(lat, max_elements=16):
     """All join-closed subsets containing bottom, as element bitmasks, sorted.
 
-    Interior systems are exactly the images of interior operators; they
-    are enumerated by include/exclude search over the elements, far below
-    the 2^n subset space, on the engine in `trsys.search`.  Each inclusion
-    is join-closed in one pass, reading e v M from byte tables of e's row
-    of the join table.
-
-    Elements are decided by increasing height, ties by element, and this
-    makes the search dead-end free.  When e is decided, every excluded
-    element precedes it.  Each e v a that including e adds is e itself or
-    lies strictly above e, so it has greater height (the longest cover
-    path from bottom) and is still undecided.  No include meets `exc`, and
-    the search makes exactly one include call per leaf but the first.
+    Interior systems are exactly the images of interior operators.  The
+    include/exclude search of `trsys.search`, far below the 2^n subsets,
+    runs on the positions of `_height_order`, join-closing each inclusion
+    in one pass through its byte tables; each system is mapped to labels.
     """
     if lat.n > max_elements:
         raise SizeLimit(f"{lat.n} elements exceed interior enumeration guard {max_elements}")
-    order = [x for x, _ in _bottom_up(lat) if x != lat.bottom]
-    return search.leaves(order, 1 << lat.bottom, partial(_join_closure, _join_tables(lat)))
+    labels = _byte_tables(1 << x for x in _height_order(lat)[0])
+    return sorted(_gather(labels, m) for m in _interior_masks(lat))
 
 
 def operator_from_interior_system(lat, mask):
@@ -139,39 +147,25 @@ def interior_images(lat, max_elements=16):
     A join-closed M holding bottom gives f(x) = max(M ∩ ↓x), the last
     element of M ∩ ↓x in height order: M ∩ ↓x holds bottom and the join of
     its elements, and its other elements lie below that join, at smaller heights.
-    With M and each ↓x mapped by `_gather` to height-order bit positions,
-    f(x) is the element at the top bit of their AND.  The tests compare it
-    with `operator_from_interior_system`, which takes any mask.  One byte
-    holds the labels of at most 256 elements, and a larger lattice raises
+    On the height-order positions of the search's M and of each ↓x, f(x) is
+    the element at the top bit of their AND.  The tests compare it with
+    `operator_from_interior_system`, which takes any mask.  One byte holds
+    the labels of at most 256 elements, and a larger lattice raises
     SizeLimit before any search, whatever `max_elements` admits.
     """
     if lat.n > max_elements:
         raise SizeLimit(f"{lat.n} elements exceed interior enumeration guard {max_elements}")
     if lat.n > 256:
         raise SizeLimit(f"{lat.n} elements exceed the 256 labels of a one-byte image row")
-    order = [x for x, _ in _bottom_up(lat)]
-    remap = _byte_tables(1 << order.index(x) for x in range(lat.n))
-    downs = [_gather(remap, down) for down in lat._down]
+    order, _, downs = _height_order(lat)
     top = [0, *order]  # by the bit length of a nonempty mask of height positions
-    masks = map(partial(_gather, remap), interior_system_masks(lat, max_elements))
-    return sorted(bytes([top[(m & down).bit_length()] for down in downs]) for m in masks)
+    return sorted(bytes([top[(m & down).bit_length()] for down in downs]) for m in _interior_masks(lat))
 
 
 def enumerate_interior_operators(lat, max_elements=16):
     """All interior operators, sorted by lexicographic image: the rows of
     `interior_images`, each wrapped as an `InteriorOperator`."""
     return [InteriorOperator._wrap(lat, tuple(row)) for row in interior_images(lat, max_elements)]
-
-
-@per_lattice
-def _height_joins(lat):
-    """Per element x in height order, the byte tables from a mask Q of
-    height-order positions to x v Q, and from a mask S to {q : x v q in S}."""
-    order = [x for x, _ in _bottom_up(lat)]
-    pos = {x: p for p, x in enumerate(order)}
-    rows = [[pos[lat.join[x][y]] for y in order] for x in order]
-    return ([_byte_tables(1 << s for s in row) for row in rows],
-            [_byte_tables(sum(1 << q for q, s in enumerate(row) if s == t) for t in range(lat.n)) for row in rows])
 
 
 def count_interior_operators(lat, max_elements=16):
@@ -188,8 +182,14 @@ def count_interior_operators(lat, max_elements=16):
     the memo key.  A stack in place of recursion spares Python's limit.
     """
     if lat.n > max_elements:
-        raise SizeLimit(f"{lat.n} elements exceed interior enumeration guard {max_elements}")
-    joins, into = _height_joins(lat)
+        raise SizeLimit(f"{lat.n} elements exceed interior count guard {max_elements}")
+    joins = _height_order(lat)[1]
+    into = []  # per position p, the byte tables from a mask S to {q : p v q in S}
+    for table in joins:
+        pre = [0] * lat.n
+        for q in range(lat.n):
+            pre[_gather(table, 1 << q).bit_length() - 1] |= 1 << q
+        into.append(_byte_tables(pre))
     within = cache(lambda u: reduce(or_, (_gather(joins[p], u) for p in _bits(u)), 0))  # J(U)
     root = ((1 << lat.n) - 2, 0)  # F = {bottom} misses J(U): bottom is no join of others
     counts, stack = {(0, 0): 1}, [root] if root[0] else []

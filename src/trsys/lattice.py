@@ -50,7 +50,7 @@ def _byte_tables(values, join=None, empty=0):
         for v in range(1, 256):
             low = v & -v
             value, rest = values[base + low.bit_length() - 1], table[v ^ low]
-            table[v] = rest | value if join is None else join(value, rest) if value and rest else value or rest
+            table[v] = (rest | value if join is None else join(value, rest)) if value and rest else value or rest
         tables.append(table)
     return tables
 

@@ -165,6 +165,29 @@ def test_interior_count_on_the_five_by_five_grid():
     assert count_interior_operators(product(chain(5), chain(5)), max_elements=36) == 11467387
 
 
+def test_interior_count_has_its_own_guard():
+    # the count lists nothing, and its refusal names the count, not the enumeration
+    lat = product(chain(4), chain(4))
+    with pytest.raises(SizeLimit, match="^25 elements exceed interior count guard 16$"):
+        count_interior_operators(lat)
+    assert count_interior_operators(lat, max_elements=25) == 164731
+
+
+def test_interior_routines_read_one_height_order_table(monkeypatch):
+    # the search, the image rows and the count read the same per-lattice
+    # table; only its build reads the height order off _bottom_up
+    module = sys.modules["trsys.characteristic"]
+    builds = []
+    bottom_up = module._bottom_up
+    monkeypatch.setattr(module, "_bottom_up", lambda lat: builds.append(lat) or bottom_up(lat))
+    lat = product(chain(2), chain(3))
+    assert len(interior_system_masks(lat, lat.n)) == 533
+    table = module._height_order(lat)
+    assert len(interior_images(lat, lat.n)) == count_interior_operators(lat, lat.n) == 533
+    assert builds == [lat] and module._height_order(lat) is table
+    assert len(lat._cache) == 2  # _bottom_up and the height-order table
+
+
 def test_interior_count_needs_no_recursion():
     # the count keeps its own stack, so a 61-element chain counts with the
     # interpreter's recursion limit a few dozen frames above the caller
@@ -181,7 +204,7 @@ def test_interior_count_needs_no_recursion():
 
 
 def test_interior_count_equals_the_search_on_every_lattice_up_to_eight_elements():
-    # the count shares no code with the search; each lattice also runs
+    # the count shares only the join tables with the search; each lattice also runs
     # relabelled, so height order is not label order, and dualized
     rng = random.Random(25)
     for base in [lat for n in range(1, 9) for lat in all_lattices(n)]:
@@ -255,7 +278,7 @@ def test_interior_images_refuse_more_than_256_elements_before_searching(monkeypa
     # a byte holds the labels 0..255: chain(256) has 257 elements and 2^256
     # interior operators, and is refused at once whatever max_elements admits
     module = sys.modules["trsys.characteristic"]  # the package exports a function of that name
-    monkeypatch.setattr(module, "interior_system_masks", lambda *args: pytest.fail("searched"))
+    monkeypatch.setattr(module, "_interior_masks", lambda *args: pytest.fail("searched"))
     with pytest.raises(SizeLimit, match="257 elements exceed the 256 labels"):
         interior_images(chain(256), max_elements=1000)
     with pytest.raises(SizeLimit, match="257 elements exceed interior enumeration guard 16"):
@@ -264,7 +287,7 @@ def test_interior_images_refuse_more_than_256_elements_before_searching(monkeypa
         enumerate_interior_operators(chain(256), max_elements=257)
     # 256 elements pass: the system of every element gives the identity row
     lat = chain(255)
-    monkeypatch.setattr(module, "interior_system_masks", lambda *args: [(1 << lat.n) - 1])
+    monkeypatch.setattr(module, "_interior_masks", lambda *args: [(1 << lat.n) - 1])
     assert interior_images(lat, lat.n) == [bytes(range(256))]
 
 

@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from trsys.characteristic import _bottom_up, _join_tables, interior_system_masks
+from trsys.characteristic import _bottom_up, _height_order, interior_system_masks
 from trsys.covers import _rules, enumerate_saturated_covers
 from trsys.errors import (
     CycleDetected,
@@ -373,7 +373,7 @@ def test_per_lattice_tables_are_built_once_and_not_pickled():
     assert closure_for(lat) is closure_for(lat)
     assert _rules(lat) is _rules(lat)
     assert _bottom_up(lat) is _bottom_up(lat)
-    assert _join_tables(lat) is _join_tables(lat)
+    assert _height_order(lat) is _height_order(lat)
     # the searches read the cached tables, and the cover search the cached
     # modularity; a pickled lattice, as `--jobs` workers receive it,
     # carries none of them

@@ -185,7 +185,7 @@ def test_interior_masks_equal_the_raw_map_filter(lat):
 @given(relabelled(BASES))
 @example(sub_cp_cp(3))
 def test_interior_count_equals_the_raw_map_filter(lat):
-    # the memoized count shares no code with the search or the filter
+    # the memoized count shares only the join tables with the search, and nothing with the filter
     assert count_interior_operators(lat, lat.n) == len(naive_interior_operators(lat, max_elements=lat.n))
 
 
