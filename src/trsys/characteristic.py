@@ -77,27 +77,26 @@ def _join_closure(joins, inc, exc, p):
     return inc | _gather(joins[p], inc)
 
 
-def _interior_masks(lat):
-    """Every interior system as a sorted mask of height-order positions,
-    unguarded: its callers check first.  Deciding positions in increasing
-    order makes the search dead-end free: each p v a that including p adds
-    is p or lies strictly above it, at a greater height, so it is still
-    undecided.  No include meets `exc`: one include call per leaf but the first."""
-    return search.leaves(range(1, lat.n), 1, partial(_join_closure, _height_order(lat)[1]))
+def _interior_masks(lat, guard, jobs):
+    """Every interior system as a sorted mask of height-order positions.
+    Deciding positions in increasing order makes the search dead-end free:
+    each p v a that including p adds is p or lies strictly above it, at a
+    greater height, so it is still undecided.  No include meets `exc`: one
+    include call per leaf but the first, so the leaf guard bounds the work."""
+    return search.leaves(range(1, lat.n), 1, partial(_join_closure, _height_order(lat)[1]), jobs=jobs, guard=guard)
 
 
-def interior_system_masks(lat, max_elements=16):
+def interior_system_masks(lat, guard=search.MAX_LEAVES, jobs=1):
     """All join-closed subsets containing bottom, as element bitmasks, sorted.
 
     Interior systems are exactly the images of interior operators.  The
-    include/exclude search of `trsys.search`, far below the 2^n subsets,
-    runs on the positions of `_height_order`, join-closing each inclusion
-    in one pass through its byte tables; each system is mapped to labels.
+    include/exclude search of `trsys.search`, far below the 2^n subsets, runs
+    on the positions of `_height_order`, join-closing each inclusion in one
+    pass through its byte tables; each system is mapped to labels.  More
+    than `guard` systems raise SizeLimit; None is no limit.
     """
-    if lat.n > max_elements:
-        raise SizeLimit(f"{lat.n} elements exceed interior enumeration guard {max_elements}")
     labels = _byte_tables(1 << x for x in _height_order(lat)[0])
-    return sorted(_gather(labels, m) for m in _interior_masks(lat))
+    return sorted(_gather(labels, m) for m in _interior_masks(lat, guard, jobs))
 
 
 def operator_from_interior_system(lat, mask):
@@ -140,7 +139,7 @@ def interior_system_of(operator):
     return mask
 
 
-def interior_images(lat, max_elements=16):
+def interior_images(lat, guard=search.MAX_LEAVES, jobs=1):
     """The image of every interior operator as one `bytes` row, byte x the
     label f(x), sorted: `bytes` order is the lexicographic image order.
 
@@ -149,23 +148,21 @@ def interior_images(lat, max_elements=16):
     its elements, and its other elements lie below that join, at smaller heights.
     On the height-order positions of the search's M and of each ↓x, f(x) is
     the element at the top bit of their AND.  The tests compare it with
-    `operator_from_interior_system`, which takes any mask.  One byte holds
-    the labels of at most 256 elements, and a larger lattice raises
-    SizeLimit before any search, whatever `max_elements` admits.
+    `operator_from_interior_system`, which takes any mask.  More than
+    `guard` operators raise SizeLimit, and so does a lattice of more than
+    256 elements, whose labels no byte holds, before any search.
     """
-    if lat.n > max_elements:
-        raise SizeLimit(f"{lat.n} elements exceed interior enumeration guard {max_elements}")
     if lat.n > 256:
         raise SizeLimit(f"{lat.n} elements exceed the 256 labels of a one-byte image row")
     order, _, downs = _height_order(lat)
     top = [0, *order]  # by the bit length of a nonempty mask of height positions
-    return sorted(bytes([top[(m & down).bit_length()] for down in downs]) for m in _interior_masks(lat))
+    return sorted(bytes([top[(m & down).bit_length()] for down in downs]) for m in _interior_masks(lat, guard, jobs))
 
 
-def enumerate_interior_operators(lat, max_elements=16):
+def enumerate_interior_operators(lat, guard=search.MAX_LEAVES, jobs=1):
     """All interior operators, sorted by lexicographic image: the rows of
     `interior_images`, each wrapped as an `InteriorOperator`."""
-    return [InteriorOperator._wrap(lat, tuple(row)) for row in interior_images(lat, max_elements)]
+    return [InteriorOperator._wrap(lat, tuple(row)) for row in interior_images(lat, guard, jobs)]
 
 
 def count_interior_operators(lat, max_elements=16):

@@ -120,24 +120,25 @@ def _require(condition, message):
         raise InvalidInput(message)
 
 
-def _lifted(args, **limits):
-    """The size limits to pass to a library call: `limits` under
-    --unsafe-guard, and otherwise none, so that the library defaults hold."""
-    return limits if args.unsafe_guard else {}
+def _lifted(args):
+    """The leaf guard to pass to a library call: none under --unsafe-guard,
+    and otherwise the library default."""
+    return {"guard": None} if args.unsafe_guard else {}
+
+
+# kind: its enumeration and the table line of each item, an image row for interior
+_KINDS = {
+    "transfer": (enumerate_transfer_systems, serialize.pair_label),
+    "saturated": (enumerate_saturated_systems, serialize.pair_label),
+    "covers": (enumerate_saturated_covers, serialize.pair_label),
+    "interior": (interior_images, serialize.image_text),
+}
 
 
 def _items(kind, lat, args):
-    """The items of `kind` on `lat` from its one library call, whose size limit
-    --unsafe-guard lifts.  Interior operators come as image rows, and their
-    search ignores --jobs."""
-    if kind == "interior":
-        return interior_images(lat, **_lifted(args, max_elements=lat.n))
-    search = {
-        "transfer": enumerate_transfer_systems,
-        "saturated": enumerate_saturated_systems,
-        "covers": enumerate_saturated_covers,
-    }[kind]
-    return search(lat, jobs=args.jobs, **_lifted(args, guard=None))
+    """The items of `kind` on `lat` from its one library call, split across
+    --jobs worker processes, whose leaf guard --unsafe-guard lifts."""
+    return _KINDS[kind][0](lat, jobs=args.jobs, **_lifted(args))
 
 
 def _dots(items, name):
@@ -165,8 +166,7 @@ def cmd_enumerate(args):
         return _print_fiber_report(_items("transfer", lat, args), args)
     items = _items(kind, lat, args)
     if args.format == "table":
-        lines = map(serialize.image_text if kind == "interior" else serialize.pair_label, items)
-        sys.stdout.writelines(line + "\n" for line in lines)
+        sys.stdout.writelines(line + "\n" for line in map(_KINDS[kind][1], items))
     elif args.format == "json":
         sys.stdout.writelines(line + "\n" for line in serialize.json_lines(items, kind))
     else:  # dot
@@ -231,7 +231,7 @@ def cmd_export(args):
 def cmd_fusion_count(args):
     left = _read_lattice(args.left, args.unsafe_guard)
     right = _read_lattice(args.right, args.unsafe_guard)
-    breakdown = count_tr_fusion(left, right, **_lifted(args, guard=None))
+    breakdown = count_tr_fusion(left, right, **_lifted(args))
     print(f"top term        {breakdown.top_term}")
     print(f"bottom term     {breakdown.bottom_term}")
     for a, c in breakdown.middle_terms_left:
@@ -248,7 +248,7 @@ def cmd_rank_two(args):
         raise SizeLimit(f"--p {p} is above the rank-two cap of {_MAX_RANK_TWO_P}")
     print(f"transfer systems for C_{p} x C_{p}: {tr_rank_two(p)}")
     try:
-        dec = bmt_decompose(p + 1, **_lifted(args, guard=None))
+        dec = bmt_decompose(p + 1, **_lifted(args))
     except SizeLimit:
         print("census skipped: lattice exceeds the enumeration guard")
         return 0

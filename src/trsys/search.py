@@ -19,7 +19,7 @@ from itertools import repeat
 
 from .errors import SizeLimit
 
-MAX_LEAVES = 250_000  # the default guard of the Tr, saturated and cover searches
+MAX_LEAVES = 250_000  # the default guard of the Tr, saturated, cover and interior searches
 # the bits that the leaves a guard admits may hold, one per position up to the
 # last in the order: the default guard admits every lattice of up to 92 elements
 _LEAF_BITS = 1 << 31

@@ -181,9 +181,9 @@ def test_interior_routines_read_one_height_order_table(monkeypatch):
     bottom_up = module._bottom_up
     monkeypatch.setattr(module, "_bottom_up", lambda lat: builds.append(lat) or bottom_up(lat))
     lat = product(chain(2), chain(3))
-    assert len(interior_system_masks(lat, lat.n)) == 533
+    assert len(interior_system_masks(lat)) == 533
     table = module._height_order(lat)
-    assert len(interior_images(lat, lat.n)) == count_interior_operators(lat, lat.n) == 533
+    assert len(interior_images(lat)) == count_interior_operators(lat, lat.n) == 533
     assert builds == [lat] and module._height_order(lat) is table
     assert len(lat._cache) == 2  # _bottom_up and the height-order table
 
@@ -210,14 +210,14 @@ def test_interior_count_equals_the_search_on_every_lattice_up_to_eight_elements(
     for base in [lat for n in range(1, 9) for lat in all_lattices(n)]:
         perm = rng.sample(range(base.n), base.n)
         for lat in (base, Lattice(base.leq[np.ix_(perm, perm)]), base.dual()):
-            assert count_interior_operators(lat, lat.n) == len(interior_system_masks(lat, lat.n))
+            assert count_interior_operators(lat, lat.n) == len(interior_system_masks(lat))
 
 
 def test_interior_count_equals_the_search_on_products_with_chains():
     for base in all_lattices(6) + all_lattices(7):
         for c in (1, 2):
             lat = product(base, chain(c))
-            assert count_interior_operators(lat, lat.n) == len(interior_system_masks(lat, lat.n))
+            assert count_interior_operators(lat, lat.n) == len(interior_system_masks(lat))
 
 
 def test_single_element_lattice_has_identity_only():
@@ -251,8 +251,8 @@ def test_interior_images_off_the_masks_equal_the_bottom_up_route():
     for base in lats:
         perm = rng.sample(range(base.n), base.n)
         for lat in (base, Lattice(base.leq[np.ix_(perm, perm)])):
-            ops = enumerate_interior_operators(lat, max_elements=lat.n)
-            routes = [operator_from_interior_system(lat, m) for m in interior_system_masks(lat, lat.n)]
+            ops = enumerate_interior_operators(lat)
+            routes = [operator_from_interior_system(lat, m) for m in interior_system_masks(lat)]
             routes.sort(key=lambda f: f.image)
             assert [f.image for f in ops] == [f.image for f in routes]
             assert all(type(f) is InteriorOperator and f.lattice is lat for f in ops)
@@ -267,28 +267,31 @@ def test_interior_images_are_the_sorted_rows_of_the_interior_systems():
     for base in lats:
         perm = rng.sample(range(base.n), base.n)
         for lat in (base, Lattice(base.leq[np.ix_(perm, perm)])):
-            rows = interior_images(lat, lat.n)
-            masks = interior_system_masks(lat, lat.n)
+            rows = interior_images(lat)
+            masks = interior_system_masks(lat)
             assert rows == sorted(bytes(operator_from_interior_system(lat, m).image) for m in masks)
             assert len(rows) == count_interior_operators(lat, lat.n)
-            assert [f.image for f in enumerate_interior_operators(lat, lat.n)] == [tuple(row) for row in rows]
+            assert [f.image for f in enumerate_interior_operators(lat)] == [tuple(row) for row in rows]
 
 
 def test_interior_images_refuse_more_than_256_elements_before_searching(monkeypatch):
     # a byte holds the labels 0..255: chain(256) has 257 elements and 2^256
-    # interior operators, and is refused at once whatever max_elements admits
+    # interior operators, and is refused at once whatever the leaf guard admits,
+    # while the 4,096 operators of chain(12) stop at the leaf guard
+    with pytest.raises(SizeLimit, match="guard of 1000 leaves"):
+        interior_images(chain(12), guard=1000)
     module = sys.modules["trsys.characteristic"]  # the package exports a function of that name
     monkeypatch.setattr(module, "_interior_masks", lambda *args: pytest.fail("searched"))
     with pytest.raises(SizeLimit, match="257 elements exceed the 256 labels"):
-        interior_images(chain(256), max_elements=1000)
-    with pytest.raises(SizeLimit, match="257 elements exceed interior enumeration guard 16"):
+        interior_images(chain(256), guard=None)
+    with pytest.raises(SizeLimit, match="257 elements exceed the 256 labels"):
         interior_images(chain(256))
     with pytest.raises(SizeLimit, match="257 elements exceed the 256 labels"):
-        enumerate_interior_operators(chain(256), max_elements=257)
+        enumerate_interior_operators(chain(256), guard=None)
     # 256 elements pass: the system of every element gives the identity row
     lat = chain(255)
     monkeypatch.setattr(module, "_interior_masks", lambda *args: [(1 << lat.n) - 1])
-    assert interior_images(lat, lat.n) == [bytes(range(256))]
+    assert interior_images(lat) == [bytes(range(256))]
 
 
 def test_interior_operator_meets_lower_bounds():

@@ -25,6 +25,7 @@ from trsys.lattice import (
     product,
     sub_cp_cp,
 )
+from trsys.search import leaves
 from trsys.serialize import (
     cover_to_dot,
     cover_to_json,
@@ -152,8 +153,8 @@ def test_interior_lines_are_the_library_operators_and_build_none(capsys, tmp_pat
 
 
 def test_interior_enumeration_past_256_elements_exits_three(capsys, monkeypatch):
-    # chain(256) passes the lattice guard, and --unsafe-guard lifts the 16 of the
-    # interior search; its 257 labels do not fit a byte, so it stops before searching
+    # chain(256) passes the lattice guard, and --unsafe-guard lifts the leaf guard
+    # of the interior search; its 257 labels do not fit a byte, so it stops before searching
     monkeypatch.setattr("trsys.search.leaves", lambda *args: pytest.fail("searched"))
     code, out, err = run_cli(["enumerate", "--family", "chain", "--n", "256", "--kind", "interior", "--unsafe-guard"], capsys)
     assert (code, out) == (3, "")
@@ -300,7 +301,7 @@ def test_interior_dot_exits_two_before_enumerating(monkeypatch, capsys):
     def enumerate_called(*args, **kwargs):
         raise AssertionError("enumerated before checking the format")
 
-    monkeypatch.setattr("trsys.cli.interior_images", enumerate_called)
+    monkeypatch.setattr("trsys.search.leaves", enumerate_called)
     code, out, err = run_cli(["enumerate", "--family", "cube", "--n", "3", "--kind", "interior", "--format", "dot"], capsys)
     assert (code, out, err) == (2, "", "error: --format dot is not defined for interior operators\n")
 
@@ -363,9 +364,16 @@ def test_oversized_lattice_json_is_refused_before_it_is_built(tmp_path, capsys, 
 
 
 def test_output_is_deterministic_across_jobs(capsys):
-    # the systems in JSON, and the fiber report as a table and in JSON
-    for flags in (["--format", "json"], ["--report", "fibers"], ["--report", "fibers", "--format", "json"]):
-        base = ["enumerate", "--family", "fuse2", "--n", "4", "--kind", "transfer", *flags]
+    # the systems in JSON, the fiber report as a table and in JSON, and the
+    # 533 interior operators of [2]x[3] in JSON
+    fuse2, rect = ["--family", "fuse2", "--n", "4"], ["--family", "rect", "--m", "2", "--n", "3"]
+    for lattice, flags in [
+        (fuse2, ["--format", "json"]),
+        (fuse2, ["--report", "fibers"]),
+        (fuse2, ["--report", "fibers", "--format", "json"]),
+        (rect, ["--kind", "interior", "--format", "json"]),
+    ]:
+        base = ["enumerate", *lattice, *flags]
         _, out1, _ = run_cli(base, capsys)
         _, out2, _ = run_cli(base + ["--jobs", "2"], capsys)
         _, out3, _ = run_cli(base, capsys)
@@ -396,6 +404,12 @@ def test_jobs_below_one_exits_two(tmp_path, capsys, command, jobs):
     assert code == 2
     assert out == "" and not out_dir.exists()
     assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+
+
+def test_verify_check_that_compares_nothing_fails(capsys):
+    # bmt checks n = 1 to --max, so --max 0 leaves it nothing to compare
+    code, out, err = run_cli(["verify", "--check", "bmt", "--max", "0"], capsys)
+    assert (code, out, err) == (1, "FAIL bmt\n  FAIL checked nothing\n0/1 checks passed\n", "")
 
 
 def test_verify_unknown_check(capsys):
@@ -496,13 +510,13 @@ def test_export_covers(tmp_path, capsys):
 
 
 def test_export_covers_passes_jobs_on(tmp_path, capsys, monkeypatch):
-    original, calls = cli.enumerate_saturated_covers, []
+    original, calls = leaves, []
 
     def recorded(*args, **kwargs):
         calls.append(kwargs)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "enumerate_saturated_covers", recorded)
+    monkeypatch.setattr("trsys.search.leaves", recorded)
     code, out, err = run_cli(
         ["export", "--family", "fuse2", "--n", "3", "--what", "covers", "--jobs", "2",
          "--out", str(tmp_path)],

@@ -36,6 +36,7 @@ from trsys.characteristic import (
     characteristic,
     count_interior_operators,
     fiber_decomposition,
+    interior_images,
     interior_system_masks,
     operator_from_interior_system,
 )
@@ -219,6 +220,7 @@ def test_two_jobs_give_the_serial_output(lat):
     for enumerate_ in searches:
         serial = bits(enumerate_(lat, guard=None))
         assert bits(enumerate_(lat, guard=None, jobs=2)) == serial
+    assert interior_images(lat, guard=None, jobs=2) == interior_images(lat, guard=None)
 
 
 def systems_and_pairs(lat, dual):

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from trsys import search
+from trsys.characteristic import enumerate_interior_operators
 from trsys.covers import enumerate_saturated_covers
 from trsys.errors import SizeLimit
 from trsys.lattice import Lattice, boolean_cube, chain, product
 from trsys.transfer import _DenseClosure, closure_for, enumerate_saturated_systems, enumerate_transfer_systems
 
 SEARCHES = [enumerate_transfer_systems, enumerate_saturated_systems, enumerate_saturated_covers]
+KINDS = ["transfer", "saturated", "covers"]
 
 
 @pytest.fixture
@@ -47,10 +49,13 @@ def in_process_pool(monkeypatch):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("enumerate_", SEARCHES, ids=["transfer", "saturated", "covers"])
+@pytest.mark.parametrize(
+    "enumerate_", [*SEARCHES, enumerate_interior_operators], ids=[*KINDS, "interior"]
+)
 def test_guard_admits_exactly_its_count_of_leaves(enumerate_, jobs):
-    # cube(3) has 450 transfer systems, 61 saturated ones and 61 covers; at
-    # jobs=2 the leaves come from 12 to 19 subtrees, none over the guard alone
+    # cube(3) has 450 transfer systems, 61 saturated ones, 61 covers and 61
+    # interior operators; at jobs=2 the leaves come from 9 to 19 subtrees,
+    # none over the guard alone
     lat = boolean_cube(3)
     count = len(enumerate_(lat, guard=None))
     assert len(enumerate_(lat, guard=count, jobs=jobs)) == count
@@ -83,7 +88,7 @@ def test_memory_guard_admits_exactly_its_budget_of_bits(monkeypatch):
     assert search.leaves([9], 0, add_one, guard=None) == [0, 1 << 9]
 
 
-@pytest.mark.parametrize("enumerate_", SEARCHES, ids=["transfer", "saturated", "covers"])
+@pytest.mark.parametrize("enumerate_", SEARCHES, ids=KINDS)
 def test_memory_guard_refuses_a_chain_of_94_elements_before_the_search(enumerate_, monkeypatch):
     # at the default guard, every lattice of 92 elements fits (its positions
     # are below 92^2), and none of 94 does: the largest label's pair with
