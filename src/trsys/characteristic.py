@@ -139,6 +139,18 @@ def interior_system_of(operator):
     return mask
 
 
+class _Memo(dict):
+    """A dict that builds a missing value by `build(key)` and keeps it."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
 def interior_images(lat, guard=search.MAX_LEAVES, jobs=1):
     """The image of every interior operator as one `bytes` row, byte x the
     label f(x), sorted: `bytes` order is the lexicographic image order.
@@ -147,16 +159,35 @@ def interior_images(lat, guard=search.MAX_LEAVES, jobs=1):
     element of M ∩ ↓x in height order: M ∩ ↓x holds bottom and the join of
     its elements, and its other elements lie below that join, at smaller heights.
     On the height-order positions of the search's M and of each ↓x, f(x) is
-    the element at the top bit of their AND.  The tests compare it with
+    the element at the top bit of their AND.  The positions split at
+    h = n // 2, and each distinct half of an M gets its partial row once, as
+    a little-endian int: byte x the label at the top bit of that half below
+    x, or 0.  A high half also keeps the bytes of the x it misses, so that
+    a high half reaching label 0 still hides the low half; the rows
+    repeat few halves (304 low and 272 high for the 20,753 rows of
+    [3]x[4]).  The tests compare the rows with
     `operator_from_interior_system`, which takes any mask.  More than
     `guard` operators raise SizeLimit, and so does a lattice of more than
     256 elements, whose labels no byte holds, before any search.
     """
-    if lat.n > 256:
-        raise SizeLimit(f"{lat.n} elements exceed the 256 labels of a one-byte image row")
+    n = lat.n
+    if n > 256:
+        raise SizeLimit(f"{n} elements exceed the 256 labels of a one-byte image row")
     order, _, downs = _height_order(lat)
-    top = [0, *order]  # by the bit length of a nonempty mask of height positions
-    return sorted(bytes([top[(m & down).bit_length()] for down in downs]) for m in _interior_masks(lat, guard, jobs))
+    h = n // 2
+    highs = [down >> h for down in downs]
+    top, high_top = [0, *order], [0, *order[h:]]  # by the bit length of a mask of positions
+
+    def low_row(half):
+        return int.from_bytes(bytes([top[(half & down).bit_length()] for down in downs]), "little")
+
+    def high_row(half):  # the partial row, and 255 in each byte it leaves to the low half
+        row = bytes([high_top[(half & down).bit_length()] for down in highs])
+        return int.from_bytes(row, "little"), int.from_bytes(bytes([0 if half & down else 255 for down in highs]), "little")
+
+    lows, high_rows, low_bits = _Memo(low_row), _Memo(high_row), (1 << h) - 1
+    return sorted(((high := high_rows[m >> h])[0] | lows[m & low_bits] & high[1]).to_bytes(n, "little")
+                  for m in _interior_masks(lat, guard, jobs))
 
 
 def enumerate_interior_operators(lat, guard=search.MAX_LEAVES, jobs=1):

@@ -126,19 +126,19 @@ def _lifted(args):
     return {"guard": None} if args.unsafe_guard else {}
 
 
-# kind: its enumeration and the table line of each item, an image row for interior
+# kind: its enumeration; interior items are image rows
 _KINDS = {
-    "transfer": (enumerate_transfer_systems, serialize.pair_label),
-    "saturated": (enumerate_saturated_systems, serialize.pair_label),
-    "covers": (enumerate_saturated_covers, serialize.pair_label),
-    "interior": (interior_images, serialize.image_text),
+    "transfer": enumerate_transfer_systems,
+    "saturated": enumerate_saturated_systems,
+    "covers": enumerate_saturated_covers,
+    "interior": interior_images,
 }
 
 
 def _items(kind, lat, args):
     """The items of `kind` on `lat` from its one library call, split across
     --jobs worker processes, whose leaf guard --unsafe-guard lifts."""
-    return _KINDS[kind][0](lat, jobs=args.jobs, **_lifted(args))
+    return _KINDS[kind](lat, jobs=args.jobs, **_lifted(args))
 
 
 def _dots(items, name):
@@ -166,7 +166,7 @@ def cmd_enumerate(args):
         return _print_fiber_report(_items("transfer", lat, args), args)
     items = _items(kind, lat, args)
     if args.format == "table":
-        sys.stdout.writelines(line + "\n" for line in map(_KINDS[kind][1], items))
+        sys.stdout.writelines(line + "\n" for line in serialize.table_lines(items, kind))
     elif args.format == "json":
         sys.stdout.writelines(line + "\n" for line in serialize.json_lines(items, kind))
     else:  # dot

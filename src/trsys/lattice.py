@@ -41,7 +41,9 @@ def _bits(mask):
 def _byte_tables(values, join=None, empty=0):
     """Per byte of a bitset, a table from its value to the OR of values[j]
     over its set bits j or, given `join` and `empty` (for text, ""), their
-    `join`, lowest bit first.  An empty value adds nothing to an entry."""
+    `join`, lowest bit first.  An empty value adds nothing to an entry, and
+    an OR that adds nothing to an operand is that operand, so that tables of
+    large ints, such as the joins of `characteristic._height_order`, share them."""
     values = list(values)
     values += [empty] * (-len(values) % 8)
     tables = []
@@ -50,7 +52,13 @@ def _byte_tables(values, join=None, empty=0):
         for v in range(1, 256):
             low = v & -v
             value, rest = values[base + low.bit_length() - 1], table[v ^ low]
-            table[v] = (rest | value if join is None else join(value, rest)) if value and rest else value or rest
+            if not (value and rest):
+                table[v] = value or rest
+            elif join is not None:
+                table[v] = join(value, rest)
+            else:
+                both = rest | value
+                table[v] = rest if both == rest else value if both == value else both
         tables.append(table)
     return tables
 

@@ -12,7 +12,7 @@ import json
 
 from .covers import SaturatedCover
 from .lattice import _byte_tables, dot_digraph, lattice_from_json, lattice_to_json, per_lattice
-from .transfer import TransferSystem
+from .transfer import TransferSystem, TrLattice
 
 
 def system_to_json(system):
@@ -45,19 +45,36 @@ def json_lines(items, kind):
     Interior items are image rows, as `characteristic.interior_images` gives
     them, each line that of the operator with that image, joined from number
     strings.  The others are joined from the lattice of the first, encoded
-    once, and `_json_tables`, and must share that lattice."""
+    once, and `_json_tables`, and must share that lattice; a `TrLattice` is
+    read off its `bits` and `lattice`, without building its systems."""
     if kind == "interior":
         number = _NUMBERS.__getitem__
         return ('{"image": [' + ", ".join(map(number, row)) + "]}" for row in items)
     if not items:
         return []
-    lat = items[0].lattice
+    lat, rows = _relations(items)
     lattice = json.dumps(lattice_to_json(lat), sort_keys=True)
     head, tail = '{"lattice": ' + lattice + ', "pairs": [', "]}"
     if kind == "covers":  # "edges" sorts before "lattice"
         head, tail = '{"edges": [', '], "lattice": ' + lattice + "}"
     tables = _json_tables(lat)
-    return (head + _pairs_text(tables, r.bits, ", ") + tail for r in items)
+    return (head + _pairs_text(tables, bits, ", ") + tail for bits in rows)
+
+
+def table_lines(items, kind):
+    """The `--format table` line of each of `items`: `image_text` of an
+    interior image row, and otherwise `pair_label`, read like `json_lines`."""
+    if kind == "interior":
+        return map(image_text, items)
+    return _pair_labels(items, "(none)")
+
+
+def _relations(items):
+    """The lattice of the non-empty `items` and the bits of each: a
+    `TrLattice`'s own, so that none of its systems is built."""
+    if isinstance(items, TrLattice):
+        return items.lattice, items.bits
+    return items[0].lattice, (item.bits for item in items)
 
 
 _NUMBERS = [str(x) for x in range(256)]
@@ -103,6 +120,15 @@ def pair_label(system, empty="(none)"):
     return _pairs_text(_label_tables(system.lattice), system.bits, " ") or empty
 
 
+def _pair_labels(items, empty):
+    """`pair_label` of each of `items`, which share one lattice (see `_relations`)."""
+    if not items:
+        return []
+    lat, rows = _relations(items)
+    tables = _label_tables(lat)
+    return (_pairs_text(tables, bits, " ") or empty for bits in rows)
+
+
 def system_to_dot(system, title="transfer-system"):
     """All non-reflexive relations as upward edges."""
     edges = ((x, y, "arrowhead=none") for x, y in system.pairs())
@@ -119,8 +145,8 @@ def cover_to_dot(cover, title="saturated-cover"):
 
 def tr_hasse_to_dot(tr):
     """The Hasse diagram of the refinement order on the TrLattice `tr`, one
-    box per system, labelled by its pairs."""
-    labels = (pair_label(system, "discrete") for system in tr)
+    box per system, labelled by its pairs, read off `tr.bits`."""
+    labels = _pair_labels(tr, "discrete")
     return dot_digraph("tr-hasse", "shape=box", labels, ((i, j, "") for i, j in tr.covers), prefix="t")
 
 

@@ -258,20 +258,43 @@ def test_interior_images_off_the_masks_equal_the_bottom_up_route():
             assert all(type(f) is InteriorOperator and f.lattice is lat for f in ops)
 
 
+def _assert_rows_are_the_interior_systems(lat):
+    rows = interior_images(lat, guard=None)
+    masks = interior_system_masks(lat, guard=None)
+    assert rows == sorted(bytes(operator_from_interior_system(lat, m).image) for m in masks)
+    assert len(rows) == count_interior_operators(lat, lat.n)
+    return rows
+
+
 def test_interior_images_are_the_sorted_rows_of_the_interior_systems():
-    # one byte per element, indexed by label, in lexicographic image order;
-    # each lattice also runs relabelled, so the height order is not the label order
+    # one byte per element, indexed by label, in lexicographic image order.
+    # Each lattice also runs relabelled, so the height order is not the label
+    # order, and dualized; products with chains give rows past 8 elements
     rng = random.Random(26)
-    lats = [lat for n in range(1, 8) for lat in all_lattices(n)]
-    assert len(lats) == 78
+    lats = [lat for n in range(1, 9) for lat in all_lattices(n)]
+    assert len(lats) == 300
+    lats += [product(base, chain(c)) for base in all_lattices(5) for c in (1, 2)]
     for base in lats:
         perm = rng.sample(range(base.n), base.n)
-        for lat in (base, Lattice(base.leq[np.ix_(perm, perm)])):
-            rows = interior_images(lat)
-            masks = interior_system_masks(lat)
-            assert rows == sorted(bytes(operator_from_interior_system(lat, m).image) for m in masks)
-            assert len(rows) == count_interior_operators(lat, lat.n)
+        for lat in (base, Lattice(base.leq[np.ix_(perm, perm)]), base.dual()):
+            rows = _assert_rows_are_the_interior_systems(lat)
             assert [f.image for f in enumerate_interior_operators(lat)] == [tuple(row) for row in rows]
+
+
+def test_interior_image_rows_join_their_two_halves():
+    # the rows join partial rows of the height-order positions below and from
+    # n // 2.  chain(0) has no low half; [4]x[4] repeats 968 low and 1,142 high
+    # halves over its rows; and with top labelled 0 the high half reaches label 0,
+    # which must still hide the low half of the row
+    assert interior_images(chain(0)) == [b"\x00"]
+    assert len(_assert_rows_are_the_interior_systems(product(chain(4), chain(4)))) == 164_731
+    height_order = sys.modules["trsys.characteristic"]._height_order
+    for base in (chain(3), product(chain(1), chain(2)), boolean_cube(3), product(chain(2), chain(3))):
+        perm = list(reversed(range(base.n)))  # top, at the last position, takes label 0
+        lat = Lattice(base.leq[np.ix_(perm, perm)])
+        assert height_order(lat)[0].index(0) >= lat.n // 2
+        rows = _assert_rows_are_the_interior_systems(lat)
+        assert any(row[0] == 0 for row in rows)  # the rows whose system holds top
 
 
 def test_interior_images_refuse_more_than_256_elements_before_searching(monkeypatch):

@@ -35,8 +35,16 @@ from trsys.serialize import (
     pair_label,
     system_to_dot,
     system_to_json,
+    table_lines,
+    tr_hasse_to_dot,
 )
-from trsys.transfer import TrLattice, discrete_system, enumerate_saturated_systems, enumerate_transfer_systems
+from trsys.transfer import (
+    TransferSystem,
+    TrLattice,
+    discrete_system,
+    enumerate_saturated_systems,
+    enumerate_transfer_systems,
+)
 
 
 def run_cli(args, capsys):
@@ -150,6 +158,29 @@ def test_interior_lines_are_the_library_operators_and_build_none(capsys, tmp_pat
         assert code == 0
         assert out == "".join(json.dumps(operator_to_json(op), sort_keys=True) + "\n" for op in ops)
         assert list(json_lines([op.image for op in ops], "interior")) == out.splitlines()
+
+
+def test_transfer_lines_and_tr_hasse_labels_build_no_system(capsys, tmp_path, monkeypatch):
+    # the transfer writers read a TrLattice's bits and lattice, so the JSON and
+    # table lines and the Tr Hasse labels build no TransferSystem on the way;
+    # the export's guard admits the Tr of the first three lattices
+    wanted = {}
+    for lat in AWKWARD[:3]:
+        systems = list(enumerate_transfer_systems(lat))
+        assert len(systems) <= cli.MAX_TR_HASSE
+        wanted[lat] = ([json.dumps(system_to_json(s), sort_keys=True) for s in systems],
+                       [pair_label(s) for s in systems], [pair_label(s, "discrete") for s in systems])
+    monkeypatch.setattr(TransferSystem, "_wrap", lambda *args: pytest.fail("wrapped a system"))
+    monkeypatch.setattr(TransferSystem, "__init__", lambda *args: pytest.fail("built a system"))
+    for lat, (dumps, labels, boxes) in wanted.items():
+        code, out, _ = enumerate_on(lat, tmp_path, capsys, "--kind", "transfer", "--format", "json")
+        assert (code, out.splitlines()) == (0, dumps)
+        code, out, _ = enumerate_on(lat, tmp_path, capsys, "--kind", "transfer", "--format", "table")
+        assert (code, out.splitlines()) == (0, labels)
+        tr = enumerate_transfer_systems(lat)
+        assert list(json_lines(tr, "transfer")) == dumps and list(table_lines(tr, "transfer")) == labels
+        dot = tr_hasse_to_dot(tr).splitlines()
+        assert [line for line in dot if "[label=" in line] == [f'  t{i} [label="{box}"];' for i, box in enumerate(boxes)]
 
 
 def test_interior_enumeration_past_256_elements_exits_three(capsys, monkeypatch):
