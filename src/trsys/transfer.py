@@ -46,10 +46,11 @@ class _DenseClosure:
     with its restrictions (x ^ y, y), y <= z, one pass of which suffices,
     and closes transitively, which keeps restriction: adding (x, z) to a
     reflexive, transitive R adds column x of R times row z, one
-    multiplication per pair; once R meets an exclusion, it is the step's
-    witness.  `propagate_saturated` then adds what two-out-of-three forces,
-    scanning only the rows that grew: a row that meets the rule keeps
-    meeting it while other rows grow.
+    multiplication per pair, and most steps force no restriction beyond
+    their own pair; once R meets an exclusion, it is the step's witness.
+    `propagate_saturated` then adds what two-out-of-three forces, scanning
+    only the rows that grew: a row that meets the rule keeps meeting it
+    while other rows grow.
     """
 
     def __init__(self, lat):
@@ -74,32 +75,36 @@ class _DenseClosure:
         self.cells = [None] * (n * n)
 
     def _step(self, pos):
-        """The step of the pair at `pos`, stored in `steps`: the mask of the
-        pair and its restrictions, and for each, the pair first, the
-        tuple (x, z*n, bit of (x, z)) of shifts that read column x and row
-        z, one tuple per position shared by every step."""
+        """The step of the pair (x, z) at `pos`, stored in `steps`: the mask
+        of the pair and its restrictions, the shifts x and z*n that read
+        column x and row z, and for each restriction the tuple (x', z'*n,
+        bit of (x', z')), one tuple per position shared by every step."""
         n, up, meet, cells = self.n, self.up, self.meet, self.cells
         x, z = divmod(pos, n)
         # (x, z) forces (x ^ y, y) for y <= z; y = z gives (x, z)
         forced = {meet[x][y] * n + y for y in range(n) if up[y] >> z & 1 and meet[x][y] != y}
         updates = []
-        for t in [pos, *sorted(forced - {pos})]:
+        for t in sorted(forced - {pos}):
             if cells[t] is None:
                 cells[t] = (t // n, t % n * n, 1 << t)
             updates.append(cells[t])
-        step = self.steps[pos] = (sum(bit for _, _, bit in updates), tuple(updates))
+        step = self.steps[pos] = (sum(1 << t for t in forced), x, z * n, tuple(updates))
         return step
 
     def propagate(self, inc, exc, k):
-        forced, updates = self.steps[k] or self._step(k)
+        # the pair at k needs no test: were it in `inc`, which is transitive,
+        # its product would add nothing
+        forced, x, zn, updates = self.steps[k] or self._step(k)
         if forced & exc:
             return inc | forced
         col, row = self.col, self.row
-        for x, zn, bit in updates:
-            if not inc & bit:
-                inc |= (inc >> x & col) * (inc >> zn & row)
-                if inc & exc:
-                    break
+        inc |= (inc >> x & col) * (inc >> zn & row)
+        if updates and not inc & exc:
+            for x, zn, bit in updates:
+                if not inc & bit:
+                    inc |= (inc >> x & col) * (inc >> zn & row)
+                    if inc & exc:
+                        break
         return inc
 
     def propagate_saturated(self, inc, exc, k):
@@ -457,11 +462,12 @@ def enumerate_transfer_systems(lat, guard=search.MAX_LEAVES, jobs=1):
     Backtracks over the non-reflexive pairs on the closure step of
     `closure_for(lat)`, pruning a branch whose closure meets an excluded
     pair; with jobs > 1 the search is split across worker processes, with
-    the same output.  More than `guard` systems raise SizeLimit; None is
-    no limit.
+    the same output.  Its rules have at most two premises, so the search
+    emits free Boolean cubes whole (`pairwise`).  More than `guard` systems
+    raise SizeLimit; None is no limit.
     """
     closure = closure_for(lat)
-    bits = search.leaves(closure.order, closure.diag, closure.propagate, jobs=jobs, guard=guard)
+    bits = search.leaves(closure.order, closure.diag, closure.propagate, jobs=jobs, guard=guard, pairwise=True)
     return TrLattice._from_sorted_bits(lat, bits)
 
 
@@ -469,9 +475,10 @@ def enumerate_saturated_systems(lat, guard=search.MAX_LEAVES, jobs=1):
     """All saturated transfer systems, enumerated directly.
 
     Uses the same search with the two-out-of-three rule added to the
-    propagation, so the count is independent of full Tr enumeration.  More
-    than `guard` systems raise SizeLimit; None is no limit.
+    propagation, so the count is independent of full Tr enumeration; its
+    rules too have at most two premises (`pairwise`).  More than `guard`
+    systems raise SizeLimit; None is no limit.
     """
     closure = closure_for(lat)
-    bits = search.leaves(closure.order, closure.diag, closure.propagate_saturated, jobs=jobs, guard=guard)
+    bits = search.leaves(closure.order, closure.diag, closure.propagate_saturated, jobs=jobs, guard=guard, pairwise=True)
     return [TransferSystem._wrap(lat, b) for b in bits]

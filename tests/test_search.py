@@ -1,5 +1,6 @@
 """The leaf and memory guards of the search engine, its cap on worker
-processes, and the include calls that its learned exclusions save."""
+processes, the include calls that its learned exclusions and its whole
+Boolean cubes save, and the leaves of those cubes."""
 import concurrent.futures
 import random
 from unittest import mock
@@ -11,7 +12,8 @@ from trsys import search
 from trsys.characteristic import enumerate_interior_operators
 from trsys.covers import enumerate_saturated_covers
 from trsys.errors import SizeLimit
-from trsys.lattice import Lattice, boolean_cube, chain, product
+from trsys.counting import tr_rank_two
+from trsys.lattice import Lattice, all_lattices, boolean_cube, chain, product, sub_cp_cp
 from trsys.transfer import _DenseClosure, closure_for, enumerate_saturated_systems, enumerate_transfer_systems
 
 SEARCHES = [enumerate_transfer_systems, enumerate_saturated_systems, enumerate_saturated_covers]
@@ -100,6 +102,12 @@ def test_memory_guard_refuses_a_chain_of_94_elements_before_the_search(enumerate
         enumerate_(chain(93))
 
 
+def shuffled(lat, seed):
+    perm = list(range(lat.n))
+    random.Random(seed).shuffle(perm)
+    return Lattice(lat.leq[np.ix_(perm, perm)])
+
+
 def include_calls(step, enumerate_, lat):
     """The leaves of `enumerate_(lat)` and the calls it makes to the
     `_DenseClosure` method `step`."""
@@ -121,11 +129,70 @@ def test_tr_of_a_chain_makes_at_most_its_budget_of_include_calls():
     assert leaves == 16_796 and calls <= 24_623
 
 
+def test_tr_of_sub_cp_cp_13_makes_at_most_its_budget_of_include_calls():
+    # of its two cubes of 14 pairs, one is emitted whole and the other as
+    # sub-cubes of 7 to 13 pairs; walking them leaf by leaf makes 32,886 calls
+    leaves, calls = include_calls("propagate", enumerate_transfer_systems, sub_cp_cp(13))
+    assert leaves == 32_782 and calls <= 758
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_saturated_grid_makes_at_most_its_budget_of_include_calls_per_leaf(seed):
     # at most 3.1 calls per leaf under relabelling; about 9.4 without learned exclusions
-    perm = list(range(16))
-    random.Random(seed).shuffle(perm)
-    lat = Lattice(product(chain(3), chain(3)).leq[np.ix_(perm, perm)])
+    lat = shuffled(product(chain(3), chain(3)), seed)
     leaves, calls = include_calls("propagate_saturated", enumerate_saturated_systems, lat)
     assert leaves == 3451 and calls <= 3.1 * leaves
+
+
+def test_whole_cubes_give_the_leaves_of_the_plain_walk(monkeypatch):
+    # at a batch size of 2, every spine of two or more free positions whose
+    # includes close alone tests its pairs, and most emit their cube
+    monkeypatch.setattr(search, "BATCH", 2)
+    cubes, pairs_close = [], search._pairs_close
+
+    def recorded(*args):
+        cubes.append(pairs_close(*args))
+        return cubes[-1]
+
+    monkeypatch.setattr(search, "_pairs_close", recorded)
+    lats = [lat for n in range(1, 9) for lat in all_lattices(n)]
+    assert len(lats) == 300
+    lats += [shuffled(lat, seed) for seed, lat in enumerate(lats)]
+    lats += [sub_cp_cp(p) for p in (2, 3, 5, 7, 11, 13)]
+    for lat in lats:
+        closure = closure_for(lat)
+        for step in (closure.propagate, closure.propagate_saturated):
+            plain = search.leaves(closure.order, closure.diag, step)
+            assert search.leaves(closure.order, closure.diag, step, pairwise=True) == plain
+    assert True in cubes and False in cubes
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17])
+def test_tr_of_sub_cp_cp_has_the_rank_two_count(p):
+    # two free cubes of p + 1 pairs and p + 1 systems between them
+    assert len(enumerate_transfer_systems(sub_cp_cp(p), guard=None)) == tr_rank_two(p)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_guard_admits_exactly_the_leaves_of_its_cubes(jobs):
+    lat = sub_cp_cp(13)
+    assert len(enumerate_transfer_systems(lat, guard=32_782, jobs=jobs)) == 32_782
+    with pytest.raises(SizeLimit, match="guard of 32781 leaves"):
+        enumerate_transfer_systems(lat, guard=32_781, jobs=jobs)
+
+
+def test_a_cube_past_the_guard_is_refused_before_it_is_built(monkeypatch):
+    # Tr(Sub(C31 x C31)) has 2^33 + 32 systems; the walk emits sub-cubes of
+    # 7 to 16 free pairs, 2^17 - 2^7 leaves, and refuses the next cube,
+    # of 2^17, before building it
+    sizes, cube = [], search._cube
+
+    def recorded(inc, free):
+        sizes.append(free.bit_count())
+        assert len(sizes) < 100 and 1 << sizes[-1] <= search.MAX_LEAVES
+        return cube(inc, free)
+
+    monkeypatch.setattr(search, "_cube", recorded)
+    with pytest.raises(SizeLimit, match="guard of 250000 leaves"):
+        enumerate_transfer_systems(sub_cp_cp(31))
+    assert sizes
