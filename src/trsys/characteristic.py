@@ -15,7 +15,7 @@ from operator import or_
 from . import search
 from .errors import InvariantViolation, SizeLimit
 from .functorial import LatticeMap
-from .lattice import _bits, _byte_tables, _gather, per_lattice
+from .lattice import _bits, _bottom_up, _byte_tables, _gather, per_lattice
 from .transfer import TransferSystem, generate, saturated_hull
 
 
@@ -120,15 +120,6 @@ def operator_from_interior_system(lat, mask):
                 f = join[f][image[c]]
             image[x] = f
     return InteriorOperator._wrap(lat, tuple(image))
-
-
-@per_lattice
-def _bottom_up(lat):
-    """Each element with its lower covers, in height order."""
-    lower = [[] for _ in range(lat.n)]
-    for x, y in lat.covers:
-        lower[y].append(x)
-    return [(x, lower[x]) for x in sorted(range(lat.n), key=lat.height.__getitem__)]
 
 
 def interior_system_of(operator):

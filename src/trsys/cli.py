@@ -76,7 +76,7 @@ def _add_lattice_args(parser):
     parser.add_argument("--p", type=int, default=None, help="prime parameter (subcpcp)")
     parser.add_argument("--json", dest="json_path", default=None, help="lattice JSON path")
     parser.add_argument("--unsafe-guard", action="store_true", help="lift the size guards")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel search branches")
+    parser.add_argument("--jobs", type=int, default=1, help="worker processes of the cover and interior searches")
 
 
 def _require_nonnegative(args, *flags):
@@ -136,8 +136,9 @@ _KINDS = {
 
 
 def _items(kind, lat, args):
-    """The items of `kind` on `lat` from its one library call, split across
-    --jobs worker processes, whose leaf guard --unsafe-guard lifts."""
+    """The items of `kind` on `lat` from its one library call, whose leaf
+    guard --unsafe-guard lifts; covers and interior images split across
+    --jobs worker processes."""
     return _KINDS[kind](lat, jobs=args.jobs, **_lifted(args))
 
 

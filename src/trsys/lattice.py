@@ -285,6 +285,15 @@ def _heights(covers, below_counts):
     return h
 
 
+@per_lattice
+def _bottom_up(lat):
+    """Each element with its lower covers, in height order."""
+    lower = [[] for _ in range(lat.n)]
+    for x, y in lat.covers:
+        lower[y].append(x)
+    return [(x, lower[x]) for x in sorted(range(lat.n), key=lat.height.__getitem__)]
+
+
 # -- standard families -------------------------------------------------------
 
 

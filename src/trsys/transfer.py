@@ -10,10 +10,12 @@ same layout, and share the immutable base `_Relation` with
 
 Each lattice has one private object, `_DenseClosure`, built once through
 `lattice.per_lattice` as `closure_for(lat)`, with one closure step: add a
-pair and all it forces.  The Tr and saturated searches hand its branch
-order and step to the engine in `trsys.search`, and `generate`,
-`saturated_hull`, `TransferSystem.join` and `covers.cover_to_system` fold
-it over the pairs still missing.
+pair and all it forces.  `generate`, `saturated_hull`, `TransferSystem.join`
+and `covers.cover_to_system` fold it over the pairs still missing.  The Tr
+and saturated listings call no closure: `_layers` adjoins one element at a
+time, in height order, and extends each system of the last layer by the
+order ideals that restriction and transitivity (and two-out-of-three)
+admit.  They share the guards of `trsys.search`.
 `find_violation` and `is_saturated` check the axioms directly on the rows
 of the bits and read no closure table.
 
@@ -22,11 +24,13 @@ Hasse edges come from int masks over the systems (see `TrLattice.covers`).
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from itertools import islice
 
 from . import search
-from .errors import AmbientMismatch, InvalidTransferSystem
-from .lattice import _bits, from_order, per_lattice
+from .errors import AmbientMismatch, InvalidTransferSystem, SizeLimit
+from .lattice import _bits, _bottom_up, from_order, per_lattice
 
 
 def _rows(bits, n):
@@ -38,9 +42,8 @@ def _rows(bits, n):
 class _DenseClosure:
     """The data of one lattice and the one closure of its relations.
 
-    `up[x]` has bit y set when x <= y, `meet` is the meet table, `diag` and
-    `full` are the diagonal and the whole order, and `order` is the order
-    in which the searches decide the non-reflexive pairs.
+    `up[x]` has bit y set when x <= y, `meet` is the meet table, and `diag`
+    and `full` are the diagonal and the whole order.
 
     The one step, `propagate`, adds a pair (x, z) to a transfer system R
     with its restrictions (x ^ y, y), y <= z, one pass of which suffices,
@@ -54,20 +57,12 @@ class _DenseClosure:
     """
 
     def __init__(self, lat):
-        n, up, heights = lat.n, lat.up, lat.height
+        n, up = lat.n, lat.up
         self.n, self.up, self.meet = n, up, lat.meet
         self.col = sum(1 << (a * n) for a in range(n))
         self.row = (1 << n) - 1
         self.diag = sum(1 << x * (n + 1) for x in range(n))
         self.full = sum(up[x] << x * n for x in range(n))
-        # branch order: decreasing height gap, then decreasing height of
-        # the upper element, then position.  Restriction forces pairs
-        # downwards, so a pair tends to be decided before those it forces;
-        # only the last key reads the labels, so relabelling reorders ties
-        self.order = sorted(
-            _bits(self.full & ~self.diag),
-            key=lambda p: (heights[p // n] - heights[p % n], -heights[p % n], p),
-        )
         # filled one position at a time by `_step`; set here, not added
         # later, so that their reads in `propagate` stay as fast as any
         # attribute's
@@ -456,29 +451,120 @@ class TrLattice:
         return self.systems[0] if self.systems else None
 
 
+def _layers(lat, guard, saturated):
+    """The bits of every transfer system on `lat`, saturated when
+    `saturated`, sorted, listed by adjoining one element at a time.
+
+    The elements are taken in height order, so each prefix is a down-set,
+    closed under meets.  A system on the prefix that ends in t is one
+    system T on the prefix before it plus the pairs (x, t) for x in a set
+    C.  C lies in A, the x < t with (x ^ c) T c for every lower cover c of
+    t, which restriction asks and which gives it for every other y < t; C
+    is an order ideal of (A, T), as transitivity asks.  Two-out-of-three
+    asks also each y < t with x T y, x in C; for a saturated T, A holds
+    these y, so C is any union of the classes of A under T.  A reads only
+    T on G, the columns of the lower covers of t, and the sets C only A
+    and T on the columns of A, or on its rows for the saturated kind, so
+    both are memoized per layer.  Each system extends at least by C empty,
+    so no layer outgrows the next, and one that passes `guard`, even in
+    part, raises SizeLimit.  An atom's layer is uniform: every system
+    doubles by (bottom, t).
+    """
+    closure = closure_for(lat)
+    n, col, diag, meet, up = lat.n, closure.col, closure.diag, lat.meet, lat.up
+    pairs = closure.full ^ diag  # the bits that tell systems apart
+    search.check_width(pairs.bit_length(), guard)
+    limit = sys.maxsize if guard is None else guard
+    order = _bottom_up(lat)
+    elements = [x for x, _ in order]
+    layer = [diag]  # the one system on bottom alone
+    if limit < 1:
+        raise SizeLimit(f"the search passed its guard of {guard} leaves")
+    for t, lower in order[1:]:
+        below = [x for x in elements if up[x] >> t & 1 and x != t]
+        G = sum(col << c for c in lower) & pairs
+        # the pairs that x in A asks of T, off the diagonal; T & G holds
+        # at least `least` of them when A is not empty
+        need = [(x, sum(1 << meet[x][c] * n + c for c in lower) & pairs) for x in below]
+        least = min(m.bit_count() for _, m in need)
+
+        def admitted(g):  # A, as a mask of elements, from T & G
+            return sum(1 << x for x, m in need if m & g == m)
+
+        def read(A):  # the bits of T that the extensions in A read; 0 when A is empty
+            rows = sum(A << x * n for x in _bits(A)) if saturated else col * A
+            return (rows | G) & pairs if A else 0
+
+        A = admitted(0)
+        if not G and not read(A):  # every T has this A and one extension set
+            extra = _extensions(layer[0], A, below, n, t, col, saturated)
+            if len(layer) * (len(extra) + 1) > limit:
+                raise SizeLimit(f"the search passed its guard of {guard} leaves")
+            layer += [T | e for e in extra for T in layer]
+            continue
+        known, extensions, append = {}, {}, layer.append
+        for T in islice(layer, len(layer)):
+            g = T & G
+            if least and g.bit_count() < least:
+                continue
+            try:
+                mask = known[g]
+            except KeyError:
+                mask = known[g] = read(admitted(g))
+            if mask:  # 0 only when A is empty, as mask holds G
+                try:
+                    extra = extensions[T & mask]
+                except KeyError:
+                    extra = extensions[T & mask] = _extensions(T, admitted(g), below, n, t, col, saturated)
+                for e in extra:
+                    append(T | e)
+                if len(layer) > limit:
+                    raise SizeLimit(f"the search passed its guard of {guard} leaves")
+    layer.sort()
+    return layer
+
+
+def _extensions(T, A, below, n, t, col, saturated):
+    """The pairs (x, t), x in C, for every nonempty C that T admits in A."""
+    out = [0]
+    if saturated:
+        # the classes of A under x T y: A holds every y < t with x T y
+        classes = []
+        for x in _bits(A):
+            joined = T >> x * n & A | 1 << x
+            for c in [c for c in classes if c & joined]:
+                classes.remove(c)
+                joined |= c
+            classes.append(joined)
+        for c in classes:
+            pairs = sum(1 << y * n + t for y in _bits(c))
+            out += [e | pairs for e in out]
+    else:
+        # in height order, x joins every ideal that holds all y T x
+        for x in below:
+            if A >> x & 1:
+                bit = 1 << x * n + t
+                needs = (T >> x & col) << t ^ bit
+                out += [e | bit for e in out if not needs & ~e]
+    return out[1:]
+
+
 def enumerate_transfer_systems(lat, guard=search.MAX_LEAVES, jobs=1):
     """All transfer systems on `lat`, as a TrLattice.
 
-    Backtracks over the non-reflexive pairs on the closure step of
-    `closure_for(lat)`, pruning a branch whose closure meets an excluded
-    pair; with jobs > 1 the search is split across worker processes, with
-    the same output.  Its rules have at most two premises, so the search
-    emits free Boolean cubes whole (`pairwise`).  More than `guard` systems
-    raise SizeLimit; None is no limit.
+    Lists them by adjoining one element at a time (`_layers`); `jobs` is
+    kept for the common signature of the searches, and the listing runs
+    serially.  More than `guard` systems raise SizeLimit; None is no limit.
     """
-    closure = closure_for(lat)
-    bits = search.leaves(closure.order, closure.diag, closure.propagate, jobs=jobs, guard=guard, pairwise=True)
-    return TrLattice._from_sorted_bits(lat, bits)
+    return TrLattice._from_sorted_bits(lat, _layers(lat, guard, saturated=False))
 
 
 def enumerate_saturated_systems(lat, guard=search.MAX_LEAVES, jobs=1):
     """All saturated transfer systems, enumerated directly.
 
-    Uses the same search with the two-out-of-three rule added to the
-    propagation, so the count is independent of full Tr enumeration; its
-    rules too have at most two premises (`pairwise`).  More than `guard`
-    systems raise SizeLimit; None is no limit.
+    The same layers with two-out-of-three asked of each extension, so the
+    count is independent of full Tr enumeration; `jobs` as for
+    `enumerate_transfer_systems`.  More than `guard` systems raise
+    SizeLimit; None is no limit.
     """
-    closure = closure_for(lat)
-    bits = search.leaves(closure.order, closure.diag, closure.propagate_saturated, jobs=jobs, guard=guard, pairwise=True)
-    return [TransferSystem._wrap(lat, b) for b in bits]
+    return [TransferSystem._wrap(lat, b) for b in _layers(lat, guard, saturated=True)]

@@ -1,19 +1,22 @@
-"""The leaf and memory guards of the search engine, its cap on worker
-processes, the include calls that its learned exclusions and its whole
-Boolean cubes save, and the leaves of those cubes."""
+"""The leaf and memory guards of the search engine and of the layered Tr
+lister, the engine's cap on worker processes, the work of the lister
+against its budgets, and its leaves against the plain walk."""
 import concurrent.futures
 import random
+import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from trsys import search
+from trsys import search, transfer
 from trsys.characteristic import enumerate_interior_operators
 from trsys.covers import enumerate_saturated_covers
 from trsys.errors import SizeLimit
 from trsys.counting import tr_rank_two
 from trsys.lattice import Lattice, all_lattices, boolean_cube, chain, product, sub_cp_cp
+from trsys.lattice import _bits
 from trsys.transfer import _DenseClosure, closure_for, enumerate_saturated_systems, enumerate_transfer_systems
 
 SEARCHES = [enumerate_transfer_systems, enumerate_saturated_systems, enumerate_saturated_covers]
@@ -65,17 +68,28 @@ def test_guard_admits_exactly_its_count_of_leaves(enumerate_, jobs):
         enumerate_(lat, guard=count - 1, jobs=jobs)
 
 
+@pytest.mark.parametrize("enumerate_", SEARCHES, ids=KINDS)
+def test_a_guard_of_zero_refuses_the_one_leaf_of_a_point(enumerate_):
+    with pytest.raises(SizeLimit, match="guard of 0 leaves"):
+        enumerate_(chain(0), guard=0)
+    assert len(enumerate_(chain(0), guard=1)) == 1
+
+
 def test_jobs_are_capped_at_the_cpu_count(in_process_pool):
+    # the cover search still walks, and splits its tree across workers;
+    # the Tr and saturated listers run serially at any `jobs`
     lat = boolean_cube(3)
-    serial = enumerate_transfer_systems(lat).bits
-    assert enumerate_transfer_systems(lat, jobs=1_000_000).bits == serial
+    serial = [cover.bits for cover in enumerate_saturated_covers(lat)]
+    assert [cover.bits for cover in enumerate_saturated_covers(lat, jobs=1_000_000)] == serial
+    assert enumerate_transfer_systems(lat, jobs=1_000_000).bits == enumerate_transfer_systems(lat).bits
     assert [pool.max_workers for pool in in_process_pool] == [3]
 
 
 def test_merged_total_over_the_guard_cancels_the_pending_subtrees(in_process_pool):
+    # cube(3) has 61 covers, split into subtrees of fewer than 60 each
     lat = boolean_cube(3)
-    with pytest.raises(SizeLimit):
-        enumerate_transfer_systems(lat, guard=449, jobs=3)
+    with pytest.raises(SizeLimit, match="guard of 60 leaves"):
+        enumerate_saturated_covers(lat, guard=60, jobs=3)
     [pool] = in_process_pool
     assert pool.shutdowns == [True]
 
@@ -96,8 +110,10 @@ def test_memory_guard_refuses_a_chain_of_94_elements_before_the_search(enumerate
     # are below 92^2), and none of 94 does: the largest label's pair with
     # top, or with the element below it, is at or past position 94 * 93 - 1
     assert search.MAX_LEAVES * 92**2 <= search._LEAF_BITS < search.MAX_LEAVES * 94 * 93
-    assert max(closure_for(chain(93)).order) + 1 == 94 * 93
+    closure = closure_for(chain(93))
+    assert (closure.full ^ closure.diag).bit_length() == 94 * 93
     monkeypatch.setattr(search, "_walk", None)  # no search starts
+    monkeypatch.setattr(transfer, "_extensions", None)  # and no layer is built
     with pytest.raises(SizeLimit, match="memory guard"):
         enumerate_(chain(93))
 
@@ -109,62 +125,65 @@ def shuffled(lat, seed):
 
 
 def include_calls(step, enumerate_, lat):
-    """The leaves of `enumerate_(lat)` and the calls it makes to the
-    `_DenseClosure` method `step`."""
+    """The leaves of `enumerate_(lat)`, the calls it makes to the
+    `_DenseClosure` method `step`, and the extension sets the layered
+    lister computes, one per memo miss."""
     calls, method = [], getattr(_DenseClosure, step)
+    sets, extensions = [], transfer._extensions
 
     def counted(*args):
         calls.append(args[-1])
         return method(*args)
 
-    with mock.patch.object(_DenseClosure, step, counted):
-        return len(enumerate_(lat)), len(calls)
+    def computed(*args):
+        sets.append(args[1])
+        return extensions(*args)
+
+    with mock.patch.object(_DenseClosure, step, counted), mock.patch.object(transfer, "_extensions", computed):
+        return len(enumerate_(lat)), len(calls), len(sets)
 
 
 def test_tr_of_a_chain_makes_at_most_its_budget_of_include_calls():
-    # a failed include excludes its pair in the earlier siblings its witness
-    # reaches; without that, Tr(chain(9)) makes 43,565 calls.  A chain's
-    # branch order breaks no ties by label, so relabelling would not change it
-    leaves, calls = include_calls("propagate", enumerate_transfer_systems, chain(9))
-    assert leaves == 16_796 and calls <= 24_623
+    # the lister makes no include call: each layer memoizes its extension
+    # sets, one per distinct key, 2^(t-1) at the element of height t here.
+    # The walk made 24,623 include calls
+    leaves, calls, sets = include_calls("propagate", enumerate_transfer_systems, chain(9))
+    assert leaves == 16_796 and calls == 0 and sets <= 511
 
 
 def test_tr_of_sub_cp_cp_13_makes_at_most_its_budget_of_include_calls():
-    # of its two cubes of 14 pairs, one is emitted whole and the other as
-    # sub-cubes of 7 to 13 pairs; walking them leaf by leaf makes 32,886 calls
-    leaves, calls = include_calls("propagate", enumerate_transfer_systems, sub_cp_cp(13))
-    assert leaves == 32_782 and calls <= 758
+    # one extension set per atom, whose layers are uniform, and 15 at top:
+    # the popcount reject leaves the 15 systems that relate at least 13 of
+    # the 14 atoms to bottom.  The walk made 758 include calls
+    leaves, calls, sets = include_calls("propagate", enumerate_transfer_systems, sub_cp_cp(13))
+    assert leaves == 32_782 and calls == 0 and sets <= 29
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_saturated_grid_makes_at_most_its_budget_of_include_calls_per_leaf(seed):
-    # at most 3.1 calls per leaf under relabelling; about 9.4 without learned exclusions
+    # 168 extension sets in every labelling, against about 3.1 include
+    # calls per leaf for the walk
     lat = shuffled(product(chain(3), chain(3)), seed)
-    leaves, calls = include_calls("propagate_saturated", enumerate_saturated_systems, lat)
-    assert leaves == 3451 and calls <= 3.1 * leaves
+    leaves, calls, sets = include_calls("propagate_saturated", enumerate_saturated_systems, lat)
+    assert leaves == 3451 and calls == 0 and sets <= 168
 
 
-def test_whole_cubes_give_the_leaves_of_the_plain_walk(monkeypatch):
-    # at a batch size of 2, every spine of two or more free positions whose
-    # includes close alone tests its pairs, and most emit their cube
-    monkeypatch.setattr(search, "BATCH", 2)
-    cubes, pairs_close = [], search._pairs_close
-
-    def recorded(*args):
-        cubes.append(pairs_close(*args))
-        return cubes[-1]
-
-    monkeypatch.setattr(search, "_pairs_close", recorded)
+def test_layers_give_the_leaves_of_the_plain_walk():
+    # the walk over the non-reflexive pairs in position order, on the
+    # closure steps of both kinds; its order never changes the sorted leaves
     lats = [lat for n in range(1, 9) for lat in all_lattices(n)]
     assert len(lats) == 300
     lats += [shuffled(lat, seed) for seed, lat in enumerate(lats)]
     lats += [sub_cp_cp(p) for p in (2, 3, 5, 7, 11, 13)]
     for lat in lats:
         closure = closure_for(lat)
-        for step in (closure.propagate, closure.propagate_saturated):
-            plain = search.leaves(closure.order, closure.diag, step)
-            assert search.leaves(closure.order, closure.diag, step, pairwise=True) == plain
-    assert True in cubes and False in cubes
+        order = list(_bits(closure.full ^ closure.diag))
+        for step, enumerate_ in (
+            (closure.propagate, enumerate_transfer_systems),
+            (closure.propagate_saturated, enumerate_saturated_systems),
+        ):
+            bits = [system.bits for system in enumerate_(lat, guard=None)]
+            assert bits == search.leaves(order, closure.diag, step)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17])
@@ -181,18 +200,18 @@ def test_guard_admits_exactly_the_leaves_of_its_cubes(jobs):
         enumerate_transfer_systems(lat, guard=32_781, jobs=jobs)
 
 
-def test_a_cube_past_the_guard_is_refused_before_it_is_built(monkeypatch):
-    # Tr(Sub(C31 x C31)) has 2^33 + 32 systems; the walk emits sub-cubes of
-    # 7 to 16 free pairs, 2^17 - 2^7 leaves, and refuses the next cube,
-    # of 2^17, before building it
-    sizes, cube = [], search._cube
-
-    def recorded(inc, free):
-        sizes.append(free.bit_count())
-        assert len(sizes) < 100 and 1 << sizes[-1] <= search.MAX_LEAVES
-        return cube(inc, free)
-
-    monkeypatch.setattr(search, "_cube", recorded)
-    with pytest.raises(SizeLimit, match="guard of 250000 leaves"):
-        enumerate_transfer_systems(sub_cp_cp(31))
-    assert sizes
+def test_a_layer_past_the_guard_is_refused_before_it_is_built():
+    # Tr(Sub(C31 x C31)) has 2^33 + 32 systems; each atom's layer doubles
+    # the last, and the one that would pass the guard, 2^17 to 2^18, is
+    # refused before it is built.  A list of the guard's count of systems
+    # and more would hold at least their ints and their slots
+    lat = sub_cp_cp(31)
+    one = sys.getsizeof(closure_for(lat).full) + 8  # built before the peak is traced
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimit, match="guard of 250000 leaves"):
+            enumerate_transfer_systems(lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 2**17 * one < peak < search.MAX_LEAVES * one
