@@ -15,7 +15,10 @@ and `covers.cover_to_system` fold it over the pairs still missing.  The Tr
 and saturated listings call no closure: `_layers` adjoins one element at a
 time, in height order, and extends each system of the last layer by the
 order ideals that restriction and transitivity (and two-out-of-three)
-admit.  They share the guards of `trsys.search`.
+admit.  The systems that share an extension set extend together, one
+sorted run per extension, so each layer is a merge of sorted runs, and
+its size is checked against the guards of `trsys.search` before it is
+built.
 `find_violation` and `is_saturated` check the axioms directly on the rows
 of the bits and read no closure table.
 
@@ -26,7 +29,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import islice
 
 from . import search
 from .errors import AmbientMismatch, InvalidTransferSystem, SizeLimit
@@ -465,10 +467,15 @@ def _layers(lat, guard, saturated):
     these y, so C is any union of the classes of A under T.  A reads only
     T on G, the columns of the lower covers of t, and the sets C only A
     and T on the columns of A, or on its rows for the saturated kind, so
-    both are memoized per layer.  Each system extends at least by C empty,
-    so no layer outgrows the next, and one that passes `guard`, even in
-    part, raises SizeLimit.  An atom's layer is uniform: every system
-    doubles by (bottom, t).
+    both are memoized per layer.  Each layer is kept sorted: the systems of
+    the last one are grouped, in order, by the key of their extension set,
+    and each extension e of a group gives the run T | e over the group,
+    sorted, as e adds only pairs (x, t) that no T holds; one sort then
+    merges the runs.  An atom's layer is uniform: every system doubles by
+    (bottom, t), in runs over the whole last layer.  Each system extends
+    at least by C empty, so no layer outgrows the next, and the size of
+    each is counted from the groups before it is built; one that would
+    pass `guard` raises SizeLimit.
     """
     closure = closure_for(lat)
     n, col, diag, meet, up = lat.n, closure.col, closure.diag, lat.meet, lat.up
@@ -500,10 +507,15 @@ def _layers(lat, guard, saturated):
             extra = _extensions(layer[0], A, below, n, t, col, saturated)
             if len(layer) * (len(extra) + 1) > limit:
                 raise SizeLimit(f"the search passed its guard of {guard} leaves")
+            size = len(layer)
             layer += [T | e for e in extra for T in layer]
+            # sorted runs of `size` systems; they often come out in order, and
+            # a sort would still compare every neighbouring pair
+            if any(layer[i - 1] > layer[i] for i in range(size, len(layer), size)):
+                layer.sort()
             continue
-        known, extensions, append = {}, {}, layer.append
-        for T in islice(layer, len(layer)):
+        known, groups = {}, {}
+        for T in layer:
             g = T & G
             if least and g.bit_count() < least:
                 continue
@@ -513,14 +525,22 @@ def _layers(lat, guard, saturated):
                 mask = known[g] = read(admitted(g))
             if mask:  # 0 only when A is empty, as mask holds G
                 try:
-                    extra = extensions[T & mask]
+                    groups[T & mask].append(T)
                 except KeyError:
-                    extra = extensions[T & mask] = _extensions(T, admitted(g), below, n, t, col, saturated)
+                    groups[T & mask] = [T]
+        # the key holds T & G, so it fixes A
+        extended = [(group, _extensions(group[0], admitted(key & G), below, n, t, col, saturated))
+                    for key, group in groups.items()]
+        if len(layer) + sum(len(group) * len(extra) for group, extra in extended) > limit:
+            raise SizeLimit(f"the search passed its guard of {guard} leaves")
+        for group, extra in extended:
+            if len(group) == 1:  # one short list, not a run of one per extension
+                T = group[0]
+                layer += [T | e for e in extra]
+            else:
                 for e in extra:
-                    append(T | e)
-                if len(layer) > limit:
-                    raise SizeLimit(f"the search passed its guard of {guard} leaves")
-    layer.sort()
+                    layer += [T | e for T in group]
+        layer.sort()
     return layer
 
 

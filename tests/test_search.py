@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from trsys import search, transfer
-from trsys.characteristic import enumerate_interior_operators
+from trsys.characteristic import count_interior_operators, enumerate_interior_operators
 from trsys.covers import enumerate_saturated_covers
 from trsys.errors import SizeLimit
-from trsys.counting import tr_rank_two
+from trsys.counting import catalan, tr_rank_two
 from trsys.lattice import Lattice, all_lattices, boolean_cube, chain, product, sub_cp_cp
 from trsys.lattice import _bits
 from trsys.transfer import _DenseClosure, closure_for, enumerate_saturated_systems, enumerate_transfer_systems
@@ -215,3 +215,34 @@ def test_a_layer_past_the_guard_is_refused_before_it_is_built():
     finally:
         tracemalloc.stop()
     assert 2**17 * one < peak < search.MAX_LEAVES * one
+
+
+def test_the_last_layer_past_the_guard_is_refused_before_it_is_built():
+    # Tr(chain(12)) has Cat(13) = 742,900 systems on the 208,012 of
+    # chain(11).  The size of the last layer is counted from its groups
+    # and their extension sets, so a guard one short refuses it before any
+    # of it is built; building it up to the guard first peaks near 776,800
+    # ints and slots
+    lat = chain(12)
+    one = sys.getsizeof(closure_for(lat).full) + 8  # built before the peak is traced
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimit, match="guard of 742899 leaves"):
+            enumerate_transfer_systems(lat, guard=742_899)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 208_012 * one
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_layers_are_strictly_increasing_at_benchmark_scale(seed):
+    # past the sizes of the lattice sweep: each layer is emitted as sorted
+    # runs, one per extension, and merged, in any labelling
+    bits = enumerate_transfer_systems(shuffled(chain(11), seed)).bits
+    assert len(bits) == catalan(12) == 208_012
+    assert all(a < b for a, b in zip(bits, bits[1:]))
+    for lat in (shuffled(product(chain(3), chain(3)), seed), shuffled(boolean_cube(4), seed)):
+        bits = [system.bits for system in enumerate_saturated_systems(lat)]
+        assert len(bits) == count_interior_operators(lat)
+        assert all(a < b for a, b in zip(bits, bits[1:]))
