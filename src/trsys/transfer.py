@@ -472,10 +472,11 @@ def _layers(lat, guard, saturated):
     and each extension e of a group gives the run T | e over the group,
     sorted, as e adds only pairs (x, t) that no T holds; one sort then
     merges the runs.  An atom's layer is uniform: every system doubles by
-    (bottom, t), in runs over the whole last layer.  Each system extends
-    at least by C empty, so no layer outgrows the next, and the size of
-    each is counted from the groups before it is built; one that would
-    pass `guard` raises SizeLimit.
+    (bottom, t), which lies above every bit that tells the last layer
+    apart, as the atoms come in increasing label; it needs no sort.  Each
+    system extends at least by C empty, so no layer outgrows the next, and
+    the size of each is counted from the groups before it is built; one
+    that would pass `guard` raises SizeLimit.
     """
     closure = closure_for(lat)
     n, col, diag, meet, up = lat.n, closure.col, closure.diag, lat.meet, lat.up
@@ -507,12 +508,9 @@ def _layers(lat, guard, saturated):
             extra = _extensions(layer[0], A, below, n, t, col, saturated)
             if len(layer) * (len(extra) + 1) > limit:
                 raise SizeLimit(f"the search passed its guard of {guard} leaves")
-            size = len(layer)
+            # atoms come in increasing label, and each adds (bottom, t) above
+            # every bit that tells the last layer apart: the layer stays sorted
             layer += [T | e for e in extra for T in layer]
-            # sorted runs of `size` systems; they often come out in order, and
-            # a sort would still compare every neighbouring pair
-            if any(layer[i - 1] > layer[i] for i in range(size, len(layer), size)):
-                layer.sort()
             continue
         known, groups = {}, {}
         for T in layer:
@@ -534,12 +532,7 @@ def _layers(lat, guard, saturated):
         if len(layer) + sum(len(group) * len(extra) for group, extra in extended) > limit:
             raise SizeLimit(f"the search passed its guard of {guard} leaves")
         for group, extra in extended:
-            if len(group) == 1:  # one short list, not a run of one per extension
-                T = group[0]
-                layer += [T | e for e in extra]
-            else:
-                for e in extra:
-                    layer += [T | e for T in group]
+            layer += [T | e for e in extra for T in group]
         layer.sort()
     return layer
 
