@@ -201,6 +201,11 @@ def cmd_verify(args):
     _require_nonnegative(args, "max")
     _require(not args.check or args.check in ALL_CHECKS, f"unknown check {args.check!r}; choose from {sorted(ALL_CHECKS)}")
     results = run_checks([args.check] if args.check else None, max_n=args.max)
+    if args.json:
+        for result in results:
+            record = {"name": result.name, "ok": result.ok, "seconds": round(result.seconds, 6), "lines": result.lines}
+            print(json.dumps(record))
+        return 0 if all(result.ok for result in results) else 1
     failed = 0
     for result in results:
         print(("PASS" if result.ok else "FAIL") + f" {result.name}")
@@ -280,6 +285,7 @@ def build_parser():
     p_verify.add_argument("--check", default=None, help="run a single named check")
     p_verify.add_argument("--max", type=int, default=None, help="cap the family size where applicable")
     p_verify.add_argument("--verbose", action="store_true", help="print per-line detail")
+    p_verify.add_argument("--json", action="store_true", help="print one JSON line per check: name, ok, seconds and lines")
     p_verify.set_defaults(func=cmd_verify)
 
     p_export = sub.add_parser("export", help="write DOT diagrams")

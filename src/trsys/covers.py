@@ -59,9 +59,8 @@ def find_cover_violation(lat, bits):
     if stray:
         low = (stray & -stray).bit_length() - 1
         return CoverViolation(0, divmod(low, n) if low < n * n else ())
-    for quad in rules.diamonds:
-        inside = sum(bits >> p & 1 for p in quad)
-        if inside == 3:
+    for quad, mask in zip(rules.diamonds, rules.diamond_masks):
+        if (bits & mask).bit_count() == 3:
             missing = next(p for p in quad if not bits >> p & 1)
             return CoverViolation(2, tuple(divmod(p, n) for p in quad + (missing,)))
     if rules.refusal:
@@ -103,10 +102,11 @@ class _CoverRules:
     """The game on one lattice, built once by `_rules`: the mask `cover`
     of the covering relations, per position p the mask `implies[p]` of the
     edges rule (1) forces from edge p and the masks `watching[p]` of the
-    covering diamonds that hold it, the `diamonds` as position tuples, and
-    the search's branch `order`.  On a lattice where a forced pair is no
-    cover, `refusal` names the first such pair, and rule (1) is not read:
-    `find_cover_violation` raises it as NotModular after rules 0 and 2."""
+    covering diamonds that hold it, the `diamonds` as position tuples with
+    their masks `diamond_masks`, and the search's branch `order`.  On a
+    lattice where a forced pair is no cover, `refusal` names the first such
+    pair, and rule (1) is not read: `find_cover_violation` raises it as
+    NotModular after rules 0 and 2."""
 
     def __init__(self, lat):
         n, up, height, meet, join = lat.n, lat.up, lat.height, lat.meet, lat.join
@@ -124,7 +124,7 @@ class _CoverRules:
                     self.refusal = self.refusal or f"{j} covers {x} but {y} does not cover {m}"
                 elif dst != src:
                     self.implies[src] |= 1 << dst
-        self.diamonds = []
+        self.diamonds, self.diamond_masks = [], []
         self.watching = [[] for _ in range(size)]
         for x in range(n):
             for y in range(x + 1, n):
@@ -135,6 +135,7 @@ class _CoverRules:
                 if all(cover >> p & 1 for p in quad):
                     self.diamonds.append(quad)
                     mask = sum(1 << p for p in quad)
+                    self.diamond_masks.append(mask)
                     for p in quad:
                         self.watching[p].append(mask)
         self.order = sorted(_bits(cover), key=lambda p: (-height[p // n], p))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import AmbientMismatch, InvariantViolation, NotComposable, NotMonotone
 from .lattice import _bits, boolean_cube, from_order, product
-from .transfer import TransferSystem, generate
+from .transfer import TransferSystem, closure_for, generate
 
 
 class LatticeMap:
@@ -97,11 +97,33 @@ def compose(g, f):
 
 
 def pushforward(f, system):
-    """Tr(f): the system generated by the image pairs of the relation."""
-    if not system.lattice.same_order(f.source):
+    """Tr(f): the system generated by the image pairs (f(x), f(y)) of the
+    relation.
+
+    Each non-reflexive bit of `system.bits` maps through `f.image` into
+    one int on the target's layout, which one `close` on
+    `closure_for(f.target)` turns into the least transfer system holding
+    it, wrapped without re-validation.  An image pair outside the target's
+    order, or an image value outside its elements, which only a map built
+    without validation (`LatticeMap._wrap`) can have, sends the call to
+    the pair route, `generate` on the image pairs, which raises
+    InvalidTransferSystem at the first such pair.  A system on another
+    lattice than the map's source raises AmbientMismatch.
+    """
+    source, target = f.source, f.target
+    if not system.lattice.same_order(source):
         raise AmbientMismatch("system does not live on the map's source")
-    pairs = [(f.image[x], f.image[y]) for x, y in system.pairs()]
-    return generate(f.target, pairs)
+    m, image, closure = target.n, f.image, closure_for(target)
+    if 0 <= min(image) and max(image) < m:
+        n, rest, bits = source.n, system.bits & ~closure_for(source).diag, 0
+        while rest:
+            low = rest & -rest
+            x, y = divmod(low.bit_length() - 1, n)
+            bits |= 1 << image[x] * m + image[y]
+            rest ^= low
+        if not bits & ~closure.full:
+            return TransferSystem._wrap(target, closure.close(bits))
+    return generate(target, [(image[x], image[y]) for x, y in system.pairs()])
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,19 @@ MAX_SUBSET_EDGES = 14
 
 
 def _subsets(free, base=0):
-    """`base` with every subset of the bit positions `free` added."""
-    for picks in itertools.product((0, 1), repeat=len(free)):
-        bits = base
-        for p, take in zip(free, picks):
-            if take:
-                bits |= 1 << p
-        yield bits
+    """`base` with every subset of the bit positions `free` added: the OR
+    of each mask over the first half of `free` with each over the rest."""
+    half = len(free) // 2
+    lows, highs = _masks(free[:half], base), _masks(free[half:], 0)
+    return (high | low for high in highs for low in lows)
+
+
+def _masks(positions, base):
+    """`base` with every subset of `positions` added, as a list."""
+    out = [base]
+    for p in positions:
+        out += [mask | 1 << p for mask in out]
+    return out
 
 
 def naive_transfer_systems(lat):

@@ -443,6 +443,20 @@ def test_verify_check_that_compares_nothing_fails(capsys):
     assert (code, out, err) == (1, "FAIL bmt\n  FAIL checked nothing\n0/1 checks passed\n", "")
 
 
+def test_verify_json_prints_one_record_per_check(capsys):
+    code, out, err = run_cli(["verify", "--check", "catalan", "--json"], capsys)
+    assert (code, err) == (0, "")
+    (record,) = [json.loads(line) for line in out.splitlines()]
+    assert sorted(record) == ["lines", "name", "ok", "seconds"]
+    assert (record["name"], record["ok"]) == ("catalan", True)
+    assert isinstance(record["seconds"], float) and record["seconds"] >= 0
+    _, verbose, _ = run_cli(["verify", "--check", "catalan", "--verbose"], capsys)
+    assert record["lines"] == [line[2:] for line in verbose.splitlines()[1:-1]]
+    code, out, _ = run_cli(["verify", "--check", "bmt", "--max", "0", "--json"], capsys)
+    record = json.loads(out)
+    assert (code, record["ok"], record["lines"]) == (1, False, ["FAIL checked nothing"])
+
+
 def test_verify_unknown_check(capsys):
     code, out, err = run_cli(["verify", "--check", "nonsense"], capsys)
     assert (code, out) == (2, "")

@@ -1,6 +1,10 @@
-import pytest
+import random
 
-from trsys.errors import AmbientMismatch, NotComposable, NotMonotone
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trsys.errors import AmbientMismatch, InvalidTransferSystem, NotComposable, NotMonotone
 from trsys.functorial import (
     LatticeMap,
     check_functoriality,
@@ -27,6 +31,7 @@ from trsys.transfer import (
     discrete_system,
     enumerate_transfer_systems,
     find_violation,
+    generate,
 )
 
 
@@ -48,6 +53,46 @@ def test_identity_pushforward():
 def test_discrete_pushes_to_discrete():
     f = LatticeMap(chain(2), boolean_cube(2), [0, 2, 3])
     assert pushforward(f, discrete_system(chain(2))) == discrete_system(boolean_cube(2))
+
+
+def pair_route(f, system):
+    """Tr(f) by the image pairs: `generate` on the target."""
+    return generate(f.target, [(f(x), f(y)) for x, y in system.pairs()])
+
+
+def test_pushforward_equals_the_pair_route_on_the_seeded_pairs_of_verify():
+    pool = [chain(1), chain(2), chain(3), boolean_cube(2), iterated_fusion(chain(2), 2), product(chain(1), chain(2))]
+    for f, g in sample_meet_preserving_pairs(pool, 200, seed=20230811):
+        composite = compose(g, f)
+        for system in enumerate_transfer_systems(f.source):
+            image = pushforward(f, system)
+            assert image == pair_route(f, system)
+            assert pushforward(g, image) == pair_route(g, image)
+            assert pushforward(composite, system) == pair_route(composite, system)
+
+
+SOURCES = [chain(2), chain(3), boolean_cube(2), boolean_cube(3), iterated_fusion(chain(2), 3), product(chain(1), chain(2))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SOURCES), st.sampled_from(SOURCES), st.integers(0, 2**32))
+def test_pushforward_equals_the_pair_route_along_random_monotone_maps(source, target, seed):
+    f = random_monotone_map(source, target, random.Random(seed))
+    for system in enumerate_transfer_systems(source):
+        assert pushforward(f, system) == pair_route(f, system)
+
+
+@pytest.mark.parametrize("image", [(2, 1, 0), (0, 3, 1), (0, 1, 4), (-1, 1, 2)])
+def test_pushforward_along_an_unvalidated_map_outside_the_order_fails_as_the_pair_route(image):
+    lat = chain(2)
+    f = LatticeMap._wrap(lat, lat, image)
+    with pytest.raises(InvalidTransferSystem) as info:
+        pushforward(f, complete_system(lat))
+    with pytest.raises(InvalidTransferSystem) as pairs_info:
+        pair_route(f, complete_system(lat))
+    assert info.value.violation == pairs_info.value.violation
+    assert info.value.violation.axiom == "refinement"
+    assert pushforward(f, discrete_system(lat)) == discrete_system(lat)
 
 
 def test_pushforward_ambient_guard():
