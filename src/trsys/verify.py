@@ -7,9 +7,19 @@ compute and classify without re-checking their results; the theorems
 behind them, such as the rank-two block census with its covers and chi
 structure (`check_bmt`) and the chi-fiber theorem (`check_fibers`), are
 checked here and in the tests.
+
+Several checks read the same lattices and list the same things on them.
+`run_checks` gives its checks one table for the run: each lattice the
+checks name is built once, and its Tr, its saturated systems, its
+saturated covers and its interior count are listed once, by the first
+check that asks, and read by the others; the listing's time counts
+toward that first check's `seconds` (the `--json` field).  The table is
+dropped when the run ends.  A check called directly, outside
+`run_checks`, builds and lists everything itself.
 """
 from __future__ import annotations
 
+import contextvars
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -22,6 +32,7 @@ from .counting import (
     tr_rank_two,
 )
 from .covers import cover_to_system, enumerate_saturated_covers, system_to_cover
+from .errors import InvalidInput
 from .functorial import (
     check_functoriality,
     compose,
@@ -53,21 +64,77 @@ def pentagon():
     return from_order(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
 
 
+# -- the table of one run -------------------------------------------------------
+
+_TABLE = contextvars.ContextVar("verify_table", default=None)  # a dict while run_checks runs
+
+
+def _shared(key, make):
+    """`make()`, made once per `run_checks` call for each key, and afresh on
+    every call outside one."""
+    table = _TABLE.get()
+    if table is None:
+        return make()
+    if key not in table:
+        table[key] = make()
+    return table[key]
+
+
+def _lattice(build, *args):
+    """`build(*args)`: one lattice object per run for the same builder and
+    arguments, so that its listings and its per-lattice tables are shared."""
+    return _shared((build, args), lambda: build(*args))
+
+
+def _listing(list_, lat, **guard):
+    """`list_(lat, **guard)` for `enumerate_transfer_systems`,
+    `enumerate_saturated_systems`, `enumerate_saturated_covers` or
+    `count_interior_operators`, listed once per run for each lattice.  The
+    key leaves out the guard, which only refuses: every check's guards
+    admit the lattices it lists.  The lister is looked up by the caller, so
+    a patched one is the one called."""
+    return _shared((list_, lat), lambda: list_(lat, **guard))
+
+
+def _chain(m):
+    return _lattice(chain, m)
+
+
+def _cube(k):
+    return _lattice(boolean_cube, k)
+
+
+def _rect(m, n):
+    return _lattice(product, _chain(m), _chain(n))
+
+
+def _fuse2(n):
+    return _lattice(iterated_fusion, _chain(2), n)
+
+
+def _chains(ms):
+    return [(f"chain({m})", _chain(m)) for m in ms]
+
+
+def _fusions(ns):
+    return [(f"[2]*{n}", _fuse2(n)) for n in ns]
+
+
 def modular_family():
     """The modular lattices the count-coherence checks run over."""
-    members = [(f"chain({m})", chain(m)) for m in range(1, 5)]
-    members += [(f"cube({k})", boolean_cube(k)) for k in range(2, 5)]
-    members += [(f"[2]*{n}", iterated_fusion(chain(2), n)) for n in range(2, 6)]
-    members.append(("rect[2]x[3]", product(chain(2), chain(3))))
+    members = _chains(range(1, 5))
+    members += [(f"cube({k})", _cube(k)) for k in range(2, 5)]
+    members += _fusions(range(2, 6))
+    members.append(("rect[2]x[3]", _rect(2, 3)))
     return members
 
 
 def tr_feasible_family():
     """Lattices small enough for full Tr enumeration in the checks."""
-    members = [(f"chain({m})", chain(m)) for m in range(1, 5)]
-    members += [("cube(2)", boolean_cube(2)), ("cube(3)", boolean_cube(3))]
-    members += [(f"[2]*{n}", iterated_fusion(chain(2), n)) for n in range(1, 6)]
-    members += [("pentagon", pentagon()), ("rect[1]x[2]", product(chain(1), chain(2)))]
+    members = _chains(range(1, 5))
+    members += [("cube(2)", _cube(2)), ("cube(3)", _cube(3))]
+    members += _fusions(range(1, 6))
+    members += [("pentagon", _lattice(pentagon)), ("rect[1]x[2]", _rect(1, 2))]
     return members
 
 
@@ -89,7 +156,7 @@ def check_catalan(max_n=5):
 
     res = CheckResult("catalan", True)
     for n in range(max_n + 1):
-        got = len(enumerate_transfer_systems(chain(n)))
+        got = len(_listing(enumerate_transfer_systems, _chain(n)))
         want = CATALAN_CHAIN_COUNTS[n] if n < len(CATALAN_CHAIN_COUNTS) else catalan(n + 1)
         res.note(got == want, f"|Tr([{n}])| = {got} (want {want})")
     return res
@@ -99,12 +166,12 @@ def check_rank_two():
     """Iterated-fusion counts and the rank-two closed form agree."""
     res = CheckResult("ranktwo", True)
     for n in range(1, 6):
-        got = len(enumerate_transfer_systems(iterated_fusion(chain(2), n)))
+        got = len(_listing(enumerate_transfer_systems, _fuse2(n)))
         want = ITERATED_FUSION_COUNTS[n]
         res.note(got == want, f"|Tr([2]*{n})| = {got} (want {want})")
     for p, want in RANK_TWO_PRIMES.items():
         got = tr_rank_two(p)
-        enumerated = len(enumerate_transfer_systems(iterated_fusion(chain(2), p + 1)))
+        enumerated = len(_listing(enumerate_transfer_systems, _fuse2(p + 1)))
         res.note(
             got == want == enumerated,
             f"rank-two p={p}: closed form {got}, enumeration {enumerated} (want {want})",
@@ -115,14 +182,14 @@ def check_rank_two():
 def check_matchstick():
     """Cover counts and the three-way count coherence on modular lattices."""
     res = CheckResult("matchstick", True)
-    got3 = len(enumerate_saturated_covers(boolean_cube(3)))
+    got3 = len(_listing(enumerate_saturated_covers, _cube(3)))
     res.note(got3 == CUBE3_COVER_COUNT, f"saturated covers on cube(3): {got3} (want 61)")
-    gotf = len(enumerate_saturated_covers(iterated_fusion(chain(2), 3)))
+    gotf = len(_listing(enumerate_saturated_covers, _fuse2(3)))
     res.note(gotf == FUSE3_COVER_COUNT, f"saturated covers on [2]*3: {gotf} (want 12)")
     for name, lat in modular_family():
-        covers = len(enumerate_saturated_covers(lat))
-        saturated = len(enumerate_saturated_systems(lat))
-        interior = count_interior_operators(lat)
+        covers = len(_listing(enumerate_saturated_covers, lat))
+        saturated = len(_listing(enumerate_saturated_systems, lat))
+        interior = _listing(count_interior_operators, lat)
         res.note(
             covers == saturated == interior,
             f"{name}: covers {covers} = saturated {saturated} = interior {interior}",
@@ -135,7 +202,7 @@ def check_interior_sequence(max_n=4):
     res = CheckResult("a102896", True)
     max_n = min(max_n, len(INTERIOR_CUBE_COUNTS) - 1)
     for n in range(max_n + 1):
-        got = count_interior_operators(boolean_cube(n), max_elements=1 << n)
+        got = _listing(count_interior_operators, _cube(n), max_elements=1 << n)
         want = INTERIOR_CUBE_COUNTS[n]
         res.note(got == want, f"interior operators on cube({n}): {got} (want {want})")
     return res
@@ -149,9 +216,9 @@ def check_fibers():
     lattice, `closure_for(lat)`, and wrap no system."""
     res = CheckResult("fibers", True)
     for name, lat in tr_feasible_family():
-        tr = enumerate_transfer_systems(lat)
+        tr = _listing(enumerate_transfer_systems, lat)
         fibers = fiber_decomposition(tr)
-        ops = count_interior_operators(lat)
+        ops = _listing(count_interior_operators, lat)
         closure = closure_for(lat)
         shaped = all(_is_interval_fiber(fiber, tr.bits, closure) for fiber in fibers)
         res.note(
@@ -183,13 +250,7 @@ def _is_interval_fiber(fiber, tr_bits, closure):
 def check_fusion():
     """The four-term recursion and its chain specialization match brute force."""
     res = CheckResult("fusion", True)
-    pool = [
-        ("[1]", chain(1)),
-        ("[2]", chain(2)),
-        ("[3]", chain(3)),
-        ("[2]*2", iterated_fusion(chain(2), 2)),
-        ("cube(2)", boolean_cube(2)),
-    ]
+    pool = [("[1]", _chain(1)), ("[2]", _chain(2)), ("[3]", _chain(3)), ("[2]*2", _fuse2(2)), ("cube(2)", _cube(2))]
     for (na, a), (nb, b) in itertools.product(pool, repeat=2):
         total = count_tr_fusion(a, b).total
         brute = len(enumerate_transfer_systems(fusion(a, b)))
@@ -295,11 +356,12 @@ def check_roundtrips():
     image of a listed system that is not listed; `system_to_cover` runs on
     every listed system and on every generated one.  Covers and systems
     are compared by their bits, and only the bits of a generated system
-    are kept."""
+    are kept.  In a `run_checks` call the covers and systems are the ones
+    `check_matchstick` listed."""
     res = CheckResult("roundtrip", True)
     for name, lat in modular_family():
-        covers = enumerate_saturated_covers(lat)
-        systems = enumerate_saturated_systems(lat)
+        covers = _listing(enumerate_saturated_covers, lat)
+        systems = _listing(enumerate_saturated_systems, lat)
         images = [system_to_cover(r) for r in systems]
         generated, ok_cov = {}, True  # the bits of a cover -> the bits of its system
         for q in covers:
@@ -317,25 +379,20 @@ def check_roundtrips():
 
 
 def check_functorial():
-    """The composition counterexample and 200 meet-preserving pairs."""
+    """The composition counterexample and 200 meet-preserving pairs, each
+    checked on every system of its source.  In a `run_checks` call Tr of
+    each pool lattice is listed once, not once per pair."""
     res = CheckResult("functorial", True)
     f, g, system = composition_counterexample()
     direct = pushforward(compose(g, f), system)
     staged = pushforward(g, pushforward(f, system))
     strict = direct.refines(staged) and direct != staged
     res.note(strict, "monotone counterexample: staged pushforward strictly larger")
-    pool = [
-        chain(1),
-        chain(2),
-        chain(3),
-        boolean_cube(2),
-        iterated_fusion(chain(2), 2),
-        product(chain(1), chain(2)),
-    ]
+    pool = [_chain(1), _chain(2), _chain(3), _cube(2), _fuse2(2), _rect(1, 2)]
     pairs = sample_meet_preserving_pairs(pool, 200, seed=20230811)
     failures = 0
     for fm, gm in pairs:
-        sample = list(enumerate_transfer_systems(fm.source))
+        sample = list(_listing(enumerate_transfer_systems, fm.source))
         report = check_functoriality(fm, gm, sample)
         if not report.holds:
             failures += 1
@@ -346,26 +403,15 @@ def check_functorial():
 def check_oracles():
     """Backtracking enumerations equal the naive subset filters."""
     res = CheckResult("oracle", True)
-    tr_family = [
-        (f"chain({m})", chain(m)) for m in range(1, 5)
-    ] + [
-        ("cube(2)", boolean_cube(2)),
-        ("pentagon", pentagon()),
-        ("rect[1]x[2]", product(chain(1), chain(2))),
-    ] + [(f"[2]*{n}", iterated_fusion(chain(2), n)) for n in range(2, 6)]
-    for name, lat in tr_family:
-        fast = [s.bits for s in enumerate_transfer_systems(lat)]
+    rect = ("rect[1]x[2]", _rect(1, 2))
+    tr_family = _chains(range(1, 5)) + [("cube(2)", _cube(2)), ("pentagon", _lattice(pentagon)), rect]
+    for name, lat in tr_family + _fusions(range(2, 6)):
+        fast = [s.bits for s in _listing(enumerate_transfer_systems, lat)]
         slow = [s.bits for s in naive_transfer_systems(lat)]
         res.note(fast == slow, f"transfer oracle on {name}: {len(fast)} systems")
-    cover_family = [
-        (f"chain({m})", chain(m)) for m in range(1, 5)
-    ] + [
-        ("cube(2)", boolean_cube(2)),
-        ("cube(3)", boolean_cube(3)),
-        ("rect[1]x[2]", product(chain(1), chain(2))),
-    ] + [(f"[2]*{n}", iterated_fusion(chain(2), n)) for n in range(2, 6)]
-    for name, lat in cover_family:
-        fast = [q.bits for q in enumerate_saturated_covers(lat)]
+    cover_family = _chains(range(1, 5)) + [("cube(2)", _cube(2)), ("cube(3)", _cube(3)), rect]
+    for name, lat in cover_family + _fusions(range(2, 6)):
+        fast = [q.bits for q in _listing(enumerate_saturated_covers, lat)]
         slow = [q.bits for q in naive_saturated_covers(lat)]
         res.note(fast == slow, f"cover oracle on {name}: {len(fast)} covers")
     return res
@@ -387,15 +433,27 @@ ALL_CHECKS = {
 
 def run_checks(names=None, max_n=None):
     """The results of the named checks, or all, each with its wall time;
-    one that notes no line fails."""
-    results = []
-    for name, fn in ALL_CHECKS.items():
-        if names and name not in names:
-            continue
-        start = time.perf_counter()
-        result = fn(max_n) if max_n is not None and name in ("catalan", "a102896", "bmt") else fn()
-        result.seconds = time.perf_counter() - start
-        if not result.lines:
-            result.note(False, "checked nothing")
-        results.append(result)
+    one that notes no line fails, and a name that is no check raises
+    InvalidInput.
+
+    The checks of one call share one table of lattices and listings (see
+    the module docstring), made empty for the call and dropped when it
+    returns.  A shared listing is made by the first check that asks for
+    it, so its time counts toward that check's `seconds` only."""
+    unknown = sorted(set(names or ()) - ALL_CHECKS.keys())
+    if unknown:
+        raise InvalidInput(f"unknown checks {unknown}; choose from {sorted(ALL_CHECKS)}")
+    results, token = [], _TABLE.set({})
+    try:
+        for name, fn in ALL_CHECKS.items():
+            if names and name not in names:
+                continue
+            start = time.perf_counter()
+            result = fn(max_n) if max_n is not None and name in ("catalan", "a102896", "bmt") else fn()
+            result.seconds = time.perf_counter() - start
+            if not result.lines:
+                result.note(False, "checked nothing")
+            results.append(result)
+    finally:
+        _TABLE.reset(token)
     return results

@@ -13,6 +13,7 @@ from trsys.counting import (
 )
 from trsys.errors import NotPrime, SizeLimit
 from trsys.lattice import boolean_cube, chain, fusion, is_isomorphic, iterated_fusion
+from trsys.oracles import naive_hasse_edges
 from trsys.transfer import enumerate_transfer_systems
 
 
@@ -160,6 +161,14 @@ def test_bmt_hasse_matches_reference_shape():
     for n in (2, 3):
         dec = bmt_decompose(n)
         assert is_isomorphic(dec.tr.hasse_lattice(), verify.bmt_reference_lattice(n))
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_bmt_tr_covers_are_the_hasse_edges_of_refinement(n):
+    # check_bmt compares its reference shape with the wrapped `tr.covers`;
+    # they agree because no two of these systems have 256 or more between them
+    tr = bmt_decompose(n).tr
+    assert tr.covers == naive_hasse_edges(tr)
 
 
 def test_chi_structure_reports():

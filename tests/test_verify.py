@@ -1,12 +1,16 @@
-"""The verification table: its full output, and faults planted in its routes.
+"""The verification table: its full output, faults planted in its routes,
+and the table of lattices and listings that one run shares.
 
 Each fault-planting test breaks one route of one check with `monkeypatch`
 and asserts the lines the check then fails on, so that a check which
 stopped comparing would show here.
 """
 import contextlib
+import gc
 import io
 import pathlib
+import re
+import weakref
 
 import pytest
 
@@ -14,8 +18,8 @@ from trsys import functorial, oracles, verify
 from trsys.characteristic import ChiFiber, fiber_decomposition
 from trsys.cli import main
 from trsys.covers import cover_to_system
-from trsys.errors import InvariantViolation
-from trsys.transfer import TransferSystem, closure_for, complete_system
+from trsys.errors import InvalidInput, InvariantViolation
+from trsys.transfer import TransferSystem, closure_for, complete_system, enumerate_transfer_systems
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "verify_verbose.txt"
 
@@ -49,7 +53,7 @@ def test_check_fibers_fails_when_the_top_fiber_of_cube3_loses_a_member(monkeypat
     assert failed_lines(result) == ["FAIL cube(3): 61 fibers over the 61 interior operators"]
 
 
-def test_check_roundtrips_fails_when_one_cover_generates_the_wrong_system(monkeypatch):
+def plant_a_wrong_system_for_the_empty_cover_of_cube3(monkeypatch):
     def planted(cover):
         lat = cover.lattice
         if lat.n == 8 and cover.bits == 0:  # the empty cover of cube(3)
@@ -57,9 +61,23 @@ def test_check_roundtrips_fails_when_one_cover_generates_the_wrong_system(monkey
         return cover_to_system(cover)
 
     monkeypatch.setattr(verify, "cover_to_system", planted)
+
+
+def test_check_roundtrips_fails_when_one_cover_generates_the_wrong_system(monkeypatch):
+    plant_a_wrong_system_for_the_empty_cover_of_cube3(monkeypatch)
     result = verify.check_roundtrips()
     assert not result.ok
     assert failed_lines(result) == ["FAIL cube(3): 61 covers <-> 61 saturated systems"]
+
+
+def test_a_full_run_fails_only_roundtrip_when_one_cover_generates_the_wrong_system(monkeypatch):
+    # matchstick lists the same covers and saturated systems as roundtrip, and
+    # roundtrip reads them from the run's table: the fault must still show there
+    plant_a_wrong_system_for_the_empty_cover_of_cube3(monkeypatch)
+    results = {result.name: result for result in verify.run_checks()}
+    assert [name for name, result in results.items() if not result.ok] == ["roundtrip"]
+    assert failed_lines(results["roundtrip"]) == ["FAIL cube(3): 61 covers <-> 61 saturated systems"]
+    assert results["matchstick"].ok
 
 
 def test_check_oracles_fails_on_every_lattice_when_one_subset_is_skipped(monkeypatch):
@@ -116,3 +134,51 @@ def test_subsets_are_the_base_plus_each_subset_of_the_free_positions(k):
     assert len(masks) == len(set(masks)) == 2**k
     assert set(masks) == {base | sum(1 << p for i, p in enumerate(free) if pick >> i & 1) for pick in range(2**k)}
     assert sorted(oracles._subsets(free)) == sorted(mask ^ base for mask in masks)
+
+
+@pytest.fixture(scope="module")
+def full_run():
+    return {result.name: result for result in verify.run_checks()}
+
+
+@pytest.mark.parametrize("name", list(verify.ALL_CHECKS))
+def test_each_check_alone_gives_what_it_gives_in_the_full_run(full_run, name):
+    (alone,) = verify.run_checks([name])
+    assert (alone.name, alone.ok, alone.lines) == (name, full_run[name].ok, full_run[name].lines)
+    assert alone.ok
+
+
+@pytest.mark.parametrize("names", [["catalan", "typo"], ["nope"], ["oracle", "zeta", "alpha"]])
+def test_run_checks_refuses_unknown_names(names):
+    unknown = sorted(set(names) - set(verify.ALL_CHECKS))
+    with pytest.raises(InvalidInput, match=re.escape(f"unknown checks {unknown!r}")):
+        verify.run_checks(names)
+
+
+def record_tr_listings(monkeypatch):
+    """Weak references to the lattices whose Tr the checks list, one per call."""
+    listed = []
+
+    def recording(lat, *args, **kwargs):
+        listed.append(weakref.ref(lat))
+        return enumerate_transfer_systems(lat, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "enumerate_transfer_systems", recording)
+    return listed
+
+
+def test_the_table_of_a_run_is_dropped_when_the_run_returns(monkeypatch):
+    listed = record_tr_listings(monkeypatch)
+    assert all(result.ok for result in verify.run_checks())
+    gc.collect()
+    assert listed and all(ref() is None for ref in listed)
+
+
+def test_functorial_lists_each_pool_lattice_once_in_a_run_and_every_pair_alone(monkeypatch):
+    listed = record_tr_listings(monkeypatch)
+    assert verify.check_functorial().ok
+    assert len(listed) == 200  # a direct call shares nothing: one listing per seeded pair
+    listed.clear()
+    (result,) = verify.run_checks(["functorial"])
+    assert result.ok
+    assert len(listed) == 6  # one per lattice of its pool
