@@ -77,16 +77,16 @@ def _join_closure(joins, inc, exc, p):
     return inc | _gather(joins[p], inc)
 
 
-def _interior_masks(lat, guard, jobs):
+def _interior_masks(lat, guard):
     """Every interior system as a sorted mask of height-order positions.
     Deciding positions in increasing order makes the search dead-end free:
     each p v a that including p adds is p or lies strictly above it, at a
     greater height, so it is still undecided.  No include meets `exc`: one
     include call per leaf but the first, so the leaf guard bounds the work."""
-    return search.leaves(range(1, lat.n), 1, partial(_join_closure, _height_order(lat)[1]), jobs=jobs, guard=guard)
+    return search.leaves(range(1, lat.n), 1, partial(_join_closure, _height_order(lat)[1]), guard=guard)
 
 
-def interior_system_masks(lat, guard=search.MAX_LEAVES, jobs=1):
+def interior_system_masks(lat, guard=search.MAX_LEAVES):
     """All join-closed subsets containing bottom, as element bitmasks, sorted.
 
     Interior systems are exactly the images of interior operators.  The
@@ -96,7 +96,7 @@ def interior_system_masks(lat, guard=search.MAX_LEAVES, jobs=1):
     than `guard` systems raise SizeLimit; None is no limit.
     """
     labels = _byte_tables(1 << x for x in _height_order(lat)[0])
-    return sorted(_gather(labels, m) for m in _interior_masks(lat, guard, jobs))
+    return sorted(_gather(labels, m) for m in _interior_masks(lat, guard))
 
 
 def operator_from_interior_system(lat, mask):
@@ -142,7 +142,7 @@ class _Memo(dict):
         return value
 
 
-def interior_images(lat, guard=search.MAX_LEAVES, jobs=1):
+def interior_images(lat, guard=search.MAX_LEAVES):
     """The image of every interior operator as one `bytes` row, byte x the
     label f(x), sorted: `bytes` order is the lexicographic image order.
 
@@ -178,13 +178,13 @@ def interior_images(lat, guard=search.MAX_LEAVES, jobs=1):
 
     lows, high_rows, low_bits = _Memo(low_row), _Memo(high_row), (1 << h) - 1
     return sorted(((high := high_rows[m >> h])[0] | lows[m & low_bits] & high[1]).to_bytes(n, "little")
-                  for m in _interior_masks(lat, guard, jobs))
+                  for m in _interior_masks(lat, guard))
 
 
-def enumerate_interior_operators(lat, guard=search.MAX_LEAVES, jobs=1):
+def enumerate_interior_operators(lat, guard=search.MAX_LEAVES):
     """All interior operators, sorted by lexicographic image: the rows of
     `interior_images`, each wrapped as an `InteriorOperator`."""
-    return [InteriorOperator._wrap(lat, tuple(row)) for row in interior_images(lat, guard, jobs)]
+    return [InteriorOperator._wrap(lat, tuple(row)) for row in interior_images(lat, guard)]
 
 
 def count_interior_operators(lat, max_elements=16):

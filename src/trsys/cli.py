@@ -76,7 +76,6 @@ def _add_lattice_args(parser):
     parser.add_argument("--p", type=int, default=None, help="prime parameter (subcpcp)")
     parser.add_argument("--json", dest="json_path", default=None, help="lattice JSON path")
     parser.add_argument("--unsafe-guard", action="store_true", help="lift the size guards")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes of the cover and interior searches")
 
 
 def _require_nonnegative(args, *flags):
@@ -88,8 +87,6 @@ def _require_nonnegative(args, *flags):
 
 def _build_lattice(args):
     _require_nonnegative(args, "n", "m")
-    if args.jobs < 1:
-        raise InvalidInput(f"--jobs must be at least 1, got {args.jobs}")
     if args.family == "json":
         _require(args.json_path is not None, "--family json needs --json PATH")
         return _read_lattice(args.json_path, args.unsafe_guard)
@@ -136,10 +133,9 @@ _KINDS = {
 
 
 def _items(kind, lat, args):
-    """The items of `kind` on `lat` from its one library call, whose leaf
-    guard --unsafe-guard lifts; covers and interior images split across
-    --jobs worker processes."""
-    return _KINDS[kind](lat, jobs=args.jobs, **_lifted(args))
+    """The items of `kind` on `lat` from its one serial library call, whose
+    leaf guard --unsafe-guard lifts."""
+    return _KINDS[kind](lat, **_lifted(args))
 
 
 def _dots(items, name):
@@ -198,7 +194,6 @@ def _print_fiber_report(tr, args):
 
 
 def cmd_verify(args):
-    _require_nonnegative(args, "max")
     _require(not args.check or args.check in ALL_CHECKS, f"unknown check {args.check!r}; choose from {sorted(ALL_CHECKS)}")
     results = run_checks([args.check] if args.check else None, max_n=args.max)
     if args.json:
@@ -222,7 +217,7 @@ def cmd_export(args):
     if args.what == "hasse":
         files = [("hasse.dot", lattice_to_dot(lat))]
     elif args.what == "tr-hasse":
-        tr = enumerate_transfer_systems(lat, jobs=args.jobs, guard=None if args.unsafe_guard else MAX_TR_HASSE)
+        tr = enumerate_transfer_systems(lat, guard=None if args.unsafe_guard else MAX_TR_HASSE)
         files = [("tr_hasse.dot", serialize.tr_hasse_to_dot(tr))]
     else:  # one file per system or per cover, its DOT text made as it is written
         kind, name = ("transfer", "system") if args.what == "systems" else ("covers", "cover")

@@ -166,7 +166,7 @@ class _CoverRules:
 _rules = per_lattice(_CoverRules)
 
 
-def enumerate_saturated_covers(lat, guard=search.MAX_LEAVES, jobs=1):
+def enumerate_saturated_covers(lat, guard=search.MAX_LEAVES):
     """All saturated covers, by backtracking over cover edges.
 
     Rule (1) propagates along precomputed implication masks; rule (2)
@@ -175,16 +175,16 @@ def enumerate_saturated_covers(lat, guard=search.MAX_LEAVES, jobs=1):
     Edges are decided by decreasing height of their lower end, then by
     position: rule (1) forces edges downwards, so an edge tends to be
     decided before the edges it forces, which are then still open rather
-    than excluded.  The search runs on the engine in `trsys.search`, split
-    across worker processes when jobs > 1, and its leaves are wrapped
-    without re-validation: the tests and `verify` compare them with the
-    subset filter of `oracles.py` and with the saturated systems.  More
-    than `guard` covers raise SizeLimit; None is no limit.
+    than excluded.  The search runs serially on the engine in
+    `trsys.search`, and its leaves are wrapped without re-validation: the
+    tests and `verify` compare them with the subset filter of `oracles.py`
+    and with the saturated systems.  More than `guard` covers raise
+    SizeLimit; None is no limit.
     """
     if not lat.is_modular():
         raise NotModular("saturated covers are defined on modular lattices")
     rules = _rules(lat)
-    out = search.leaves(rules.order, 0, rules.propagate, jobs=jobs, guard=guard)
+    out = search.leaves(rules.order, 0, rules.propagate, guard=guard)
     return [SaturatedCover._wrap(lat, b) for b in out]
 
 

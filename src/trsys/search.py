@@ -18,14 +18,12 @@ with no push, pop or scan of the order.
 
 The Tr and saturated kinds do not walk: `transfer._layers` lists them
 one element at a time, under the same leaf guard and, through
-`check_width`, the same memory guard.
+`check_width`, the same memory guard.  Every search runs serially, in
+the calling process.
 """
 from __future__ import annotations
 
-import os
 import sys
-from collections import deque
-from itertools import repeat
 
 from .errors import SizeLimit
 
@@ -41,36 +39,20 @@ def check_width(width, guard):
         raise SizeLimit(f"{guard} leaves of {width} bits pass the search's memory guard of 2^31 bits")
 
 
-def leaves(order, root, propagate, jobs=1, guard=None):
+def leaves(order, root, propagate, guard=None):
     """The `inc` of every leaf below the closed set `root`, sorted; none
-    repeats, and more than `guard` raise SizeLimit.  With jobs > 1, at most
-    the CPU count, the tree is opened breadth-first until four states per
-    worker are open, and their subtrees run in worker processes; their
-    leaves count against one guard.  A guard whose leaves could hold more
-    than `_LEAF_BITS` bits raises SizeLimit before the search starts.
+    repeats, and more than `guard` raise SizeLimit.  A guard whose leaves
+    could hold more than `_LEAF_BITS` bits raises SizeLimit before the
+    search starts.
     """
     check_width(max(order, default=-1) + 1, guard)  # the bits of one leaf
-    jobs = min(jobs, os.cpu_count() or 1)
     limit = sys.maxsize if guard is None else guard  # no list holds more
-    states = deque([[0, root, 0]])
-    out = _walk(order, states, propagate, limit, width=4 * jobs if jobs > 1 else 0)
-    if states:
-        # imported here, so that a serial start skips the pool's ~20 ms of imports
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            subtrees = ([state] for state in states)
-            # a worker's SizeLimit cancels the pending subtrees inside map
-            for chunk in pool.map(_walk, repeat(order), subtrees, repeat(propagate), repeat(limit)):
-                out.extend(chunk)
-                if len(out) > limit:
-                    pool.shutdown(cancel_futures=True)
-                    raise SizeLimit(f"the search passed its guard of {guard} leaves")
+    out = _walk(order, [[0, root, 0]], propagate, limit)
     out.sort()
     return out
 
 
-def _walk(order, states, propagate, limit, width=0):
+def _walk(order, states, propagate, limit):
     """The leaves below `states`, at most `limit`.  A popped state runs down
     its exclusion spine, pushing each include child that leaves two or more
     positions undecided, setting aside those that leave one and taking the
@@ -79,17 +61,13 @@ def _walk(order, states, propagate, limit, width=0):
     which its closures with k hold; those `exc` grow along the spine, so
     the scan of each list stops at the newest that misses it.  The
     children set aside are finished after the spine, each by at most one
-    include.  With `width`, the oldest state is popped first and the walk
-    stops once `width` states are open, leaving them in `states`."""
+    include."""
     out = []
     cells = [(i + 1, k, 1 << k) for i, k in enumerate(order)]  # the next index, position and bit
     every = sum(1 << k for k in order)  # a state decides every position before its index
-    pop = states.popleft if width else states.pop
-    push = states.append
+    pop, push = states.pop, states.append
     ones = []  # this spine's children with one undecided position, as [that bit, inc, exc]
     while states:
-        if width and len(states) >= width:
-            break
         i, inc, exc = pop()
         base, skip = len(states), inc | exc  # the spine adds to `exc` only bits it has passed
         for nxt, k, bit in cells[i:]:

@@ -562,22 +562,21 @@ def _extensions(T, A, below, n, t, col, saturated):
     return out[1:]
 
 
+# `jobs` is ignored and kept only because benchmarks/record.py passes it
 def enumerate_transfer_systems(lat, guard=search.MAX_LEAVES, jobs=1):
     """All transfer systems on `lat`, as a TrLattice.
 
-    Lists them by adjoining one element at a time (`_layers`); `jobs` is
-    kept for the common signature of the searches, and the listing runs
-    serially.  More than `guard` systems raise SizeLimit; None is no limit.
+    Lists them serially, by adjoining one element at a time (`_layers`).
+    More than `guard` systems raise SizeLimit; None is no limit.
     """
     return TrLattice._from_sorted_bits(lat, _layers(lat, guard, saturated=False))
 
 
-def enumerate_saturated_systems(lat, guard=search.MAX_LEAVES, jobs=1):
+def enumerate_saturated_systems(lat, guard=search.MAX_LEAVES):
     """All saturated transfer systems, enumerated directly.
 
-    The same layers with two-out-of-three asked of each extension, so the
-    count is independent of full Tr enumeration; `jobs` as for
-    `enumerate_transfer_systems`.  More than `guard` systems raise
-    SizeLimit; None is no limit.
+    The same serial layers with two-out-of-three asked of each extension,
+    so the count is independent of full Tr enumeration.  More than `guard`
+    systems raise SizeLimit; None is no limit.
     """
     return [TransferSystem._wrap(lat, b) for b in _layers(lat, guard, saturated=True)]

@@ -433,8 +433,8 @@ ALL_CHECKS = {
 
 def run_checks(names=None, max_n=None):
     """The results of the named checks, or all, each with its wall time;
-    one that notes no line fails, and a name that is no check raises
-    InvalidInput.
+    one that notes no line fails, and a name that is no check, or a
+    `max_n` below 1, raises InvalidInput.
 
     The checks of one call share one table of lattices and listings (see
     the module docstring), made empty for the call and dropped when it
@@ -443,6 +443,8 @@ def run_checks(names=None, max_n=None):
     unknown = sorted(set(names or ()) - ALL_CHECKS.keys())
     if unknown:
         raise InvalidInput(f"unknown checks {unknown}; choose from {sorted(ALL_CHECKS)}")
+    if max_n is not None and max_n < 1:
+        raise InvalidInput(f"max_n (--max) must be at least 1, got {max_n}")
     results, token = [], _TABLE.set({})
     try:
         for name, fn in ALL_CHECKS.items():

@@ -25,7 +25,6 @@ from trsys.lattice import (
     product,
     sub_cp_cp,
 )
-from trsys.search import leaves
 from trsys.serialize import (
     cover_to_dot,
     cover_to_json,
@@ -45,6 +44,7 @@ from trsys.transfer import (
     enumerate_saturated_systems,
     enumerate_transfer_systems,
 )
+from trsys.verify import ALL_CHECKS, CheckResult
 
 
 def run_cli(args, capsys):
@@ -394,9 +394,9 @@ def test_oversized_lattice_json_is_refused_before_it_is_built(tmp_path, capsys, 
     assert "bottom" in err
 
 
-def test_output_is_deterministic_across_jobs(capsys):
+def test_output_is_the_same_on_repeated_runs(capsys):
     # the systems in JSON, the fiber report as a table and in JSON, and the
-    # 533 interior operators of [2]x[3] in JSON
+    # 533 interior operators of [2]x[3] in JSON, each run twice in one process
     fuse2, rect = ["--family", "fuse2", "--n", "4"], ["--family", "rect", "--m", "2", "--n", "3"]
     for lattice, flags in [
         (fuse2, ["--format", "json"]),
@@ -406,9 +406,8 @@ def test_output_is_deterministic_across_jobs(capsys):
     ]:
         base = ["enumerate", *lattice, *flags]
         _, out1, _ = run_cli(base, capsys)
-        _, out2, _ = run_cli(base + ["--jobs", "2"], capsys)
-        _, out3, _ = run_cli(base, capsys)
-        assert out1 == out2 == out3
+        _, out2, _ = run_cli(base, capsys)
+        assert out1 == out2
 
 
 def test_verify_single_check(capsys):
@@ -417,33 +416,40 @@ def test_verify_single_check(capsys):
     assert "PASS catalan" in out
 
 
-@pytest.mark.parametrize("check", ["catalan", "a102896"])
+@pytest.mark.parametrize("check", ["catalan", "a102896", "bmt"])
 def test_verify_negative_max_exits_two(capsys, check):
-    code, out, err = run_cli(["verify", "--check", check, "--max", "-3"], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    # bmt checks n = 1 to --max, so --max 0 would leave it nothing to compare
+    for max_n in ["-3", "0"]:
+        code, out, err = run_cli(["verify", "--check", check, "--max", max_n], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: max_n (--max) must be at least 1, got {max_n}\n"
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-@pytest.mark.parametrize("command", ["enumerate", "export"])
-def test_jobs_below_one_exits_two(tmp_path, capsys, command, jobs):
-    out_dir = tmp_path / "out"
-    argv = [command, "--family", "chain", "--n", "2", "--jobs", jobs]
-    argv += ["--kind", "transfer"] if command == "enumerate" else ["--out", str(out_dir)]
-    code, out, err = run_cli(argv, capsys)
-    assert code == 2
-    assert out == "" and not out_dir.exists()
-    assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+def notes_nothing():
+    """A stand-in for the bmt check that compares nothing and notes no line."""
+    return CheckResult("bmt", True)
 
 
-def test_verify_check_that_compares_nothing_fails(capsys):
-    # bmt checks n = 1 to --max, so --max 0 leaves it nothing to compare
-    code, out, err = run_cli(["verify", "--check", "bmt", "--max", "0"], capsys)
+def test_verify_check_that_compares_nothing_fails(capsys, monkeypatch):
+    monkeypatch.setitem(ALL_CHECKS, "bmt", notes_nothing)
+    code, out, err = run_cli(["verify", "--check", "bmt"], capsys)
     assert (code, out, err) == (1, "FAIL bmt\n  FAIL checked nothing\n0/1 checks passed\n", "")
 
 
-def test_verify_json_prints_one_record_per_check(capsys):
+def test_jobs_is_refused_as_an_unknown_flag(tmp_path, capsys):
+    for command in ["enumerate", "export"]:
+        argv = [command, "--family", "chain", "--n", "2", "--jobs", "2"]
+        argv += ["--kind", "transfer"] if command == "enumerate" else ["--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: --jobs 2" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_json_prints_one_record_per_check(capsys, monkeypatch):
     code, out, err = run_cli(["verify", "--check", "catalan", "--json"], capsys)
     assert (code, err) == (0, "")
     (record,) = [json.loads(line) for line in out.splitlines()]
@@ -452,7 +458,8 @@ def test_verify_json_prints_one_record_per_check(capsys):
     assert isinstance(record["seconds"], float) and record["seconds"] >= 0
     _, verbose, _ = run_cli(["verify", "--check", "catalan", "--verbose"], capsys)
     assert record["lines"] == [line[2:] for line in verbose.splitlines()[1:-1]]
-    code, out, _ = run_cli(["verify", "--check", "bmt", "--max", "0", "--json"], capsys)
+    monkeypatch.setitem(ALL_CHECKS, "bmt", notes_nothing)
+    code, out, _ = run_cli(["verify", "--check", "bmt", "--json"], capsys)
     record = json.loads(out)
     assert (code, record["ok"], record["lines"]) == (1, False, ["FAIL checked nothing"])
 
@@ -552,24 +559,6 @@ def test_export_covers(tmp_path, capsys):
     assert sorted(os.listdir(enumerated)) == ["covers_" + name.removeprefix("cover_") for name in files]
     for name in files:
         assert (exported / name).read_bytes() == (enumerated / ("covers_" + name.removeprefix("cover_"))).read_bytes()
-
-
-def test_export_covers_passes_jobs_on(tmp_path, capsys, monkeypatch):
-    original, calls = leaves, []
-
-    def recorded(*args, **kwargs):
-        calls.append(kwargs)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr("trsys.search.leaves", recorded)
-    code, out, err = run_cli(
-        ["export", "--family", "fuse2", "--n", "3", "--what", "covers", "--jobs", "2",
-         "--out", str(tmp_path)],
-        capsys,
-    )
-    assert code == 0
-    assert [kwargs.get("jobs") for kwargs in calls] == [2]
-    assert len(os.listdir(tmp_path)) == 12
 
 
 def test_export_hasse(tmp_path, capsys):
@@ -772,7 +761,7 @@ def test_enumerate_runs_without_numpy(tmp_path):
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    # the pool is imported by the first search with jobs > 1, not on every start
+    # every search runs serially, so nothing loads a process pool
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, trsys; print('concurrent.futures.process' in sys.modules)"],
         capture_output=True,

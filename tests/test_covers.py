@@ -152,13 +152,6 @@ def test_enumeration_guard():
         enumerate_saturated_covers(boolean_cube(3), guard=5)
 
 
-def test_parallel_enumeration_matches_sequential():
-    lat = boolean_cube(3)
-    seq = [q.bits for q in enumerate_saturated_covers(lat)]
-    par = [q.bits for q in enumerate_saturated_covers(lat, jobs=2)]
-    assert seq == par
-
-
 # -- the bijection ----------------------------------------------------------------
 
 

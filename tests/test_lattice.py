@@ -375,8 +375,7 @@ def test_per_lattice_tables_are_built_once_and_not_pickled():
     assert _bottom_up(lat) is _bottom_up(lat)
     assert _height_order(lat) is _height_order(lat)
     # the searches read the cached tables, and the cover search the cached
-    # modularity; a pickled lattice, as `--jobs` workers receive it,
-    # carries none of them
+    # modularity; a pickled lattice carries none of them
     assert len(enumerate_transfer_systems(lat)) == 450
     assert len(enumerate_saturated_covers(lat)) == 61
     assert len(interior_system_masks(lat)) == 61

@@ -36,7 +36,6 @@ from trsys.characteristic import (
     characteristic,
     count_interior_operators,
     fiber_decomposition,
-    interior_images,
     interior_system_masks,
     operator_from_interior_system,
 )
@@ -208,19 +207,6 @@ def test_interior_search_includes_only_on_branches_that_reach_a_leaf(lat, dual):
     with mock.patch.object(module, "_join_closure", counted):
         masks = interior_system_masks(lat)
     assert len(calls) == len(masks) - 1
-
-
-@settings(max_examples=25, deadline=None)
-@given(relabelled(BASES))
-@example(sub_cp_cp(3))
-def test_two_jobs_give_the_serial_output(lat):
-    searches = [enumerate_transfer_systems, enumerate_saturated_systems]
-    if lat.is_modular():
-        searches.append(enumerate_saturated_covers)
-    for enumerate_ in searches:
-        serial = bits(enumerate_(lat, guard=None))
-        assert bits(enumerate_(lat, guard=None, jobs=2)) == serial
-    assert interior_images(lat, guard=None, jobs=2) == interior_images(lat, guard=None)
 
 
 def systems_and_pairs(lat, dual):

@@ -1,7 +1,6 @@
 """The leaf and memory guards of the search engine and of the layered Tr
-lister, the engine's cap on worker processes, the work of the lister
-against its budgets, and its leaves against the plain walk."""
-import concurrent.futures
+lister, the work of the lister against its budgets, and its leaves
+against the plain walk."""
 import random
 import sys
 import tracemalloc
@@ -23,49 +22,17 @@ SEARCHES = [enumerate_transfer_systems, enumerate_saturated_systems, enumerate_s
 KINDS = ["transfer", "saturated", "covers"]
 
 
-@pytest.fixture
-def in_process_pool(monkeypatch):
-    """The pools that `search.leaves` creates on 3 CPUs, each a stand-in for
-    ProcessPoolExecutor that runs `map` in this process and records the
-    worker count it was asked for and its shutdowns."""
-    created = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
-            self.shutdowns = []
-            created.append(self)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-        def shutdown(self, wait=True, *, cancel_futures=False):
-            self.shutdowns.append(cancel_futures)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
-    return created
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize(
     "enumerate_", [*SEARCHES, enumerate_interior_operators], ids=[*KINDS, "interior"]
 )
-def test_guard_admits_exactly_its_count_of_leaves(enumerate_, jobs):
+def test_guard_admits_exactly_its_count_of_leaves(enumerate_):
     # cube(3) has 450 transfer systems, 61 saturated ones, 61 covers and 61
-    # interior operators; at jobs=2 the leaves come from 9 to 19 subtrees,
-    # none over the guard alone
+    # interior operators
     lat = boolean_cube(3)
     count = len(enumerate_(lat, guard=None))
-    assert len(enumerate_(lat, guard=count, jobs=jobs)) == count
+    assert len(enumerate_(lat, guard=count)) == count
     with pytest.raises(SizeLimit, match=f"guard of {count - 1} leaves"):
-        enumerate_(lat, guard=count - 1, jobs=jobs)
+        enumerate_(lat, guard=count - 1)
 
 
 @pytest.mark.parametrize("enumerate_", SEARCHES, ids=KINDS)
@@ -73,25 +40,6 @@ def test_a_guard_of_zero_refuses_the_one_leaf_of_a_point(enumerate_):
     with pytest.raises(SizeLimit, match="guard of 0 leaves"):
         enumerate_(chain(0), guard=0)
     assert len(enumerate_(chain(0), guard=1)) == 1
-
-
-def test_jobs_are_capped_at_the_cpu_count(in_process_pool):
-    # the cover search still walks, and splits its tree across workers;
-    # the Tr and saturated listers run serially at any `jobs`
-    lat = boolean_cube(3)
-    serial = [cover.bits for cover in enumerate_saturated_covers(lat)]
-    assert [cover.bits for cover in enumerate_saturated_covers(lat, jobs=1_000_000)] == serial
-    assert enumerate_transfer_systems(lat, jobs=1_000_000).bits == enumerate_transfer_systems(lat).bits
-    assert [pool.max_workers for pool in in_process_pool] == [3]
-
-
-def test_merged_total_over_the_guard_cancels_the_pending_subtrees(in_process_pool):
-    # cube(3) has 61 covers, split into subtrees of fewer than 60 each
-    lat = boolean_cube(3)
-    with pytest.raises(SizeLimit, match="guard of 60 leaves"):
-        enumerate_saturated_covers(lat, guard=60, jobs=3)
-    [pool] = in_process_pool
-    assert pool.shutdowns == [True]
 
 
 def test_memory_guard_admits_exactly_its_budget_of_bits(monkeypatch):
@@ -192,12 +140,11 @@ def test_tr_of_sub_cp_cp_has_the_rank_two_count(p):
     assert len(enumerate_transfer_systems(sub_cp_cp(p), guard=None)) == tr_rank_two(p)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_guard_admits_exactly_the_leaves_of_its_cubes(jobs):
+def test_guard_admits_exactly_the_leaves_of_its_cubes():
     lat = sub_cp_cp(13)
-    assert len(enumerate_transfer_systems(lat, guard=32_782, jobs=jobs)) == 32_782
+    assert len(enumerate_transfer_systems(lat, guard=32_782)) == 32_782
     with pytest.raises(SizeLimit, match="guard of 32781 leaves"):
-        enumerate_transfer_systems(lat, guard=32_781, jobs=jobs)
+        enumerate_transfer_systems(lat, guard=32_781)
 
 
 def test_a_layer_past_the_guard_is_refused_before_it_is_built():

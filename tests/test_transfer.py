@@ -208,20 +208,6 @@ def test_enumeration_guard():
         enumerate_transfer_systems(boolean_cube(3), guard=10)
 
 
-def test_parallel_enumeration_matches_sequential():
-    lat = boolean_cube(3)
-    seq = [s.bits for s in enumerate_transfer_systems(lat)]
-    par = [s.bits for s in enumerate_transfer_systems(lat, jobs=2)]
-    assert seq == par
-
-
-def test_parallel_saturated_enumeration_matches_sequential_on_relabelled_cube():
-    perm = [5, 12, 0, 9, 3, 14, 7, 1, 10, 15, 2, 8, 13, 4, 11, 6]
-    lat = Lattice(boolean_cube(4).leq[np.ix_(perm, perm)])
-    seq = [s.bits for s in enumerate_saturated_systems(lat)]
-    assert [s.bits for s in enumerate_saturated_systems(lat, jobs=2)] == seq
-
-
 def test_tr_lattice_is_a_lattice():
     for lat in (chain(3), boolean_cube(2), iterated_fusion(chain(2), 3)):
         tr = enumerate_transfer_systems(lat)

@@ -155,6 +155,14 @@ def test_run_checks_refuses_unknown_names(names):
         verify.run_checks(names)
 
 
+@pytest.mark.parametrize("names", [None, ["bmt"], ["catalan", "oracle"]])
+def test_run_checks_refuses_a_size_cap_below_one(names):
+    # bmt checks n = 1 to max_n, so max_n = 0 would leave it nothing to compare
+    with pytest.raises(InvalidInput, match="max_n \\(--max\\) must be at least 1, got 0"):
+        verify.run_checks(names, max_n=0)
+    assert [result.ok for result in verify.run_checks(["bmt"], max_n=1)] == [True]
+
+
 def record_tr_listings(monkeypatch):
     """Weak references to the lattices whose Tr the checks list, one per call."""
     listed = []
