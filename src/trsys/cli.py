@@ -278,7 +278,7 @@ def build_parser():
 
     p_verify = sub.add_parser("verify", help="run the count-verification table")
     p_verify.add_argument("--check", default=None, help="run a single named check")
-    p_verify.add_argument("--max", type=int, default=None, help="cap the family size where applicable")
+    p_verify.add_argument("--max", type=int, default=None, help="cap the family size of catalan, a102896 (at most 5) and bmt; any other --check exits 2")
     p_verify.add_argument("--verbose", action="store_true", help="print per-line detail")
     p_verify.add_argument("--json", action="store_true", help="print one JSON line per check: name, ok, seconds and lines")
     p_verify.set_defaults(func=cmd_verify)

@@ -431,10 +431,16 @@ ALL_CHECKS = {
 }
 
 
+CAPPED_CHECKS = ("catalan", "a102896", "bmt")  # the checks that read `max_n`
+
+
 def run_checks(names=None, max_n=None):
     """The results of the named checks, or all, each with its wall time;
-    one that notes no line fails, and a name that is no check, or a
-    `max_n` below 1, raises InvalidInput.
+    one that notes no line fails.  A name that is no check, a `max_n`
+    below 1, a `max_n` with a named check that does not read it, or a
+    `max_n` past the known counts with `a102896` named raises
+    InvalidInput.  A run of all checks passes `max_n` to those that read
+    it, and `a102896` stops at its known counts.
 
     The checks of one call share one table of lattices and listings (see
     the module docstring), made empty for the call and dropped when it
@@ -445,13 +451,20 @@ def run_checks(names=None, max_n=None):
         raise InvalidInput(f"unknown checks {unknown}; choose from {sorted(ALL_CHECKS)}")
     if max_n is not None and max_n < 1:
         raise InvalidInput(f"max_n (--max) must be at least 1, got {max_n}")
+    if max_n is not None and names:
+        uncapped = [name for name in names if name not in CAPPED_CHECKS]
+        if uncapped:
+            raise InvalidInput(f"max_n (--max) is read only by {list(CAPPED_CHECKS)}, not by {uncapped}")
+        known = len(INTERIOR_CUBE_COUNTS) - 1
+        if "a102896" in names and max_n > known:
+            raise InvalidInput(f"a102896 knows the interior counts of cube(0) to cube({known}), not of cube({max_n})")
     results, token = [], _TABLE.set({})
     try:
         for name, fn in ALL_CHECKS.items():
             if names and name not in names:
                 continue
             start = time.perf_counter()
-            result = fn(max_n) if max_n is not None and name in ("catalan", "a102896", "bmt") else fn()
+            result = fn(max_n) if max_n is not None and name in CAPPED_CHECKS else fn()
             result.seconds = time.perf_counter() - start
             if not result.lines:
                 result.note(False, "checked nothing")

@@ -426,6 +426,32 @@ def test_verify_negative_max_exits_two(capsys, check):
         assert err == f"error: max_n (--max) must be at least 1, got {max_n}\n"
 
 
+@pytest.mark.parametrize("check", ["ranktwo", "matchstick", "fibers", "fusion", "roundtrip", "functorial", "oracle"])
+def test_verify_max_with_a_check_that_does_not_read_it_exits_two(capsys, check):
+    code, out, err = run_cli(["verify", "--check", check, "--max", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: max_n (--max) is read only by ['catalan', 'a102896', 'bmt'], not by ['{check}']\n"
+
+
+def test_verify_max_past_the_known_interior_counts_exits_two(capsys):
+    code, out, err = run_cli(["verify", "--check", "a102896", "--max", "6"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: a102896 knows the interior counts of cube(0) to cube(5), not of cube(6)\n"
+    code, out, err = run_cli(["verify", "--check", "a102896", "--max", "5", "--verbose"], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-2:] == ["  pass interior operators on cube(5): 1385552 (want 1385552)", "1/1 checks passed"]
+
+
+def test_verify_max_in_a_full_run_caps_only_the_checks_that_read_it(capsys):
+    # a full run keeps --max for catalan, a102896 and bmt, and a102896 stops at cube(5)
+    code, out, err = run_cli(["verify", "--max", "6", "--verbose"], capsys)
+    assert (code, err) == (0, "")
+    assert "  pass |Tr([6])| = 429 (want 429)" in out
+    assert "  pass interior operators on cube(5): 1385552 (want 1385552)" in out
+    assert "cube(6)" not in out
+    assert out.endswith("10/10 checks passed\n")
+
+
 def notes_nothing():
     """A stand-in for the bmt check that compares nothing and notes no line."""
     return CheckResult("bmt", True)

@@ -81,12 +81,14 @@ def test_a_full_run_fails_only_roundtrip_when_one_cover_generates_the_wrong_syst
 
 
 def test_check_oracles_fails_on_every_lattice_when_one_subset_is_skipped(monkeypatch):
-    def planted(free, base=0):
-        every = base | sum(1 << p for p in free)  # the complete system, or every cover edge
-        return (bits for bits in subsets(free, base) if bits != every)
+    # the survivor decode drops the complete system, or every cover edge,
+    # before the public checker sees it
+    def planted(free, base, indices):
+        every = base | sum(1 << p for p in free)
+        return [bits for bits in decode(free, base, indices) if bits != every]
 
-    subsets = oracles._subsets
-    monkeypatch.setattr(oracles, "_subsets", planted)
+    decode = oracles._decode
+    monkeypatch.setattr(oracles, "_decode", planted)
     result = verify.check_oracles()
     assert not result.ok
     assert len(result.lines) == 22
@@ -128,12 +130,15 @@ def test_check_functorial_raises_when_a_staged_pushforward_of_meet_preserving_ma
 
 @pytest.mark.parametrize("k", range(8))
 def test_subsets_are_the_base_plus_each_subset_of_the_free_positions(k):
+    # decoding every index 0 <= s < 2^k gives, at s, the base with free[i] for each bit i of s
     free = [3 * i + 1 for i in range(k)]  # positions with gaps, none in the base
     base = 1 << 0 | 1 << 2 | 1 << 30
-    masks = list(oracles._subsets(free, base))
-    assert len(masks) == len(set(masks)) == 2**k
-    assert set(masks) == {base | sum(1 << p for i, p in enumerate(free) if pick >> i & 1) for pick in range(2**k)}
-    assert sorted(oracles._subsets(free)) == sorted(mask ^ base for mask in masks)
+    every = (1 << 2**k) - 1
+    masks = oracles._decode(free, base, every)
+    assert masks == [base | sum(1 << p for i, p in enumerate(free) if pick >> i & 1) for pick in range(2**k)]
+    assert oracles._decode(free, 0, every) == [mask ^ base for mask in masks]
+    odd = sum(1 << s for s in range(1, 2**k, 2))
+    assert oracles._decode(free, base, odd) == masks[1::2]
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +166,22 @@ def test_run_checks_refuses_a_size_cap_below_one(names):
     with pytest.raises(InvalidInput, match="max_n \\(--max\\) must be at least 1, got 0"):
         verify.run_checks(names, max_n=0)
     assert [result.ok for result in verify.run_checks(["bmt"], max_n=1)] == [True]
+
+
+@pytest.mark.parametrize("names", [["oracle"], ["catalan", "fusion"], ["bmt", "ranktwo", "fibers"]])
+def test_run_checks_refuses_a_size_cap_for_a_check_that_does_not_read_it(names):
+    uncapped = [name for name in names if name not in verify.CAPPED_CHECKS]
+    with pytest.raises(InvalidInput, match=re.escape(f"not by {uncapped!r}")):
+        verify.run_checks(names, max_n=3)
+
+
+def test_run_checks_refuses_a102896_past_its_known_counts_but_a_full_run_stops_there():
+    with pytest.raises(InvalidInput, match=re.escape("cube(0) to cube(5), not of cube(6)")):
+        verify.run_checks(["a102896"], max_n=6)
+    (alone,) = verify.run_checks(["a102896"], max_n=5)
+    capped = {result.name: result for result in verify.run_checks(max_n=6)}
+    assert capped["a102896"].lines == alone.lines and len(alone.lines) == 6
+    assert all(result.ok for result in capped.values())
 
 
 def record_tr_listings(monkeypatch):
