@@ -5,11 +5,16 @@ least element related to it.  It is always an interior operator (monotone,
 idempotent, contractive), every interior operator arises this way, and the
 preimage of an operator is an interval in the refinement lattice whose top
 is saturated.
+
+The interior systems, the images of the operators, are listed by a
+depth-first search and counted by a memoized recursion, two routes that
+share only the join tables of `_height_order`.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from functools import cache, partial, reduce
+from functools import cache, reduce
 from operator import or_
 
 from . import search
@@ -70,30 +75,48 @@ def _height_order(lat):
     return order, joins, [sum(1 << pos[y] for y in _bits(down)) for down in lat._down]
 
 
-def _join_closure(joins, inc, exc, p):
+def _join_closure(joins, inc, p):
     # M | (p v M) is the join closure of M + {p} when M is join-closed and
-    # contains bottom: (p v a) v (p v b) = p v (a v b) = a v (p v b).  The
-    # search reads it as a witness when it meets `exc`
+    # contains bottom: (p v a) v (p v b) = p v (a v b) = a v (p v b)
     return inc | _gather(joins[p], inc)
 
 
 def _interior_masks(lat, guard):
-    """Every interior system as a sorted mask of height-order positions.
-    Deciding positions in increasing order makes the search dead-end free:
-    each p v a that including p adds is p or lies strictly above it, at a
-    greater height, so it is still undecided.  No include meets `exc`: one
-    include call per leaf but the first, so the leaf guard bounds the work."""
-    return search.leaves(range(1, lat.n), 1, partial(_join_closure, _height_order(lat)[1]), guard=guard)
+    """Every interior system as a sorted mask of height-order positions,
+    by a depth-first search from {bottom}.  Each entry (F, M) of its stack
+    is a system M, and for each position p of F not in M its child
+    join-closes M + p and keeps the positions of F above p.  Each p v a
+    that including p adds is p or lies strictly above it, at a greater
+    height, so no child holds a position of F below p: the search has no
+    dead ends, and each system is one entry.  More than `guard` systems
+    raise SizeLimit, and so does a guard past the memory guard, at once."""
+    n, joins = lat.n, _height_order(lat)[1]
+    search.check_width(n if n > 1 else 0, guard)  # the bits up to the last decided position, n - 1
+    limit = sys.maxsize if guard is None else guard  # no list holds more
+    out, stack = [], [((1 << n) - 2, 1)]
+    pop, push, append = stack.pop, stack.append, out.append
+    while stack:
+        free, inc = pop()
+        append(inc)
+        if len(out) > limit:
+            raise SizeLimit(f"the search passed its guard of {limit} leaves")
+        free &= ~inc
+        while free:
+            low = free & -free
+            free ^= low
+            push((free, _join_closure(joins, inc, low.bit_length() - 1)))
+    out.sort()
+    return out
 
 
 def interior_system_masks(lat, guard=search.MAX_LEAVES):
     """All join-closed subsets containing bottom, as element bitmasks, sorted.
 
     Interior systems are exactly the images of interior operators.  The
-    include/exclude search of `trsys.search`, far below the 2^n subsets, runs
-    on the positions of `_height_order`, join-closing each inclusion in one
-    pass through its byte tables; each system is mapped to labels.  More
-    than `guard` systems raise SizeLimit; None is no limit.
+    depth-first search of `_interior_masks`, far below the 2^n subsets,
+    runs on the positions of `_height_order`, join-closing each inclusion
+    in one pass through its byte tables; each system is mapped to labels.
+    More than `guard` systems raise SizeLimit; None is no limit.
     """
     labels = _byte_tables(1 << x for x in _height_order(lat)[0])
     return sorted(_gather(labels, m) for m in _interior_masks(lat, guard))

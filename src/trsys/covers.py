@@ -10,17 +10,24 @@ the other.
 A cover is stored like a transfer system (`trsys.transfer`): the edge
 (x, y) is bit x*n + y, so the cover of a saturated system is its bits
 under the mask of the covering relations, and a cover's system is the
-closure of its bits.  Every function below reads the one object of the
-game per lattice, `_CoverRules`, whose tables are keyed by these positions.
+closure of its bits.  The checks read the one object of the game per
+lattice, `_CoverRules`, whose tables are keyed by these positions.  The
+covers are listed by `transfer._layers`, the lister of the transfer
+systems, with the steps of `_steps`: adjoining an element t reads only
+its lower covers and the covering diamonds they span with t, and a cover
+takes the new edges that it allows all together or not at all.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, reduce
+from itertools import combinations
+from operator import or_
 
 from . import search
 from .errors import InvalidCover, NotModular, NotSaturated
-from .lattice import _bits, per_lattice
-from .transfer import TransferSystem, _Relation, closure_for
+from .lattice import _bits, _bottom_up, per_lattice
+from .transfer import TransferSystem, _layers, _Relation, closure_for
 
 
 @dataclass(frozen=True)
@@ -101,19 +108,17 @@ class SaturatedCover(_Relation):
 class _CoverRules:
     """The game on one lattice, built once by `_rules`: the mask `cover`
     of the covering relations, per position p the mask `implies[p]` of the
-    edges rule (1) forces from edge p and the masks `watching[p]` of the
-    covering diamonds that hold it, the `diamonds` as position tuples with
-    their masks `diamond_masks`, and the search's branch `order`.  On a
-    lattice where a forced pair is no cover, `refusal` names the first such
-    pair, and rule (1) is not read: `find_cover_violation` raises it as
-    NotModular after rules 0 and 2."""
+    edges rule (1) forces from edge p, and the covering `diamonds` as
+    position tuples with their masks `diamond_masks`.  On a lattice where a
+    forced pair is no cover, `refusal` names the first such pair, and rule
+    (1) is not read: `find_cover_violation` raises it as NotModular after
+    rules 0 and 2."""
 
     def __init__(self, lat):
-        n, up, height, meet, join = lat.n, lat.up, lat.height, lat.meet, lat.join
-        size = n * n
+        n, up, meet, join = lat.n, lat.up, lat.meet, lat.join
         self.cover = cover = sum(1 << x * n + y for x, y in lat.covers)
         # modularity makes each forced pair (x ^ y, y) a cover
-        self.implies, self.refusal = [0] * size, None
+        self.implies, self.refusal = [0] * (n * n), None
         for x in range(n):
             for y in range(n):
                 j, m = join[x][y], meet[x][y]
@@ -125,7 +130,6 @@ class _CoverRules:
                 elif dst != src:
                     self.implies[src] |= 1 << dst
         self.diamonds, self.diamond_masks = [], []
-        self.watching = [[] for _ in range(size)]
         for x in range(n):
             for y in range(x + 1, n):
                 if up[x] >> y & 1 or up[y] >> x & 1:
@@ -134,58 +138,64 @@ class _CoverRules:
                 quad = (m * n + x, m * n + y, x * n + j, y * n + j)
                 if all(cover >> p & 1 for p in quad):
                     self.diamonds.append(quad)
-                    mask = sum(1 << p for p in quad)
-                    self.diamond_masks.append(mask)
-                    for p in quad:
-                        self.watching[p].append(mask)
-        self.order = sorted(_bits(cover), key=lambda p: (-height[p // n], p))
-
-    def propagate(self, inc, exc, e):
-        """Edge e and the edges it forces, up to an excluded one: the witness."""
-        inc |= 1 << e
-        work = [e]
-        while work:
-            e = work.pop()
-            absent = ~inc
-            forced = self.implies[e] & absent
-            for quad in self.watching[e]:
-                missing = quad & absent
-                if missing and not missing & (missing - 1):  # three of four in
-                    forced |= missing
-            if forced:
-                if forced & exc:
-                    return inc | forced
-                inc |= forced
-                while forced:
-                    low = forced & -forced
-                    work.append(low.bit_length() - 1)
-                    forced ^= low
-        return inc
+                    self.diamond_masks.append(sum(1 << p for p in quad))
 
 
 _rules = per_lattice(_CoverRules)
 
 
 def enumerate_saturated_covers(lat, guard=search.MAX_LEAVES):
-    """All saturated covers, by backtracking over cover edges.
+    """All saturated covers, sorted, listed by `transfer._layers` with the
+    steps of `_steps`.
 
-    Rule (1) propagates along precomputed implication masks; rule (2)
-    watches each covering diamond, forcing the fourth edge at three-in, so
-    no branch holds a three-in diamond and an exclusion cannot strand one.
-    Edges are decided by decreasing height of their lower end, then by
-    position: rule (1) forces edges downwards, so an edge tends to be
-    decided before the edges it forces, which are then still open rather
-    than excluded.  The search runs serially on the engine in
-    `trsys.search`, and its leaves are wrapped without re-validation: the
-    tests and `verify` compare them with the subset filter of `oracles.py`
-    and with the saturated systems.  More than `guard` covers raise
-    SizeLimit; None is no limit.
+    A lattice that is not modular raises NotModular first; then a guard
+    whose covers of the width of the cover mask would pass the memory
+    guard raises SizeLimit, before any step is made.  The covers are
+    wrapped without re-validation: the tests and `verify` compare them
+    with the subset filter of `oracles.py` and with the saturated systems.
+    More than `guard` covers raise SizeLimit; None is no limit.
     """
     if not lat.is_modular():
         raise NotModular("saturated covers are defined on modular lattices")
-    rules = _rules(lat)
-    out = search.leaves(rules.order, 0, rules.propagate, guard=guard)
-    return [SaturatedCover._wrap(lat, b) for b in out]
+    width = max((x * lat.n + y + 1 for x, y in lat.covers), default=0)  # the bits of one cover
+    return [SaturatedCover._wrap(lat, b) for b in _layers(guard, width, 0, _steps(lat))]
+
+
+def _steps(lat):
+    """The steps of `_layers` that list the saturated covers on `lat`.
+
+    Adjoining t adds the edges (c, t), c a lower cover of t, and any two
+    lower covers c, c' span the covering diamond (c ^ c', c, c', t), by
+    modularity.  Rule (1) forces from (c, t) edges (c ^ y, y) with y < t,
+    already decided, so it only allows (c, t); y lies below a lower cover
+    c' != c, and (c ^ c') v y = c', so rule (1) in Q forces (c ^ y, y)
+    from (c ^ c', c').  So (c, t) is allowed when Q holds the far lower
+    edges of its diamonds.  Two allowed edges share a diamond whose lower
+    edges Q holds, which asks for both or neither: the allowed edges
+    extend Q all together or not at all, and they do when no diamond with
+    top t then holds three edges.  Diamonds with a higher top are decided
+    later.  The mask is the lower edges of the diamonds with top t.  A new
+    edge may lie below bits of the last layer, so its sort is needed.
+    """
+    n, meet = lat.n, lat.meet
+    for t, lower in _bottom_up(lat)[1:]:
+        # per edge (c, t), its bit and the far lower edges of its diamonds
+        new = [(1 << c * n + t, sum(1 << meet[c][d] * n + d for d in lower if d != c)) for c in lower]
+        # per diamond, its lower and its upper edges
+        diamonds = [(1 << meet[c][d] * n + c | 1 << meet[c][d] * n + d, 1 << c * n + t | 1 << d * n + t)
+                    for c, d in combinations(lower, 2)]
+        key = reduce(or_, (far for _, far in new), 0)  # the lower edges of every diamond
+        yield key, 0, lambda g, key=key: key, partial(_extensions, new=new, diamonds=diamonds)
+
+
+def _extensions(Q, new, diamonds):
+    """The one nonempty set of the edges `new` that Q admits, or none: the
+    edges whose far lower edges Q holds, when no diamond then holds three
+    of its edges."""
+    S = sum(bit for bit, far in new if not far & ~Q)
+    if S and all((Q & low).bit_count() + (S & up).bit_count() != 3 for low, up in diamonds):
+        return [S]
+    return []
 
 
 def cover_to_system(cover):

@@ -22,7 +22,7 @@ import itertools
 from .errors import InvariantViolation, SizeLimit
 from .covers import SaturatedCover, find_cover_violation
 from .lattice import _bits, _cover_pairs
-from .transfer import TransferSystem, TrLattice, find_violation
+from .transfer import TransferSystem, TrLattice, _pair_bits, find_violation
 
 
 MAX_SUBSET_PAIRS = 12  # the subset filters' guards on the free pairs and cover edges
@@ -187,10 +187,9 @@ def naive_interior_operators(lat, max_elements=5):
 
 def least_system_containing(tr, pairs):
     """Generation oracle: the meet of all systems of Tr(P) containing the
-    given pairs."""
-    lat, want = tr.lattice, 0
-    for x, y in pairs:
-        want |= 1 << x * lat.n + y
+    given pairs.  The pairs are read by `transfer._pair_bits`, as by
+    `generate`: one outside the order raises InvalidTransferSystem."""
+    lat, want = tr.lattice, _pair_bits(tr.lattice, pairs)
     candidates = [s for s in tr if s.bits & want == want]
     bits = candidates[0].bits
     for s in candidates[1:]:

@@ -11,14 +11,15 @@ same layout, and share the immutable base `_Relation` with
 Each lattice has one private object, `_DenseClosure`, built once through
 `lattice.per_lattice` as `closure_for(lat)`, with one closure step: add a
 pair and all it forces.  `generate`, `saturated_hull`, `TransferSystem.join`
-and `covers.cover_to_system` fold it over the pairs still missing.  The Tr
-and saturated listings call no closure: `_layers` adjoins one element at a
-time, in height order, and extends each system of the last layer by the
-order ideals that restriction and transitivity (and two-out-of-three)
-admit.  The systems that share an extension set extend together, one
-sorted run per extension, so each layer is a merge of sorted runs, and
-its size is checked against the guards of `trsys.search` before it is
-built.
+and `covers.cover_to_system` fold it over the pairs still missing.  No
+listing calls a closure: `_layers`, the one lister of the Tr, saturated
+and cover kinds, adjoins one element at a time, in height order, and
+extends each relation of the last layer by the sets of new bits that its
+kind's step admits: for transfer systems, the order ideals that
+restriction and transitivity (and two-out-of-three) admit.  The relations
+that share an extension set extend together, one sorted run per
+extension, so each layer is a merge of sorted runs, and its size is
+checked against the guards of `trsys.search` before it is built.
 `find_violation` and `is_saturated` check the axioms directly on the rows
 of the bits and read no closure table.
 
@@ -453,88 +454,100 @@ class TrLattice:
         return self.systems[0] if self.systems else None
 
 
-def _layers(lat, guard, saturated):
-    """The bits of every transfer system on `lat`, saturated when
-    `saturated`, sorted, listed by adjoining one element at a time.
+def _layers(guard, width, root, steps):
+    """The bits of every relation that `steps` lists, sorted, built by
+    adjoining one element at a time to `root`, the one relation on bottom.
 
-    The elements are taken in height order, so each prefix is a down-set,
-    closed under meets.  A system on the prefix that ends in t is one
-    system T on the prefix before it plus the pairs (x, t) for x in a set
-    C.  C lies in A, the x < t with (x ^ c) T c for every lower cover c of
-    t, which restriction asks and which gives it for every other y < t; C
-    is an order ideal of (A, T), as transitivity asks.  Two-out-of-three
-    asks also each y < t with x T y, x in C; for a saturated T, A holds
-    these y, so C is any union of the classes of A under T.  A reads only
-    T on G, the columns of the lower covers of t, and the sets C only A
-    and T on the columns of A, or on its rows for the saturated kind, so
-    both are memoized per layer.  Each layer is kept sorted: the systems of
-    the last one are grouped, in order, by the key of their extension set,
-    and each extension e of a group gives the run T | e over the group,
-    sorted, as e adds only pairs (x, t) that no T holds; one sort then
-    merges the runs.  An atom's layer is uniform: every system doubles by
-    (bottom, t), which lies above every bit that tells the last layer
-    apart, as the atoms come in increasing label; it needs no sort.  Each
-    system extends at least by C empty, so no layer outgrows the next, and
-    the size of each is counted from the groups before it is built; one
-    that would pass `guard` raises SizeLimit.
+    `steps` yields one step (G, least, mask, extend) per element after
+    bottom, in height order, each used up before the next is made.  A
+    relation T of the last layer extends by the empty set alone when
+    T & G holds fewer than `least` bits or `mask(T & G)` is None.
+    Otherwise that mask holds every bit that `extend(T)`, its nonempty
+    extensions, reads, and each extension holds only bits that no relation
+    of the last layer holds.  So the relations are grouped, in order, by
+    T & mask, one extension set per group, and each extension e gives the
+    sorted run T | e over its group; one sort merges the runs with the
+    last layer.  No layer outgrows the next, and the size of each is
+    counted before it is built: one past `guard` raises SizeLimit, and so
+    does a guard whose relations of `width` bits pass the memory guard,
+    before any step is made.
     """
-    closure = closure_for(lat)
-    n, col, diag, meet, up = lat.n, closure.col, closure.diag, lat.meet, lat.up
-    pairs = closure.full ^ diag  # the bits that tell systems apart
-    search.check_width(pairs.bit_length(), guard)
+    search.check_width(width, guard)
     limit = sys.maxsize if guard is None else guard
-    order = _bottom_up(lat)
-    elements = [x for x, _ in order]
-    layer = [diag]  # the one system on bottom alone
     if limit < 1:
         raise SizeLimit(f"the search passed its guard of {guard} leaves")
+    layer = [root]
+    for G, least, mask, extend in steps:
+        if not G and not least and mask(0) == 0:  # one key, 0, for every T
+            groups = {0: layer}
+        else:
+            known, groups = {}, {}
+            for T in layer:
+                g = T & G
+                if least and g.bit_count() < least:
+                    continue
+                try:
+                    m = known[g]
+                except KeyError:
+                    m = known[g] = mask(g)
+                if m is not None:
+                    try:
+                        groups[T & m].append(T)
+                    except KeyError:
+                        groups[T & m] = [T]
+        extended = [(group, extend(group[0])) for group in groups.values()]
+        if len(layer) + sum(len(group) * len(extra) for group, extra in extended) > limit:
+            raise SizeLimit(f"the search passed its guard of {guard} leaves")
+        for group, extra in extended:  # each run is built before `layer`, maybe its group, grows
+            layer += [T | e for e in extra for T in group]
+        layer.sort()
+    return layer
+
+
+def _steps(lat, saturated):
+    """The steps of `_layers` that list the transfer systems on `lat`,
+    saturated when `saturated`.
+
+    A system on the prefix that ends in t is one system T on the prefix
+    before it plus the pairs (x, t) for x in a set C.  C lies in A, the
+    x < t with (x ^ c) T c for every lower cover c of t, which restriction
+    asks and which gives it for every other y < t; C is an order ideal of
+    (A, T), as transitivity asks.  Two-out-of-three asks also each y < t
+    with x T y, x in C; for a saturated T, A holds these y, so C is any
+    union of the classes of A under T.  A reads only T on G, the columns
+    of the lower covers of t, and the sets C only A and T on the columns of
+    A, or on its rows for the saturated kind: that is the mask.  A system
+    whose T & G holds fewer pairs than the smallest set that an x in A asks
+    has an empty A at once.  An atom's layer is uniform: every system
+    doubles by (bottom, t), which lies above every bit that tells the last
+    layer apart, as the atoms come in increasing label, so its sort finds
+    one run.
+    """
+    closure = closure_for(lat)
+    n, col, meet, up = lat.n, closure.col, lat.meet, lat.up
+    pairs = closure.full ^ closure.diag  # the bits that tell systems apart
+    order = _bottom_up(lat)
+    elements = [x for x, _ in order]
     for t, lower in order[1:]:
         below = [x for x in elements if up[x] >> t & 1 and x != t]
         G = sum(col << c for c in lower) & pairs
         # the pairs that x in A asks of T, off the diagonal; T & G holds
         # at least `least` of them when A is not empty
         need = [(x, sum(1 << meet[x][c] * n + c for c in lower) & pairs) for x in below]
-        least = min(m.bit_count() for _, m in need)
 
         def admitted(g):  # A, as a mask of elements, from T & G
             return sum(1 << x for x, m in need if m & g == m)
 
-        def read(A):  # the bits of T that the extensions in A read; 0 when A is empty
-            rows = sum(A << x * n for x in _bits(A)) if saturated else col * A
-            return (rows | G) & pairs if A else 0
+        def mask(g):  # the bits of T that the extensions in A read; None when A is empty
+            if A := admitted(g):
+                rows = sum(A << x * n for x in _bits(A)) if saturated else col * A
+                return (rows | G) & pairs
+            return None
 
-        A = admitted(0)
-        if not G and not read(A):  # every T has this A and one extension set
-            extra = _extensions(layer[0], A, below, n, t, col, saturated)
-            if len(layer) * (len(extra) + 1) > limit:
-                raise SizeLimit(f"the search passed its guard of {guard} leaves")
-            # atoms come in increasing label, and each adds (bottom, t) above
-            # every bit that tells the last layer apart: the layer stays sorted
-            layer += [T | e for e in extra for T in layer]
-            continue
-        known, groups = {}, {}
-        for T in layer:
-            g = T & G
-            if least and g.bit_count() < least:
-                continue
-            try:
-                mask = known[g]
-            except KeyError:
-                mask = known[g] = read(admitted(g))
-            if mask:  # 0 only when A is empty, as mask holds G
-                try:
-                    groups[T & mask].append(T)
-                except KeyError:
-                    groups[T & mask] = [T]
-        # the key holds T & G, so it fixes A
-        extended = [(group, _extensions(group[0], admitted(key & G), below, n, t, col, saturated))
-                    for key, group in groups.items()]
-        if len(layer) + sum(len(group) * len(extra) for group, extra in extended) > limit:
-            raise SizeLimit(f"the search passed its guard of {guard} leaves")
-        for group, extra in extended:
-            layer += [T | e for e in extra for T in group]
-        layer.sort()
-    return layer
+        def extend(T):
+            return _extensions(T, admitted(T & G), below, n, t, col, saturated)
+
+        yield G, min(m.bit_count() for _, m in need), mask, extend
 
 
 def _extensions(T, A, below, n, t, col, saturated):
@@ -562,6 +575,12 @@ def _extensions(T, A, below, n, t, col, saturated):
     return out[1:]
 
 
+def _systems(lat, guard, saturated):
+    """The sorted bits of the transfer systems on `lat`, saturated when `saturated`."""
+    closure = closure_for(lat)
+    return _layers(guard, (closure.full ^ closure.diag).bit_length(), closure.diag, _steps(lat, saturated))
+
+
 # `jobs` is ignored and kept only because benchmarks/record.py passes it
 def enumerate_transfer_systems(lat, guard=search.MAX_LEAVES, jobs=1):
     """All transfer systems on `lat`, as a TrLattice.
@@ -569,7 +588,7 @@ def enumerate_transfer_systems(lat, guard=search.MAX_LEAVES, jobs=1):
     Lists them serially, by adjoining one element at a time (`_layers`).
     More than `guard` systems raise SizeLimit; None is no limit.
     """
-    return TrLattice._from_sorted_bits(lat, _layers(lat, guard, saturated=False))
+    return TrLattice._from_sorted_bits(lat, _systems(lat, guard, saturated=False))
 
 
 def enumerate_saturated_systems(lat, guard=search.MAX_LEAVES):
@@ -579,4 +598,4 @@ def enumerate_saturated_systems(lat, guard=search.MAX_LEAVES):
     so the count is independent of full Tr enumeration.  More than `guard`
     systems raise SizeLimit; None is no limit.
     """
-    return [TransferSystem._wrap(lat, b) for b in _layers(lat, guard, saturated=True)]
+    return [TransferSystem._wrap(lat, b) for b in _systems(lat, guard, saturated=True)]

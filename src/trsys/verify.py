@@ -180,7 +180,13 @@ def check_rank_two():
 
 
 def check_matchstick():
-    """Cover counts and the three-way count coherence on modular lattices."""
+    """Cover counts and the three-way count coherence on modular lattices.
+
+    Covers and saturated systems share one lister, `transfer._layers`,
+    with different rules: the matchstick rules on cover edges for the one,
+    restriction, transitivity and two-out-of-three on pairs for the other.
+    The memoized interior count lists nothing and shares no step with
+    either: it is the independent route."""
     res = CheckResult("matchstick", True)
     got3 = len(_listing(enumerate_saturated_covers, _cube(3)))
     res.note(got3 == CUBE3_COVER_COUNT, f"saturated covers on cube(3): {got3} (want 61)")

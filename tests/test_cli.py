@@ -186,7 +186,7 @@ def test_transfer_lines_and_tr_hasse_labels_build_no_system(capsys, tmp_path, mo
 def test_interior_enumeration_past_256_elements_exits_three(capsys, monkeypatch):
     # chain(256) passes the lattice guard, and --unsafe-guard lifts the leaf guard
     # of the interior search; its 257 labels do not fit a byte, so it stops before searching
-    monkeypatch.setattr("trsys.search.leaves", lambda *args: pytest.fail("searched"))
+    monkeypatch.setattr(sys.modules["trsys.characteristic"], "_interior_masks", lambda *args: pytest.fail("searched"))
     code, out, err = run_cli(["enumerate", "--family", "chain", "--n", "256", "--kind", "interior", "--unsafe-guard"], capsys)
     assert (code, out) == (3, "")
     assert err == "guard breached: 257 elements exceed the 256 labels of a one-byte image row\n"
@@ -332,7 +332,7 @@ def test_interior_dot_exits_two_before_enumerating(monkeypatch, capsys):
     def enumerate_called(*args, **kwargs):
         raise AssertionError("enumerated before checking the format")
 
-    monkeypatch.setattr("trsys.search.leaves", enumerate_called)
+    monkeypatch.setattr(sys.modules["trsys.characteristic"], "_interior_masks", enumerate_called)
     code, out, err = run_cli(["enumerate", "--family", "cube", "--n", "3", "--kind", "interior", "--format", "dot"], capsys)
     assert (code, out, err) == (2, "", "error: --format dot is not defined for interior operators\n")
 

@@ -5,7 +5,7 @@ import pytest
 
 from trsys import oracles
 from trsys.covers import find_cover_violation
-from trsys.errors import InvariantViolation, NotModular, SizeLimit
+from trsys.errors import InvalidTransferSystem, InvariantViolation, NotModular, SizeLimit
 from trsys.lattice import all_lattices, boolean_cube, chain
 from trsys.oracles import (
     MAX_SUBSET_EDGES,
@@ -16,7 +16,7 @@ from trsys.oracles import (
     naive_saturated_covers,
     naive_transfer_systems,
 )
-from trsys.transfer import TransferSystem, TrLattice, find_violation
+from trsys.transfer import TransferSystem, TrLattice, find_violation, generate
 
 EXTREMES = [(True, False), (False, True), (True, True)]
 
@@ -168,3 +168,15 @@ def test_least_saturated_above_raises_when_the_saturated_systems_above_have_no_l
     assert len(minimal) == 2
     with pytest.raises(InvariantViolation, match="no least member"):
         least_saturated_above(empty, planted)
+
+
+@pytest.mark.parametrize("pairs", [[(2, 0)], [(5, 0)], [(-1, 0)]], ids=["unordered", "past-n", "negative"])
+def test_least_system_containing_refuses_the_pairs_that_generate_refuses(pairs):
+    # the oracle reads its pairs as generate, the route it checks, does
+    lat = chain(2)
+    tr = naive_transfer_systems(lat)
+    with pytest.raises(InvalidTransferSystem) as expected:
+        generate(lat, pairs)
+    with pytest.raises(InvalidTransferSystem) as got:
+        least_system_containing(tr, pairs)
+    assert str(got.value) == str(expected.value)

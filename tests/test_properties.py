@@ -22,7 +22,7 @@ import os
 import random
 import re
 import tempfile
-from functools import partial, reduce
+from functools import reduce
 from operator import and_, or_
 from unittest import mock
 
@@ -40,6 +40,7 @@ from trsys.characteristic import (
     operator_from_interior_system,
 )
 from trsys.cli import main
+from walk import CoverPropagator
 from trsys.counting import count_tr_fusion, interior_only_count, minimal_fibrant_census
 from trsys.covers import (
     CoverViolation,
@@ -241,9 +242,9 @@ def include_step(lat, kind):
             m for m in range(1 << lat.n)
             if m >> lat.bottom & 1 and all(m >> lat.join[a][b] & 1 for a in _bits(m) for b in _bits(m))
         ]
-        return partial(_join_closure, tables), closed
-    if kind == "covers":
-        return _rules(lat).propagate, bits(naive_saturated_covers(lat))
+        return lambda inc, exc, p: _join_closure(tables, inc, p), closed
+    if kind == "covers":  # the propagator of the reference walk
+        return CoverPropagator(lat).propagate, bits(naive_saturated_covers(lat))
     closure = closure_for(lat)
     tr = naive_transfer_systems(lat)
     if kind == "saturated":

@@ -1,6 +1,6 @@
-"""The leaf and memory guards of the search engine and of the layered Tr
-lister, the work of the lister against its budgets, and its leaves
-against the plain walk."""
+"""The leaf and memory guards of the layered lister and the interior
+search, the work of the lister against its budgets, and the outputs of
+both against the plain walk of `walk.py`."""
 import random
 import sys
 import tracemalloc
@@ -9,7 +9,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from trsys import search, transfer
+import walk
+from trsys import covers, search, transfer
+from trsys.characteristic import _height_order, _interior_masks, _join_closure
 from trsys.characteristic import count_interior_operators, enumerate_interior_operators
 from trsys.covers import enumerate_saturated_covers
 from trsys.errors import SizeLimit
@@ -43,13 +45,13 @@ def test_a_guard_of_zero_refuses_the_one_leaf_of_a_point(enumerate_):
 
 
 def test_memory_guard_admits_exactly_its_budget_of_bits(monkeypatch):
-    # one leaf of 10 bits, the width of an order whose last position is 9
-    monkeypatch.setattr(search, "_LEAF_BITS", 100)
-    add_one = lambda inc, exc, k: inc | 1 << k  # noqa: E731  (the closure of inc + k)
-    assert search.leaves([9], 0, add_one, guard=10) == [0, 1 << 9]
-    with pytest.raises(SizeLimit, match="11 leaves of 10 bits pass the search's memory guard"):
-        search.leaves([9], 0, add_one, guard=11)
-    assert search.leaves([9], 0, add_one, guard=None) == [0, 1 << 9]
+    # chain(2) has 4 saturated covers, each of 6 bits: its last cover edge,
+    # (1, 2), is at position 5
+    monkeypatch.setattr(search, "_LEAF_BITS", 24)
+    assert len(enumerate_saturated_covers(chain(2), guard=4)) == 4
+    with pytest.raises(SizeLimit, match="5 leaves of 6 bits pass the search's memory guard"):
+        enumerate_saturated_covers(chain(2), guard=5)
+    assert len(enumerate_saturated_covers(chain(2), guard=None)) == 4
 
 
 @pytest.mark.parametrize("enumerate_", SEARCHES, ids=KINDS)
@@ -60,10 +62,21 @@ def test_memory_guard_refuses_a_chain_of_94_elements_before_the_search(enumerate
     assert search.MAX_LEAVES * 92**2 <= search._LEAF_BITS < search.MAX_LEAVES * 94 * 93
     closure = closure_for(chain(93))
     assert (closure.full ^ closure.diag).bit_length() == 94 * 93
-    monkeypatch.setattr(search, "_walk", None)  # no search starts
-    monkeypatch.setattr(transfer, "_extensions", None)  # and no layer is built
+    monkeypatch.setattr(covers, "_rules", None)  # no table of the cover game is built
+    monkeypatch.setattr(covers, "_extensions", None)  # and no layer of any kind
+    monkeypatch.setattr(transfer, "_extensions", None)
     with pytest.raises(SizeLimit, match="memory guard"):
         enumerate_(chain(93))
+
+
+def test_cover_guard_refuses_cube_10_before_the_rules_are_built(monkeypatch):
+    # the 1,024 x 1,024 pairs of the rules of cube(10) took about a minute
+    # to build; the width of its cover mask, 1,047,552 bits, is read first
+    lat = boolean_cube(10)
+    monkeypatch.setattr(covers, "_rules", lambda lat: pytest.fail("built the rules"))
+    monkeypatch.setattr(covers, "_bottom_up", lambda lat: pytest.fail("made a step"))
+    with pytest.raises(SizeLimit, match="250000 leaves of 1047552 bits pass the search's memory guard"):
+        enumerate_saturated_covers(lat)
 
 
 def shuffled(lat, seed):
@@ -72,22 +85,22 @@ def shuffled(lat, seed):
     return Lattice(lat.leq[np.ix_(perm, perm)])
 
 
-def include_calls(step, enumerate_, lat):
+def include_calls(step, enumerate_, lat, module=transfer):
     """The leaves of `enumerate_(lat)`, the calls it makes to the
     `_DenseClosure` method `step`, and the extension sets the layered
-    lister computes, one per memo miss."""
+    lister computes by `module._extensions`, one per memo miss."""
     calls, method = [], getattr(_DenseClosure, step)
-    sets, extensions = [], transfer._extensions
+    sets, extensions = [], module._extensions
 
     def counted(*args):
         calls.append(args[-1])
         return method(*args)
 
-    def computed(*args):
-        sets.append(args[1])
-        return extensions(*args)
+    def computed(*args, **kwargs):
+        sets.append(args)
+        return extensions(*args, **kwargs)
 
-    with mock.patch.object(_DenseClosure, step, counted), mock.patch.object(transfer, "_extensions", computed):
+    with mock.patch.object(_DenseClosure, step, counted), mock.patch.object(module, "_extensions", computed):
         return len(enumerate_(lat)), len(calls), len(sets)
 
 
@@ -116,13 +129,27 @@ def test_saturated_grid_makes_at_most_its_budget_of_include_calls_per_leaf(seed)
     assert leaves == 3451 and calls == 0 and sets <= 168
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_cover_grid_makes_at_most_its_budget_of_extension_sets(seed):
+    # the covers of [3]x[3] are its 3,451 saturated systems, listed with 42
+    # extension sets in every labelling, one per key of the lower edges of
+    # the diamonds at each element, and no closure call
+    lat = shuffled(product(chain(3), chain(3)), seed)
+    leaves, calls, sets = include_calls("propagate", enumerate_saturated_covers, lat, module=covers)
+    assert leaves == 3451 and calls == 0 and sets <= 42
+
+
+def lattice_sweep(lats):
+    """The lattices, and a relabelling of each."""
+    return lats + [shuffled(lat, seed) for seed, lat in enumerate(lats)]
+
+
 def test_layers_give_the_leaves_of_the_plain_walk():
     # the walk over the non-reflexive pairs in position order, on the
     # closure steps of both kinds; its order never changes the sorted leaves
     lats = [lat for n in range(1, 9) for lat in all_lattices(n)]
     assert len(lats) == 300
-    lats += [shuffled(lat, seed) for seed, lat in enumerate(lats)]
-    lats += [sub_cp_cp(p) for p in (2, 3, 5, 7, 11, 13)]
+    lats = lattice_sweep(lats) + [sub_cp_cp(p) for p in (2, 3, 5, 7, 11, 13)]
     for lat in lats:
         closure = closure_for(lat)
         order = list(_bits(closure.full ^ closure.diag))
@@ -131,7 +158,30 @@ def test_layers_give_the_leaves_of_the_plain_walk():
             (closure.propagate_saturated, enumerate_saturated_systems),
         ):
             bits = [system.bits for system in enumerate_(lat, guard=None)]
-            assert bits == search.leaves(order, closure.diag, step)
+            assert bits == walk.leaves(order, closure.diag, step)
+
+
+def test_cover_layers_give_the_leaves_of_the_plain_walk():
+    # the walk over the cover edges with the propagator of the cover game
+    lats = [lat for n in range(1, 9) for lat in all_lattices(n) if lat.is_modular()]
+    assert len(lats) == 67
+    grids = [boolean_cube(4), product(chain(3), chain(4)), product(chain(3), chain(5)), product(chain(4), chain(4))]
+    lats = lattice_sweep(lats + grids + [sub_cp_cp(5), sub_cp_cp(7)])
+    for lat in lats:
+        rules = walk.CoverPropagator(lat)
+        bits = [cover.bits for cover in enumerate_saturated_covers(lat, guard=None)]
+        assert bits == walk.leaves(rules.order, 0, rules.propagate)
+
+
+def test_interior_search_gives_the_leaves_of_the_plain_walk():
+    # the walk over the height-order positions after bottom, with the join
+    # closure as its propagator, which never meets an exclusion
+    lats = lattice_sweep([lat for n in range(1, 9) for lat in all_lattices(n)])
+    lats += [boolean_cube(4), product(chain(3), chain(4)), product(chain(4), chain(4))]
+    for lat in lats:
+        joins = _height_order(lat)[1]
+        step = lambda inc, exc, p: _join_closure(joins, inc, p)  # noqa: E731
+        assert _interior_masks(lat, None) == walk.leaves(range(1, lat.n), 1, step)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17])
